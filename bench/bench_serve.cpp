@@ -3,11 +3,10 @@
 // bench/run_serve.sh):
 //
 //   1. cache     — forecast latency, cache hit vs cache miss
-//   2. batching  — same-method forecast throughput, batched vs unbatched
-//   3. loopback  — end-to-end req/sec over the TCP front-end
-//   4. epoll     — multi-client and pipelined req/sec against the event loop
-//   5. job_pool  — two concurrent evaluations vs the same two run back-to-back
-//   6. qos       — overload shedding (4x ask oversubscription vs a concurrent
+//   2. loopback  — end-to-end req/sec over the TCP front-end
+//   3. epoll     — multi-client and pipelined req/sec against the event loop
+//   4. job_pool  — two concurrent evaluations vs the same two run back-to-back
+//   5. qos       — overload shedding (4x ask oversubscription vs a concurrent
 //                  forecast) and the latency of a deadline-bounded fit abort
 //
 //   ./build/bench/bench_serve [output.json]
@@ -31,7 +30,6 @@
 #include "serve/event_loop.h"
 #include "serve/job_manager.h"
 #include "serve/server.h"
-#include "serve/tcp_server.h"
 
 using namespace easytime;
 
@@ -99,56 +97,10 @@ CacheNumbers BenchCache(serve::ForecastServer* server,
   return out;
 }
 
-// ---- 2. batched vs unbatched throughput -----------------------------------
-
-double MeasureThroughput(core::EasyTime* system, bool batching,
-                         const std::vector<std::string>& datasets,
-                         uint64_t* max_batch_size) {
-  serve::ForecastServer::Options opt;
-  opt.enable_batching = batching;
-  opt.batch_max = 8;
-  opt.batch_wait_ms = 2.0;
-  opt.num_worker_threads = 4;
-  opt.fast_queue_capacity = 4096;
-  opt.cache_capacity = 0;  // measure computation, not the cache
-  serve::ForecastServer server(system, opt);
-  server.Start();
-
-  constexpr int kClients = 8;
-  constexpr int kPerClient = 30;
-  std::atomic<int> failures{0};
-  Stopwatch watch;
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c]() {
-      for (int r = 0; r < kPerClient; ++r) {
-        // Same method everywhere => one batch bucket; distinct datasets and
-        // horizons => real per-request work (no dedup shortcut).
-        auto resp = Json::Parse(server.HandleLine(ForecastLine(
-            datasets[(c + r) % datasets.size()], "theta", c * 1000 + r,
-            4 + ((c + r) % 8))));
-        if (!resp.ok() || !resp->GetBool("ok", false)) failures.fetch_add(1);
-      }
-    });
-  }
-  for (auto& t : clients) t.join();
-  double seconds = watch.ElapsedSeconds();
-  if (failures.load() > 0) {
-    std::fprintf(stderr, "throughput bench: %d failures\n", failures.load());
-    std::exit(1);
-  }
-  if (max_batch_size) {
-    *max_batch_size = static_cast<uint64_t>(
-        server.StatsJson().Get("batching").GetInt("max_batch_size", 0));
-  }
-  server.Stop();
-  return kClients * kPerClient / seconds;
-}
-
-// ---- 3. loopback TCP req/sec ----------------------------------------------
+// ---- 2. loopback TCP req/sec ----------------------------------------------
 
 double BenchTcp(serve::ForecastServer* server, const std::string& dataset) {
-  serve::TcpServer tcp(server);
+  serve::EventLoopServer tcp(server, serve::EventLoopServer::Options());
   if (auto st = tcp.Start(); !st.ok()) {
     std::fprintf(stderr, "tcp: %s\n", st.ToString().c_str());
     std::exit(1);
@@ -187,7 +139,7 @@ double BenchTcp(serve::ForecastServer* server, const std::string& dataset) {
   return kRequests / seconds;
 }
 
-// ---- 4. epoll front-end: many clients, then one pipelined client ----------
+// ---- 3. epoll front-end: many clients, then one pipelined client ----------
 
 int ConnectTo(uint16_t port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -289,7 +241,7 @@ EpollNumbers BenchEpoll(serve::ForecastServer* server,
   return out;
 }
 
-// ---- 5. job pool: 2 concurrent evaluations vs sequential -------------------
+// ---- 4. job pool: 2 concurrent evaluations vs sequential -------------------
 
 Json MakeJobConfig(const std::string& key) {
   auto config = Json::Parse(R"({
@@ -336,7 +288,7 @@ double RunJobPair(core::EasyTime* system, size_t concurrency,
   return seconds;
 }
 
-// ---- 6. qos: overload shedding and deadline-bounded fits -------------------
+// ---- 5. qos: overload shedding and deadline-bounded fits -------------------
 
 struct QosNumbers {
   double forecast_under_overload_ms = 0.0;
@@ -352,8 +304,7 @@ struct QosNumbers {
 QosNumbers BenchQos(core::EasyTime* system, const std::string& dataset) {
   serve::ForecastServer::Options opt;
   opt.num_worker_threads = 2;
-  opt.fast_queue_capacity = 8;  // admission capacity; 32 asks = 4x overload
-  opt.enable_batching = false;
+  opt.fast_lane_capacity = 8;  // admission capacity; 32 asks = 4x overload
   opt.cache_capacity = 0;
   serve::ForecastServer server(system, opt);
   server.Start();
@@ -439,12 +390,6 @@ int main(int argc, char** argv) {
   EpollNumbers epoll = BenchEpoll(&server, datasets[0]);
   server.Stop();
 
-  uint64_t max_batch = 0;
-  double unbatched_rps =
-      MeasureThroughput(system.get(), false, datasets, nullptr);
-  double batched_rps =
-      MeasureThroughput(system.get(), true, datasets, &max_batch);
-
   // The concurrent configuration scales with the machine: min(cores, 4)
   // workers when more than one core is available, else the 2-worker pool
   // (which still exercises overlap even if wall time cannot improve).
@@ -468,15 +413,6 @@ int main(int argc, char** argv) {
                      ? cache.miss_mean_ms / cache.hit_mean_ms
                      : 0.0);
   out.Set("cache", std::move(cache_json));
-
-  Json batch_json = Json::Object();
-  batch_json.Set("threads", static_cast<int64_t>(8));  // client threads
-  batch_json.Set("unbatched_req_per_sec", unbatched_rps);
-  batch_json.Set("batched_req_per_sec", batched_rps);
-  batch_json.Set("speedup",
-                 unbatched_rps > 0.0 ? batched_rps / unbatched_rps : 0.0);
-  batch_json.Set("max_batch_size", static_cast<int64_t>(max_batch));
-  out.Set("batching", std::move(batch_json));
 
   Json tcp_json = Json::Object();
   tcp_json.Set("threads", static_cast<int64_t>(1));

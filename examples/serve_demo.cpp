@@ -16,8 +16,8 @@
 #include <thread>
 
 #include "core/easytime.h"
+#include "serve/event_loop.h"
 #include "serve/server.h"
-#include "serve/tcp_server.h"
 
 using namespace easytime;
 
@@ -101,7 +101,7 @@ int main() {
   }
 
   // 5. The same protocol over loopback TCP.
-  serve::TcpServer tcp(&server);
+  serve::EventLoopServer tcp(&server, serve::EventLoopServer::Options());
   if (auto st = tcp.Start(); !st.ok()) {
     std::fprintf(stderr, "tcp: %s\n", st.ToString().c_str());
     return 1;

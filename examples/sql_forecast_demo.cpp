@@ -15,8 +15,8 @@
 #include <string>
 
 #include "core/easytime.h"
+#include "serve/event_loop.h"
 #include "serve/server.h"
-#include "serve/tcp_server.h"
 
 using namespace easytime;
 
@@ -141,7 +141,8 @@ int main() {
              "model := 'ses', horizon := 3)")));
 
   // 5. The same queries over loopback TCP.
-  serve::TcpServer tcp(&server);
+  serve::EventLoopServer tcp(&server,
+                              serve::EventLoopServer::Options());
   if (auto st = tcp.Start(); !st.ok()) {
     std::fprintf(stderr, "tcp: %s\n", st.ToString().c_str());
     return 1;

@@ -77,9 +77,8 @@ easytime::Status ClusterRouter::Start() {
     shard->id = "shard-" + std::to_string(i);
     shard->primary_name = shard->id + "-p0";
     shard->primary_store = options_.work_dir + "/" + shard->id + "-primary";
-    shard->breaker = std::make_unique<pipeline::CircuitBreaker>(
-        pipeline::CircuitBreaker::Options{options_.breaker_threshold,
-                                          options_.breaker_cooldown_ms});
+    shard->breaker = std::make_unique<CircuitBreaker>(CircuitBreaker::Options{
+        options_.breaker_threshold, options_.breaker_cooldown_ms});
     EASYTIME_ASSIGN_OR_RETURN(
         uint16_t pport,
         SpawnWorker(shard->primary_name, "primary", shard->primary_store));
@@ -822,13 +821,13 @@ easytime::Json ClusterRouter::ClusterStatusJson() {
     j.Set("failovers", static_cast<int64_t>(shard->failovers.load()));
     j.Set("outstanding", static_cast<int64_t>(shard->outstanding.load()));
     switch (shard->breaker->state()) {
-      case pipeline::CircuitBreaker::State::kClosed:
+      case CircuitBreaker::State::kClosed:
         j.Set("breaker", "closed");
         break;
-      case pipeline::CircuitBreaker::State::kOpen:
+      case CircuitBreaker::State::kOpen:
         j.Set("breaker", "open");
         break;
-      case pipeline::CircuitBreaker::State::kHalfOpen:
+      case CircuitBreaker::State::kHalfOpen:
         j.Set("breaker", "half_open");
         break;
     }

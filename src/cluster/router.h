@@ -42,9 +42,9 @@
 #include "cluster/replicator.h"
 #include "cluster/shard_map.h"
 #include "cluster/supervisor.h"
+#include "common/circuit_breaker.h"
 #include "common/json.h"
 #include "common/result.h"
-#include "pipeline/circuit_breaker.h"
 #include "serve/client.h"
 #include "serve/event_loop.h"
 #include "serve/request.h"
@@ -122,7 +122,7 @@ class ClusterRouter {
     /// Never reassigned after construction — handler threads call through
     /// the raw pointer without a lock, so failover calls Reset() on the
     /// stable object instead of swapping it.
-    std::unique_ptr<pipeline::CircuitBreaker> breaker;
+    std::unique_ptr<CircuitBreaker> breaker;
     std::atomic<size_t> outstanding{0};  ///< bounded-load reading
     std::atomic<bool> down{false};
     std::atomic<bool> promoting{false};

@@ -1,13 +1,13 @@
 #pragma once
 
 /// \file circuit_breaker.h
-/// \brief Per-method circuit breaker used by the pipeline runner (and
-/// unit-tested directly). After `threshold` consecutive failures the breaker
-/// opens and calls are skipped. With a cooldown configured, the first call
-/// after the cooldown elapses transitions the breaker to half-open and runs
-/// as a probe: success closes the breaker, failure re-trips it for another
-/// cooldown. With cooldown 0 an open breaker stays open for the rest of the
-/// run (the pre-half-open behavior).
+/// \brief Circuit breaker shared by the pipeline runner (one per method)
+/// and the cluster router (one per shard). After `threshold` consecutive
+/// failures the breaker opens and calls are skipped. With a cooldown
+/// configured, the first call after the cooldown elapses transitions the
+/// breaker to half-open and runs as a probe: success closes the breaker,
+/// failure re-trips it for another cooldown. With cooldown 0 an open breaker
+/// stays open for the rest of the run (the pre-half-open behavior).
 ///
 /// Thread safety: all methods take an internal mutex; "consecutive" counts
 /// completion order, which is approximate under a parallel fan-out (see the
@@ -17,7 +17,7 @@
 #include <chrono>
 #include <mutex>
 
-namespace easytime::pipeline {
+namespace easytime {
 
 class CircuitBreaker {
  public:
@@ -118,4 +118,4 @@ class CircuitBreaker {
   bool trip_logged_ = false;
 };
 
-}  // namespace easytime::pipeline
+}  // namespace easytime

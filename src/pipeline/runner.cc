@@ -9,6 +9,7 @@
 #include <set>
 #include <thread>
 
+#include "common/circuit_breaker.h"
 #include "common/csv.h"
 #include "common/fault.h"
 #include "common/logging.h"
@@ -17,7 +18,6 @@
 #include "common/thread_pool.h"
 #include "eval/metrics.h"
 #include "methods/registry.h"
-#include "pipeline/circuit_breaker.h"
 
 namespace easytime::pipeline {
 

@@ -68,18 +68,15 @@ void AdmissionController::Finish(const std::string& cls) {
   UpdateBrownoutLocked();
 }
 
-void AdmissionController::Enqueue(const std::string& cls, Unit unit) {
-  std::vector<std::pair<std::string, Unit>> launches;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    Cls(cls).queue.push_back(std::move(unit));
-    CollectLaunchesLocked(&launches);
-  }
-  for (auto& [name, u] : launches) LaunchUnit(name, std::move(u));
+bool AdmissionController::Enqueue(const std::string& cls, Unit unit) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (drained_) return false;
+  Cls(cls).queue.push_back(std::move(unit));
+  LaunchReadyLocked();
+  return true;
 }
 
-void AdmissionController::CollectLaunchesLocked(
-    std::vector<std::pair<std::string, Unit>>* out) {
+void AdmissionController::LaunchReadyLocked() {
   while (total_running_ < options_.workers) {
     // Pick the best non-empty class: under-guarantee classes first, then the
     // lowest running/weight ratio (weighted fair sharing of borrowed slots),
@@ -111,15 +108,18 @@ void AdmissionController::CollectLaunchesLocked(
       }
     }
     if (best == nullptr) return;
-    out->emplace_back(*best_name, std::move(best->queue.front()));
+    Unit unit = std::move(best->queue.front());
     best->queue.pop_front();
     best->last_launch = ++launch_seq_;
     ++best->running;
     ++total_running_;
+    LaunchLocked(*best_name, std::move(unit));
   }
 }
 
-void AdmissionController::LaunchUnit(const std::string& cls, Unit unit) {
+void AdmissionController::LaunchLocked(const std::string& cls, Unit unit) {
+  // Under mu_ (the launcher only pushes onto the pool's queue), so DrainAll
+  // is a barrier: no launch can follow it onto a pool being destroyed.
   launch_([this, cls, unit = std::move(unit)]() mutable {
     unit();
     OnUnitDone(cls);
@@ -127,31 +127,25 @@ void AdmissionController::LaunchUnit(const std::string& cls, Unit unit) {
 }
 
 void AdmissionController::OnUnitDone(const std::string& cls) {
-  std::vector<std::pair<std::string, Unit>> launches;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ClassState& s = Cls(cls);
-    if (s.running > 0) --s.running;
-    if (total_running_ > 0) --total_running_;
-    CollectLaunchesLocked(&launches);
-  }
-  for (auto& [name, u] : launches) LaunchUnit(name, std::move(u));
+  std::lock_guard<std::mutex> lock(mu_);
+  ClassState& s = Cls(cls);
+  if (s.running > 0) --s.running;
+  if (total_running_ > 0) --total_running_;
+  LaunchReadyLocked();
 }
 
 void AdmissionController::DrainAll() {
-  std::vector<std::pair<std::string, Unit>> launches;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [name, s] : classes_) {
-      while (!s.queue.empty()) {
-        launches.emplace_back(name, std::move(s.queue.front()));
-        s.queue.pop_front();
-        ++s.running;  // balanced by OnUnitDone in the launch wrapper
-        ++total_running_;
-      }
+  std::lock_guard<std::mutex> lock(mu_);
+  drained_ = true;
+  for (auto& [name, s] : classes_) {
+    while (!s.queue.empty()) {
+      Unit unit = std::move(s.queue.front());
+      s.queue.pop_front();
+      ++s.running;  // balanced by OnUnitDone in the launch wrapper
+      ++total_running_;
+      LaunchLocked(name, std::move(unit));
     }
   }
-  for (auto& [name, u] : launches) LaunchUnit(name, std::move(u));
 }
 
 void AdmissionController::UpdateBrownoutLocked() {

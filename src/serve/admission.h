@@ -10,13 +10,12 @@
 ///    is under the shared capacity. A burst on one endpoint therefore sheds
 ///    (`Unavailable`) once it exhausts its own reservation plus the shared
 ///    headroom, while other classes keep their reserved slots.
-///  - **Worker slots.** Admitted work arrives as units (one request, or one
-///    micro-batch) in per-class run queues. The controller launches units
-///    onto the executor pool while any worker is free, preferring classes
-///    below their guaranteed share `max(1, floor(workers * w_i / sum(w)))`
-///    and otherwise the class with the lowest running/weight ratio. Nothing
-///    here ever blocks the dispatcher, so a saturated class cannot
-///    head-of-line-block the others.
+///  - **Worker slots.** Each admitted request arrives as one unit in its
+///    class's run queue. The controller launches units onto the executor
+///    pool while any worker is free, preferring classes below their
+///    guaranteed share `max(1, floor(workers * w_i / sum(w)))` and otherwise
+///    the class with the lowest running/weight ratio. Enqueue never blocks
+///    its caller, so a saturated class cannot head-of-line-block the others.
 ///
 /// The controller also owns the brownout hysteresis: when total pending
 /// crosses `enter_fraction * capacity` the process-global OverloadState flips
@@ -27,10 +26,8 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <string>
-#include <vector>
-
 #include <mutex>
+#include <string>
 
 #include "common/json.h"
 #include "common/overload.h"
@@ -39,9 +36,10 @@ namespace easytime::serve {
 
 class AdmissionController {
  public:
-  /// A unit of admitted work (one request or one micro-batch).
+  /// A unit of admitted work (one request).
   using Unit = std::function<void()>;
-  /// Hands a ready unit to the executor pool (must not block).
+  /// Hands a ready unit to the executor pool. Called under the controller's
+  /// mutex, so it must neither block nor run the unit inline.
   using Launcher = std::function<void(Unit)>;
 
   struct Options {
@@ -64,11 +62,14 @@ class AdmissionController {
   void Finish(const std::string& cls);
 
   /// \brief Queues an admitted unit for a worker slot and launches as many
-  /// units as free workers allow. Never blocks.
-  void Enqueue(const std::string& cls, Unit unit);
+  /// units as free workers allow. Never blocks. Returns false, dropping
+  /// \p unit unrun, once DrainAll has run: the caller still owns its slot.
+  bool Enqueue(const std::string& cls, Unit unit);
 
   /// Stop-time drain: hands every queued unit to the launcher regardless of
-  /// worker caps, so a destructing pool can run them all.
+  /// worker caps, so a destructing pool can run them all, and refuses every
+  /// later Enqueue. Launches happen under the controller's mutex, so once
+  /// this returns no unit can reach the launcher again.
   void DrainAll();
 
   /// Total requests shed across all classes.
@@ -97,10 +98,9 @@ class AdmissionController {
   /// first sight of a new class.
   ClassState& Cls(const std::string& name);
   void RecomputeSharesLocked();
-  /// Moves launchable units into \p out while worker slots remain.
-  void CollectLaunchesLocked(
-      std::vector<std::pair<std::string, Unit>>* out);
-  void LaunchUnit(const std::string& cls, Unit unit);
+  /// Launches queued units while worker slots remain.
+  void LaunchReadyLocked();
+  void LaunchLocked(const std::string& cls, Unit unit);
   void OnUnitDone(const std::string& cls);
   void UpdateBrownoutLocked();
 
@@ -113,6 +113,7 @@ class AdmissionController {
   uint64_t shed_total_ = 0;
   uint64_t launch_seq_ = 0;  ///< feeds ClassState::last_launch
   bool brownout_ = false;
+  bool drained_ = false;  ///< DrainAll ran; Enqueue refuses
 };
 
 }  // namespace easytime::serve

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file client.h
-/// \brief Loopback TCP client for TcpServer with reconnect + retry. One
+/// \brief Loopback TCP client for EventLoopServer with reconnect + retry. One
 /// request line out, one response line back; a dropped connection (the
 /// server restarting, an injected serve.tcp.* fault) counts as transient:
 /// the client reconnects and retries under the RetryPolicy before giving
@@ -20,7 +20,7 @@ namespace easytime::serve {
 /// give each thread its own client.
 class TcpClient {
  public:
-  /// \param port a TcpServer's bound port on 127.0.0.1
+  /// \param port an EventLoopServer's bound port on 127.0.0.1
   /// \param auth_token credential for token-authenticated listeners; empty
   /// falls back to EASYTIME_AUTH_TOKEN, and if that is also unset no
   /// handshake is sent. With a token, Connect() authenticates before the

@@ -1,15 +1,15 @@
 #pragma once
 
 /// \file event_loop.h
-/// \brief Epoll-based serving front-end for ForecastServer — the
-/// thread-per-connection TcpServer's replacement (DESIGN.md §8). One event
-/// thread owns every socket: nonblocking accept/read/write, per-connection
-/// read buffers with line framing, write backpressure (reads pause while a
-/// peer's response backlog is over budget), an idle-connection timeout, and
-/// a graceful drain on Stop. Request *execution* never runs on the event
-/// thread: framed lines are handed to a small handler pool, and responses
-/// come back through a mailbox + eventfd wakeup, so one slow request cannot
-/// stall the other connections' IO.
+/// \brief Epoll-based loopback TCP front-end for ForecastServer
+/// (DESIGN.md §8). One event thread owns every socket: nonblocking
+/// accept/read/write, per-connection read buffers with line framing, write
+/// backpressure (reads pause while a peer's response backlog is over
+/// budget), an idle-connection timeout, and a graceful drain on Stop.
+/// Request *execution* never runs on the event thread: framed lines are
+/// handed to a small handler pool, and responses come back through a
+/// mailbox + eventfd wakeup, so one slow request cannot stall the other
+/// connections' IO.
 ///
 /// Wire protocol is unchanged from PR 2: one line-delimited JSON request in,
 /// one response line out, pipelining allowed; responses on a connection are

@@ -33,12 +33,7 @@ ForecastServer::ForecastServer(core::EasyTime* system, Options options)
       jobs_(system, JobManager::Options{options.evaluate_queue_capacity,
                                         options.checkpoint_dir,
                                         /*checkpoint_every=*/1,
-                                        options.evaluate_concurrency}),
-      // The admission controller owns the logical capacity; reservations
-      // can overshoot it by one class's share while borrowing, so the
-      // physical queue gets 2x headroom and TryPush failure stays a
-      // should-not-happen backstop rather than the admission path.
-      fast_queue_(2 * std::max<size_t>(1, options.fast_queue_capacity)) {}
+                                        options.evaluate_concurrency}) {}
 
 ForecastServer::ForecastServer(core::EasyTime* system)
     : ForecastServer(system, Options()) {}
@@ -50,7 +45,7 @@ void ForecastServer::Start() {
   const size_t workers = std::max<size_t>(1, options_.num_worker_threads);
   pool_ = std::make_unique<ThreadPool>(workers);
   AdmissionController::Options admission_opts;
-  admission_opts.queue_capacity = options_.fast_queue_capacity;
+  admission_opts.queue_capacity = options_.fast_lane_capacity;
   admission_opts.workers = workers;
   admission_opts.weights = options_.endpoint_weights;
   admission_opts.brownout_enter_fraction = options_.brownout_enter_fraction;
@@ -61,24 +56,11 @@ void ForecastServer::Start() {
       [this](AdmissionController::Unit unit) {
         pool_->Submit(std::move(unit));
       });
-  batcher_ = std::make_unique<MicroBatcher>(
-      MicroBatcher::Options{
-          options_.batch_max,
-          std::chrono::microseconds(
-              static_cast<int64_t>(options_.batch_wait_ms * 1000.0))},
-      [this](std::vector<FastTask> batch) {
-        // One micro-batch = one scheduling unit in the forecast class.
-        admission_->Enqueue(
-            "forecast", [this, batch = std::move(batch)]() mutable {
-              ExecuteBatch(std::move(batch));
-            });
-      });
   jobs_.Start();
   if (options_.warm_cache && options_.cache_capacity > 0 &&
       system_->restored_from_store()) {
     WarmCache();
   }
-  dispatcher_ = std::thread([this]() { DispatchLoop(); });
   accepting_.store(true);
 }
 
@@ -105,15 +87,13 @@ void ForecastServer::WarmCache() {
 void ForecastServer::Stop() {
   if (!running_.load() || stopped_.exchange(true)) return;
   accepting_.store(false);
-  // Drain order matters: close the fast queue so the dispatcher hands every
-  // queued request (and every open batch bucket) to the admission run
-  // queues and exits, spill those run queues into the pool (DrainAll), then
-  // destroy the pool — its destructor runs all remaining tasks, fulfilling
-  // every outstanding promise — and finally drain the async lane. The
-  // global brownout flag is cleared so one server's overload never leaks
-  // into the next server (or test) in this process.
-  fast_queue_.Close();
-  if (dispatcher_.joinable()) dispatcher_.join();
+  // Drain order matters: spill the admission run queues into the pool
+  // (DrainAll, after which Enqueue refuses, so a request racing this Stop
+  // is answered Unavailable instead of reaching a dead pool), then destroy
+  // the pool — its destructor runs all remaining tasks, answering every
+  // admitted request — and finally drain the async lane. The global
+  // brownout flag is cleared so one server's overload never leaks into the
+  // next server (or test) in this process.
   if (admission_) admission_->DrainAll();
   pool_.reset();
   jobs_.Shutdown();
@@ -135,14 +115,6 @@ std::vector<std::string> ForecastServer::CacheTags(
   std::string dataset = params.GetString("dataset", "");
   if (dataset.empty()) return {};
   return {std::move(dataset)};
-}
-
-std::string ForecastServer::BatchKey(const Request& req) {
-  // Same method + same hyperparameters batch together.
-  easytime::Json key = easytime::Json::Object();
-  key.Set("method", req.params.GetString("method", ""));
-  if (req.params.Has("config")) key.Set("config", req.params.Get("config"));
-  return CanonicalKey("batch", key);
 }
 
 void ForecastServer::RegisterControlEndpoint(const std::string& name,
@@ -310,19 +282,16 @@ easytime::Json ForecastServer::Dispatch(Request req) {
         req.id, Status::Unavailable("server is not accepting requests"));
   }
 
-  FastTask task;
-  task.request = std::move(req);
-  task.deadline = deadline;
+  std::string cache_key;
   if (IsCacheable(endpoint)) {
-    task.cache_key = CanonicalKey(endpoint, task.request.params);
-    auto hit = cache_.Lookup(task.cache_key);
+    cache_key = CanonicalKey(endpoint, req.params);
+    auto hit = cache_.Lookup(cache_key);
     if (hit) {
       auto payload = easytime::Json::Parse(*hit);
       if (payload.ok()) {
         const double secs = watch.ElapsedSeconds();
         RecordStats(endpoint, true, false, true, secs);
-        easytime::Json resp =
-            MakeOkResponse(task.request.id, std::move(*payload));
+        easytime::Json resp = MakeOkResponse(req.id, std::move(*payload));
         resp.Set("cached", true);
         resp.Set("seconds", secs);
         return resp;
@@ -341,162 +310,60 @@ easytime::Json ForecastServer::Dispatch(Request req) {
                             "\" is over its admission quota; retry later"));
   }
 
-  task.promise = std::make_shared<std::promise<easytime::Json>>();
-  std::future<easytime::Json> future = task.promise->get_future();
-  if (!fast_queue_.TryPush(std::move(task))) {
+  // The request is one unit on the worker pool. The unit borrows req and
+  // deadline: this thread blocks until the unit has run, and every unit the
+  // controller accepts does run (Stop drains them).
+  auto promise =
+      std::make_shared<std::promise<easytime::Result<easytime::Json>>>();
+  auto future = promise->get_future();
+  const bool queued =
+      admission_->Enqueue(endpoint, [this, &req, &deadline, promise]() {
+        if (deadline.expired()) {
+          // The request waited out its budget in the run queue; don't burn
+          // a worker on an answer nobody is waiting for.
+          promise->set_value(Status::DeadlineExceeded(
+              "request deadline expired while queued"));
+        } else {
+          promise->set_value(ExecuteFast(req, deadline));
+        }
+      });
+  if (!queued) {
     admission_->Finish(endpoint);
     RecordStats(endpoint, false, true, false, watch.ElapsedSeconds());
-    return MakeErrorResponse(
-        req.id, Status::Unavailable(
-                    "fast lane at capacity (" +
-                    std::to_string(fast_queue_.capacity()) +
-                    " queued requests); retry later"));
+    return MakeErrorResponse(req.id,
+                             Status::Unavailable("server is shutting down"));
   }
-  return future.get();
+  // Wait before reading the clock (argument order is unspecified).
+  const easytime::Result<easytime::Json> answered = future.get();
+  return Fulfill(req, cache_key, answered, watch.ElapsedSeconds());
 }
 
-void ForecastServer::DispatchLoop() {
-  for (;;) {
-    std::optional<FastTask> task;
-    auto deadline = batcher_->NextDeadline();
-    if (deadline) {
-      auto now = MicroBatcher::Clock::now();
-      auto wait = *deadline > now
-                      ? std::chrono::duration_cast<std::chrono::microseconds>(
-                            *deadline - now)
-                      : std::chrono::microseconds(0);
-      task = fast_queue_.PopFor(wait);
-    } else {
-      task = fast_queue_.Pop();
-    }
-
-    if (task) {
-      if (options_.enable_batching && task->request.endpoint == "forecast") {
-        batcher_->Add(BatchKey(task->request), std::move(*task));
-      } else {
-        // Hand the unit to the per-class run queues; Enqueue never blocks,
-        // so a saturated class cannot head-of-line-block this loop.
-        const std::string cls = task->request.endpoint;
-        admission_->Enqueue(cls, [this, t = std::move(*task)]() mutable {
-          ExecuteSingle(std::move(t));
-        });
-      }
-    }
-    batcher_->FlushExpired(MicroBatcher::Clock::now());
-
-    if (!task && fast_queue_.closed() && fast_queue_.size() == 0) {
-      batcher_->FlushAll();  // drain open buckets into the pool
-      return;
-    }
-  }
-}
-
-void ForecastServer::Fulfill(FastTask& task,
-                             const easytime::Result<easytime::Json>& result,
-                             bool from_batch, size_t batch_size,
-                             double seconds) {
-  // Release the admission slot claimed in Dispatch — every admitted task
-  // reaches Fulfill exactly once (shed and full-queue paths never get here).
-  admission_->Finish(task.request.endpoint);
-  RecordStats(task.request.endpoint, result.ok(), false, false, seconds);
+easytime::Json ForecastServer::Fulfill(
+    const Request& req, const std::string& cache_key,
+    const easytime::Result<easytime::Json>& result, double seconds) {
+  // Release the admission slot claimed in Dispatch — every request the
+  // controller accepted reaches Fulfill exactly once.
+  admission_->Finish(req.endpoint);
+  RecordStats(req.endpoint, result.ok(), false, false, seconds);
   if (!result.ok()) {
     if (result.status().IsDeadlineExceeded()) {
       deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
     }
-    task.promise->set_value(
-        MakeErrorResponse(task.request.id, result.status()));
-    return;
+    return MakeErrorResponse(req.id, result.status());
   }
   const bool degraded = result.ValueOrDie().GetBool("degraded", false);
   if (degraded) degraded_responses_.fetch_add(1, std::memory_order_relaxed);
   // Degraded answers must not outlive the overload that produced them: a
   // cached brownout response would keep serving the cheap fallback long
   // after the system recovered.
-  if (!task.cache_key.empty() && !degraded) {
-    cache_.Insert(task.cache_key, result.ValueOrDie().Dump(),
-                  CacheTags(task.request.params));
+  if (!cache_key.empty() && !degraded) {
+    cache_.Insert(cache_key, result.ValueOrDie().Dump(),
+                  CacheTags(req.params));
   }
-  easytime::Json resp = MakeOkResponse(task.request.id, result.ValueOrDie());
+  easytime::Json resp = MakeOkResponse(req.id, result.ValueOrDie());
   resp.Set("cached", false);
   resp.Set("seconds", seconds);
-  if (from_batch) {
-    resp.Set("batched", true);
-    resp.Set("batch_size", static_cast<int64_t>(batch_size));
-  }
-  task.promise->set_value(std::move(resp));
-}
-
-void ForecastServer::ExecuteSingle(FastTask task) {
-  Stopwatch watch;
-  if (task.deadline.expired()) {
-    // The request waited out its budget in the queue; don't burn a worker on
-    // an answer nobody is waiting for.
-    Fulfill(task,
-            Status::DeadlineExceeded("request deadline expired while queued"),
-            /*from_batch=*/false, 1, watch.ElapsedSeconds());
-    return;
-  }
-  auto result = ExecuteFast(task.request, task.deadline);
-  Fulfill(task, result, /*from_batch=*/false, 1, watch.ElapsedSeconds());
-}
-
-void ForecastServer::ExecuteBatch(std::vector<FastTask> batch) {
-  Stopwatch watch;
-  if (FaultRegistry::AnyArmed()) {
-    Status fs = FaultRegistry::Global().Check("serve.batch");
-    if (!fs.ok()) {
-      // An injected batch failure fails every member — clients still get a
-      // terminal response.
-      for (auto& t : batch) {
-        Fulfill(t, fs, /*from_batch=*/true, batch.size(),
-                watch.ElapsedSeconds());
-      }
-      return;
-    }
-  }
-  // Answer expired members up front; only live requests reach the executor.
-  std::vector<FastTask> live;
-  live.reserve(batch.size());
-  for (auto& t : batch) {
-    if (t.deadline.expired()) {
-      Fulfill(t,
-              Status::DeadlineExceeded(
-                  "request deadline expired while queued"),
-              /*from_batch=*/true, batch.size(), watch.ElapsedSeconds());
-    } else {
-      live.push_back(std::move(t));
-    }
-  }
-  batch = std::move(live);
-  if (batch.empty()) return;
-  // Deduplicate identical requests: one computation fans out to all the
-  // clients that asked for it.
-  std::map<std::string, std::vector<size_t>> groups;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    groups[CanonicalKey(batch[i].request.endpoint, batch[i].request.params)]
-        .push_back(i);
-  }
-  std::vector<const std::vector<size_t>*> unique;
-  unique.reserve(groups.size());
-  for (const auto& [key, indices] : groups) unique.push_back(&indices);
-
-  std::vector<easytime::Result<easytime::Json>> results(
-      unique.size(), easytime::Result<easytime::Json>(
-                         Status::Internal("batch slot not executed")));
-  // One data-parallel dispatch for the whole batch: the global pool's
-  // chunked ParallelFor spreads distinct requests across workers.
-  GlobalThreadPool().ParallelFor(unique.size(), [&](size_t g) {
-    const FastTask& rep = batch[(*unique[g])[0]];
-    results[g] = ExecuteFast(rep.request, rep.deadline);
-  });
-
-  const double seconds = watch.ElapsedSeconds();
-  for (size_t g = 0; g < unique.size(); ++g) {
-    for (size_t idx : *unique[g]) {
-      Fulfill(batch[idx], results[g], /*from_batch=*/true, batch.size(),
-              seconds);
-    }
-  }
+  return resp;
 }
 
 easytime::Result<easytime::Json> ForecastServer::ExecuteFast(
@@ -881,13 +748,6 @@ easytime::Json ForecastServer::StatsJson() const {
   jobs.Set("running", static_cast<int64_t>(jobs_.running_jobs()));
   jobs.Set("queue_depth", static_cast<int64_t>(jobs_.queue_depth()));
 
-  MicroBatcher::Stats bs =
-      batcher_ ? batcher_->stats() : MicroBatcher::Stats{};
-  easytime::Json batching = easytime::Json::Object();
-  batching.Set("items", static_cast<int64_t>(bs.items));
-  batching.Set("batches", static_cast<int64_t>(bs.batches));
-  batching.Set("max_batch_size", static_cast<int64_t>(bs.max_batch_size));
-
   easytime::Json out = easytime::Json::Object();
   // Where these counters were measured: "process" = one server; the cluster
   // router re-tags its merged view as "cluster" (DESIGN.md §14).
@@ -895,7 +755,6 @@ easytime::Json ForecastServer::StatsJson() const {
   out.Set("endpoints", std::move(endpoints));
   out.Set("cache", std::move(cache));
   out.Set("jobs", std::move(jobs));
-  out.Set("batching", std::move(batching));
   out.Set("admission",
           admission_ ? admission_->StatsJson() : easytime::Json::Object());
   out.Set("brownout", easytime::GlobalOverload().brownout());
@@ -907,7 +766,6 @@ easytime::Json ForecastServer::StatsJson() const {
   out.Set("degraded_responses",
           static_cast<int64_t>(
               degraded_responses_.load(std::memory_order_relaxed)));
-  out.Set("fast_queue_depth", static_cast<int64_t>(fast_queue_.size()));
   out.Set("kb_version",
           static_cast<int64_t>(system_->knowledge().version()));
   return out;

@@ -4,15 +4,15 @@
 /// \brief ForecastServer — the concurrent request-serving layer on top of
 /// the EasyTime facade. Accepts line-delimited JSON requests (see
 /// request.h) from in-process clients (HandleLine/Call) and, via
-/// serve/tcp_server.h, from a loopback TCP listener.
+/// serve/event_loop.h, from a loopback TCP listener.
 ///
 /// Architecture (DESIGN.md §6, §13):
 ///  - Fast lane: forecast / recommend / ask / sql / append requests claim a
 ///    per-endpoint weighted queue slot (class over quota with no shared
 ///    headroom => Unavailable, the admission-control contract; see
-///    serve/admission.h); a dispatcher thread routes them to a worker pool
-///    through per-class run queues with guaranteed worker shares,
-///    micro-batching same-method forecast requests (serve/batcher.h).
+///    serve/admission.h). The calling thread then hands the request, as one
+///    unit, to the per-class run queues that feed the worker pool with
+///    guaranteed worker shares, and waits for its answer.
 ///  - Async lane: "evaluate" submits a OneClickEvaluate job, "backtest" a
 ///    rolling-origin backtest job, to a bounded job queue
 ///    (serve/job_manager.h); clients poll "job_status" and may "cancel"
@@ -33,9 +33,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 
-#include "common/bounded_queue.h"
 #include "common/deadline.h"
 #include "common/json.h"
 #include "common/overload.h"
@@ -43,7 +41,6 @@
 #include "common/thread_pool.h"
 #include "core/easytime.h"
 #include "serve/admission.h"
-#include "serve/batcher.h"
 #include "serve/cache.h"
 #include "serve/job_manager.h"
 #include "serve/request.h"
@@ -63,14 +60,16 @@ struct EndpointStats {
 };
 
 /// \brief The serving layer. Construction is cheap; Start() spins up the
-/// dispatcher, worker pool, and job worker. Stop() (also run by the
-/// destructor) drains: queued fast-lane requests are answered, the
-/// in-flight evaluation job completes, queued evaluation jobs are
-/// cancelled, and only then do the threads exit — no response is dropped.
+/// worker pool and job workers. Stop() (also run by the destructor)
+/// drains: admitted fast-lane requests are answered, the in-flight
+/// evaluation job completes, queued evaluation jobs are cancelled, and only
+/// then do the threads exit — no response is dropped.
 class ForecastServer {
  public:
   struct Options {
-    size_t fast_queue_capacity = 128;  ///< queued fast-lane requests
+    /// Fast-lane requests admitted at once (queued or running); the
+    /// admission controller's slot budget.
+    size_t fast_lane_capacity = 128;
     size_t evaluate_queue_capacity = 8;
     /// Evaluation jobs run at once (JobManager worker pool, PR 4). Each
     /// running job's pipeline is capped to ~cores/evaluate_concurrency
@@ -78,9 +77,6 @@ class ForecastServer {
     /// oversubscribing it.
     size_t evaluate_concurrency = 1;
     size_t num_worker_threads = 2;     ///< fast-lane executor pool
-    bool enable_batching = true;
-    size_t batch_max = 8;
-    double batch_wait_ms = 1.0;
     size_t cache_capacity = 256;       ///< 0 disables the result cache
     double cache_ttl_seconds = 300.0;
     size_t max_request_bytes = 1 << 16;
@@ -103,7 +99,7 @@ class ForecastServer {
     std::map<std::string, double> endpoint_weights = {
         {"forecast", 4.0}, {"recommend", 2.0}, {"ask", 2.0}, {"sql", 2.0},
         {"append", 1.0}};
-    /// Brownout hysteresis as fractions of fast_queue_capacity: enter
+    /// Brownout hysteresis as fractions of fast_lane_capacity: enter
     /// degraded mode at/above the first, leave at/below the second.
     double brownout_enter_fraction = 0.75;
     double brownout_exit_fraction = 0.25;
@@ -193,12 +189,11 @@ class ForecastServer {
   easytime::Result<std::vector<double>> ResolveSeries(
       const easytime::Json& params, std::string* source_name) const;
 
-  void DispatchLoop();
-  void ExecuteSingle(FastTask task);
-  void ExecuteBatch(std::vector<FastTask> batch);
-  /// Fulfills one task from an endpoint result, recording stats + cache.
-  void Fulfill(FastTask& task, const easytime::Result<easytime::Json>& result,
-               bool from_batch, size_t batch_size, double seconds);
+  /// Answers one admitted request from its endpoint result: releases the
+  /// admission slot, records stats and fills the cache.
+  easytime::Json Fulfill(const Request& req, const std::string& cache_key,
+                         const easytime::Result<easytime::Json>& result,
+                         double seconds);
 
   void RecordStats(const std::string& endpoint, bool ok, bool rejected,
                    bool cache_hit, double seconds);
@@ -208,7 +203,6 @@ class ForecastServer {
   void WarmCache();
 
   static bool IsCacheable(const std::string& endpoint);
-  static std::string BatchKey(const Request& req);
   /// Cache tags for a request: the "dataset" it reads, when it names one
   /// (inline-values requests are untagged — nothing ever mutates them).
   static std::vector<std::string> CacheTags(const easytime::Json& params);
@@ -220,16 +214,13 @@ class ForecastServer {
   std::map<std::string, ControlFn> control_endpoints_;
   ResultCache cache_;
   JobManager jobs_;
-  BoundedQueue<FastTask> fast_queue_;
-  std::unique_ptr<MicroBatcher> batcher_;
   std::unique_ptr<ThreadPool> pool_;
   /// Per-endpoint admission quotas + weighted worker scheduling. Requests
-  /// claim a queue slot in Dispatch (shed = Unavailable) and release it in
-  /// Fulfill; the dispatcher enqueues admitted work here instead of blocking
-  /// on a pool permit, so one endpoint's burst cannot head-of-line-block the
-  /// others (serve/admission.h).
+  /// claim a queue slot in Dispatch (shed = Unavailable), enqueue themselves
+  /// here instead of blocking on a pool permit, so one endpoint's burst
+  /// cannot head-of-line-block the others, and release the slot in Fulfill
+  /// (serve/admission.h).
   std::unique_ptr<AdmissionController> admission_;
-  std::thread dispatcher_;
   std::atomic<bool> running_{false};
   std::atomic<bool> accepting_{false};
   std::atomic<bool> stopped_{false};  ///< Stop() is terminal

@@ -90,12 +90,20 @@ easytime::Result<uint64_t> RecordStore::Append(std::string_view payload) {
 easytime::Status RecordStore::Sync() { return wal_->Sync(); }
 
 easytime::Status RecordStore::Compact(std::string_view state) {
+  return Compact(state, wal_->last_seq());
+}
+
+easytime::Status RecordStore::Compact(std::string_view state,
+                                      uint64_t covered_seq) {
+  std::lock_guard<std::mutex> lock(compact_mu_);
+  if (covered_seq < snapshot_seq_.load(std::memory_order_relaxed)) {
+    return easytime::Status::OK();  // a newer snapshot already covers it
+  }
   // Make every record the snapshot claims to cover durable first, so a
   // snapshot never references appends the WAL could still lose.
   EASYTIME_RETURN_IF_ERROR(wal_->Sync());
-  const uint64_t seq = wal_->last_seq();
-  EASYTIME_RETURN_IF_ERROR(WriteSnapshot(dir_, seq, state));
-  snapshot_seq_.store(seq, std::memory_order_relaxed);
+  EASYTIME_RETURN_IF_ERROR(WriteSnapshot(dir_, covered_seq, state));
+  snapshot_seq_.store(covered_seq, std::memory_order_relaxed);
   appends_since_compaction_.store(0, std::memory_order_relaxed);
   auto oldest_or = PruneSnapshots(dir_, options_.keep_snapshots);
   EASYTIME_RETURN_IF_ERROR(oldest_or.status());

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -57,7 +58,7 @@ struct RecordStoreRecovery {
 
 /// \brief The durable store. Append/Sync/Compact are thread-safe with
 /// respect to each other (the underlying WAL serializes appends; Compact
-/// snapshots the state the caller passes in).
+/// snapshots the state the caller passes in, one compaction at a time).
 class RecordStore {
  public:
   /// Opens (creating \p dir if needed) and recovers the store; stray
@@ -76,6 +77,13 @@ class RecordStore {
   /// far, prunes old snapshots, and deletes WAL segments the retained
   /// snapshots make redundant. On success the append counter resets.
   easytime::Status Compact(std::string_view state);
+
+  /// \brief Compact for callers that append concurrently: \p state must
+  /// hold every record with seq <= \p covered_seq, read together with the
+  /// state under the caller's own lock (records after it that \p state
+  /// also holds are replayed as duplicates). A compaction older than the
+  /// newest snapshot is skipped.
+  easytime::Status Compact(std::string_view state, uint64_t covered_seq);
 
   uint64_t last_seq() const { return wal_->last_seq(); }
   uint64_t snapshot_seq() const { return snapshot_seq_; }
@@ -97,6 +105,9 @@ class RecordStore {
   const std::string dir_;
   const RecordStoreOptions options_;
   std::unique_ptr<Wal> wal_;
+  /// Serializes Compact: two at once would write the same snap-<seq>.tmp
+  /// and race each other's rename, prune and segment removal.
+  std::mutex compact_mu_;
   std::atomic<uint64_t> snapshot_seq_{0};
   std::atomic<uint64_t> appends_since_compaction_{0};
 };

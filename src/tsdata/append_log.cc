@@ -277,11 +277,17 @@ easytime::Status AppendLog::MaybeCompact() {
     return Status::OK();
   }
   std::string state;
+  uint64_t covered_seq = 0;
   {
+    // The covered seq is read with the tails: a record updates its tail
+    // under mu_ before it takes a seq, so every record at or below
+    // covered_seq is in state. Records past it may be in state too; replay
+    // skips those as duplicates.
     std::lock_guard<std::mutex> lock(mu_);
     state = EncodeTailsLocked();
+    covered_seq = store_->last_seq();
   }
-  return store_->Compact(state);
+  return store_->Compact(state, covered_seq);
 }
 
 }  // namespace easytime::tsdata

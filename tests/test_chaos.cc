@@ -19,10 +19,10 @@
 #include "common/fault.h"
 #include "common/overload.h"
 #include "serve/client.h"
+#include "serve/event_loop.h"
 #include "serve/job_manager.h"
 #include "serve/request.h"
 #include "serve/server.h"
-#include "serve/tcp_server.h"
 
 namespace easytime::serve {
 namespace {
@@ -83,7 +83,7 @@ TEST_F(ChaosTest, EveryRequestReachesTerminalStatusUnderFaults) {
 
   ForecastServer::Options opt;
   opt.num_worker_threads = 4;
-  opt.fast_queue_capacity = 1024;
+  opt.fast_lane_capacity = 1024;
   opt.cache_capacity = 0;  // every request exercises the faulted path
   ForecastServer server(system_, opt);
   server.Start();
@@ -225,10 +225,10 @@ TEST_F(ChaosTest, TcpClientsRetryThroughConnectionFaults) {
 
   ForecastServer::Options opt;
   opt.num_worker_threads = 4;
-  opt.fast_queue_capacity = 1024;
+  opt.fast_lane_capacity = 1024;
   ForecastServer server(system_, opt);
   server.Start();
-  TcpServer tcp(&server);
+  EventLoopServer tcp(&server, EventLoopServer::Options());
   ASSERT_TRUE(tcp.Start().ok());
 
   const std::vector<std::string> datasets = system_->repository()->names();
@@ -476,8 +476,7 @@ TEST_F(ChaosTest, QosOverloadDeadlinesAndFaultsStayTerminal) {
 
   ForecastServer::Options opt;
   opt.num_worker_threads = 2;
-  opt.fast_queue_capacity = 8;  // 8 clients oversubscribe this heavily
-  opt.enable_batching = false;
+  opt.fast_lane_capacity = 8;  // 8 clients oversubscribe this heavily
   opt.cache_capacity = 0;
   ForecastServer server(system_, opt);
   server.Start();

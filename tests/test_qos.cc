@@ -302,8 +302,7 @@ TEST_F(QosServerTest, AskOverloadDoesNotStarveForecast) {
   // excess asks must shed Unavailable rather than queue without bound.
   ForecastServer::Options opt;
   opt.num_worker_threads = 2;
-  opt.fast_queue_capacity = 8;
-  opt.enable_batching = false;
+  opt.fast_lane_capacity = 8;
   opt.cache_capacity = 0;
   ForecastServer server(system_, opt);
   server.Start();
@@ -358,7 +357,6 @@ TEST_F(QosServerTest, AskOverloadDoesNotStarveForecast) {
 
 TEST_F(QosServerTest, ServerForecastAbortsMidFitAndCountsIt) {
   ForecastServer::Options opt;
-  opt.enable_batching = false;
   opt.cache_capacity = 0;
   ForecastServer server(system_, opt);
   server.Start();
@@ -420,7 +418,6 @@ TEST_F(QosServerTest, DeadlineMsMustBeAPositiveFiniteNumber) {
 
 TEST_F(QosServerTest, BrownoutDegradesRecommendAskSqlAndSkipsCache) {
   ForecastServer::Options opt;
-  opt.enable_batching = false;
   opt.warm_cache = false;  // cache stays enabled but starts empty
   ForecastServer server(system_, opt);
   server.Start();

@@ -8,13 +8,14 @@
 #include <chrono>
 #include <cmath>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/circuit_breaker.h"
 #include "common/deadline.h"
 #include "common/fault.h"
-#include "pipeline/circuit_breaker.h"
 #include "eval/evaluator.h"
 #include "methods/registry.h"
 #include "pipeline/benchmark_config.h"
@@ -259,8 +260,10 @@ TEST(RobustnessTest, RunnerSplicesCompletedRecordsWithoutReevaluating) {
   std::map<std::string, pipeline::RunRecord> completed;
   std::atomic<size_t> fresh{0};
   {
+    std::mutex completed_mu;  // on_record runs on the runner's workers
     pipeline::RunHooks hooks;
     hooks.on_record = [&](const pipeline::RunRecord& rec) {
+      std::lock_guard<std::mutex> lock(completed_mu);
       completed[pipeline::PairKey(rec.dataset, rec.method)] = rec;
       fresh.fetch_add(1);
     };
@@ -379,9 +382,9 @@ TEST(RobustnessTest, BreakerThresholdSurvivesConfigRoundTrip) {
 // CircuitBreaker takes time points from the caller, so these tests drive the
 // open -> half-open -> closed machine with a synthetic clock — no sleeping.
 
-using BreakerState = pipeline::CircuitBreaker::State;
+using BreakerState = CircuitBreaker::State;
 
-pipeline::CircuitBreaker::TimePoint BreakerAt(double ms) {
+CircuitBreaker::TimePoint BreakerAt(double ms) {
   static const auto epoch = std::chrono::steady_clock::now();
   return epoch +
          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -389,10 +392,10 @@ pipeline::CircuitBreaker::TimePoint BreakerAt(double ms) {
 }
 
 TEST(CircuitBreakerTest, OpensThenHalfOpensThenClosesOnProbeSuccess) {
-  pipeline::CircuitBreaker::Options opt;
+  CircuitBreaker::Options opt;
   opt.threshold = 2;
   opt.cooldown_ms = 100.0;
-  pipeline::CircuitBreaker b(opt);
+  CircuitBreaker b(opt);
 
   EXPECT_EQ(b.state(), BreakerState::kClosed);
   EXPECT_TRUE(b.Allow(BreakerAt(0)));
@@ -418,10 +421,10 @@ TEST(CircuitBreakerTest, OpensThenHalfOpensThenClosesOnProbeSuccess) {
 }
 
 TEST(CircuitBreakerTest, ResetClosesAndClearsTheFailureStreak) {
-  pipeline::CircuitBreaker::Options opt;
+  CircuitBreaker::Options opt;
   opt.threshold = 2;
   opt.cooldown_ms = 0.0;  // open means open forever — only Reset recovers
-  pipeline::CircuitBreaker b(opt);
+  CircuitBreaker b(opt);
 
   b.RecordFailure(BreakerAt(0));
   b.RecordFailure(BreakerAt(1));
@@ -443,10 +446,10 @@ TEST(CircuitBreakerTest, ResetClosesAndClearsTheFailureStreak) {
 }
 
 TEST(CircuitBreakerTest, FailedProbeReTripsForAnotherCooldown) {
-  pipeline::CircuitBreaker::Options opt;
+  CircuitBreaker::Options opt;
   opt.threshold = 1;
   opt.cooldown_ms = 100.0;
-  pipeline::CircuitBreaker b(opt);
+  CircuitBreaker b(opt);
 
   b.RecordFailure(BreakerAt(0));
   EXPECT_EQ(b.state(), BreakerState::kOpen);
@@ -470,10 +473,10 @@ TEST(CircuitBreakerTest, HalfOpenProbeAdmitsExactlyOneUnderConcurrency) {
   // carry the probe — two probes against a still-broken backend would
   // defeat the breaker's purpose. Run under TSan this also proves the
   // transition is data-race-free.
-  pipeline::CircuitBreaker::Options opt;
+  CircuitBreaker::Options opt;
   opt.threshold = 1;
   opt.cooldown_ms = 100.0;
-  pipeline::CircuitBreaker b(opt);
+  CircuitBreaker b(opt);
   b.RecordFailure(BreakerAt(0));
   ASSERT_EQ(b.state(), BreakerState::kOpen);
 
@@ -501,10 +504,10 @@ TEST(CircuitBreakerTest, HalfOpenProbeAdmitsExactlyOneUnderConcurrency) {
 }
 
 TEST(CircuitBreakerTest, CooldownZeroKeepsAnOpenBreakerOpen) {
-  pipeline::CircuitBreaker::Options opt;
+  CircuitBreaker::Options opt;
   opt.threshold = 1;
   opt.cooldown_ms = 0.0;
-  pipeline::CircuitBreaker b(opt);
+  CircuitBreaker b(opt);
 
   b.RecordFailure(BreakerAt(0));
   EXPECT_EQ(b.state(), BreakerState::kOpen);
@@ -512,7 +515,7 @@ TEST(CircuitBreakerTest, CooldownZeroKeepsAnOpenBreakerOpen) {
 }
 
 TEST(CircuitBreakerTest, ThresholdZeroDisablesTheBreaker) {
-  pipeline::CircuitBreaker b(pipeline::CircuitBreaker::Options{});
+  CircuitBreaker b(CircuitBreaker::Options{});
   b.RecordFailure(BreakerAt(0));
   b.RecordFailure(BreakerAt(1));
   b.RecordFailure(BreakerAt(2));
@@ -674,7 +677,6 @@ core::EasyTime* RobustnessServeTest::system_ = nullptr;
 TEST_F(RobustnessServeTest, RequestDeadlineExpiredInQueueReturnsDeadline) {
   serve::ForecastServer::Options opt;
   opt.num_worker_threads = 1;  // one slow request blocks the lane
-  opt.enable_batching = false;
   opt.cache_capacity = 0;
   serve::ForecastServer server(system_, opt);
   server.Start();

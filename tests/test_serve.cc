@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "serve/event_loop.h"
 #include "serve/request.h"
-#include "serve/tcp_server.h"
 
 namespace easytime::serve {
 namespace {
@@ -347,14 +347,13 @@ TEST_F(ServeTest, CacheSurvivesEvaluationAndIsInvalidatedByAppend) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ServeTest, FastLaneQueueFullIsRejectedNotDropped) {
-  // A dedicated tiny server: 1 worker, admission capacity of 2, no
-  // batching. The forecast class reserves one slot and may borrow the
-  // shared headroom for a second pending request; a third while both are
-  // still pending bounces with Unavailable instead of queueing unboundedly.
+  // A dedicated tiny server: 1 worker, admission capacity of 2. The
+  // forecast class reserves one slot and may borrow the shared headroom for
+  // a second pending request; a third while both are still pending bounces
+  // with Unavailable instead of queueing unboundedly.
   ForecastServer::Options opt;
   opt.num_worker_threads = 1;
-  opt.fast_queue_capacity = 2;
-  opt.enable_batching = false;
+  opt.fast_lane_capacity = 2;
   opt.cache_capacity = 0;  // keep every request on the slow path
   ForecastServer small(system_, opt);
   small.Start();
@@ -392,6 +391,9 @@ TEST_F(ServeTest, FastLaneQueueFullIsRejectedNotDropped) {
 
   Json stats = small.StatsJson();
   EXPECT_GE(stats.Get("endpoints").Get("forecast").GetInt("rejected", 0), 1);
+  // Latency is measured to the answer, so it covers the 600 ms execution.
+  EXPECT_GE(stats.Get("endpoints").Get("forecast").GetDouble("max_seconds", 0),
+            0.6);
 }
 
 // ---------------------------------------------------------------------------
@@ -539,7 +541,7 @@ class LoopbackClient {
 };
 
 TEST_F(ServeTest, TcpLoopbackServesPipelinedRequests) {
-  TcpServer tcp(server_);
+  EventLoopServer tcp(server_, EventLoopServer::Options());
   auto started = tcp.Start();
   ASSERT_TRUE(started.ok()) << started.ToString();
   ASSERT_GT(tcp.port(), 0);

@@ -52,7 +52,7 @@ TEST_F(ServeStressTest, EightConcurrentClientsZeroWrongOrDroppedResponses) {
   ASSERT_NE(system_, nullptr);
   ForecastServer::Options opt;
   opt.num_worker_threads = 4;
-  opt.fast_queue_capacity = 1024;  // admission control is tested elsewhere
+  opt.fast_lane_capacity = 1024;  // admission control is tested elsewhere
   ForecastServer server(system_, opt);
   server.Start();
 
@@ -80,8 +80,8 @@ TEST_F(ServeStressTest, EightConcurrentClientsZeroWrongOrDroppedResponses) {
           params.Set("k", static_cast<int64_t>(2));
         } else {
           req.Set("endpoint", "forecast");
-          // A mix of shared requests (cache + dedup paths) and per-client
-          // ones (distinct computations batched together).
+          // A mix of shared requests (cache hits) and per-client ones
+          // (distinct computations running side by side).
           params.Set("dataset", datasets[(kind == 0 ? r : c + r) %
                                          datasets.size()]);
           params.Set("method", methods[r % methods.size()]);
@@ -120,20 +120,27 @@ TEST_F(ServeStressTest, EightConcurrentClientsZeroWrongOrDroppedResponses) {
   server.Stop();
 }
 
-// Micro-batching correctness: identical and same-method requests coalesce,
-// but every client still receives its own id and the right payload.
-TEST_F(ServeStressTest, BatchedIdenticalRequestsFanOutCorrectly) {
+// Identical concurrent requests: with the cache off every one is computed
+// on its own, and each client still receives its own id and the same,
+// correct payload.
+TEST_F(ServeStressTest, IdenticalConcurrentRequestsEachGetTheirOwnAnswer) {
   ASSERT_NE(system_, nullptr);
   ForecastServer::Options opt;
   opt.num_worker_threads = 2;
-  opt.enable_batching = true;
-  opt.batch_max = 4;
-  opt.batch_wait_ms = 5.0;
-  opt.cache_capacity = 0;  // force every request through the batcher
+  opt.cache_capacity = 0;  // no request is answered from another's result
   ForecastServer server(system_, opt);
   server.Start();
 
   const std::string dataset = system_->repository()->names()[0];
+  Json params = Json::Object();
+  params.Set("dataset", dataset);
+  params.Set("method", "seasonal_naive");
+  params.Set("horizon", static_cast<int64_t>(6));
+  auto reference = server.Call("forecast", params);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const std::string expected = reference->Get("values").Dump();
+  ASSERT_EQ(reference->Get("values").size(), 6u);
+
   constexpr int kClients = 12;
   std::vector<std::thread> clients;
   std::atomic<int> good{0};
@@ -142,15 +149,11 @@ TEST_F(ServeStressTest, BatchedIdenticalRequestsFanOutCorrectly) {
       Json req = Json::Object();
       req.Set("id", static_cast<int64_t>(c));
       req.Set("endpoint", "forecast");
-      Json params = Json::Object();
-      params.Set("dataset", dataset);
-      params.Set("method", "seasonal_naive");
-      params.Set("horizon", static_cast<int64_t>(6));
-      req.Set("params", std::move(params));
+      req.Set("params", params);
       auto resp = Json::Parse(server.HandleLine(req.Dump()));
       if (resp.ok() && resp->GetBool("ok", false) &&
-          resp->GetInt("id", -1) == c &&
-          resp->Get("result").Get("values").size() == 6u) {
+          resp->GetInt("id", -1) == c && !resp->GetBool("cached", true) &&
+          resp->Get("result").Get("values").Dump() == expected) {
         good.fetch_add(1);
       }
     });
@@ -159,12 +162,9 @@ TEST_F(ServeStressTest, BatchedIdenticalRequestsFanOutCorrectly) {
   EXPECT_EQ(good.load(), kClients);
 
   Json stats = server.StatsJson();
-  // Batching actually happened (not 1 flush per request) whenever requests
-  // overlapped; with 12 concurrent identical requests at a 5 ms window at
-  // least one multi-item batch is effectively guaranteed.
-  EXPECT_GE(stats.Get("batching").GetInt("items", 0), kClients);
-  EXPECT_LE(stats.Get("batching").GetInt("batches", 0),
-            stats.Get("batching").GetInt("items", 0));
+  EXPECT_EQ(stats.Get("endpoints").Get("forecast").GetInt("ok", 0),
+            kClients + 1);
+  EXPECT_EQ(stats.Get("admission").GetInt("total_pending", -1), 0);
   server.Stop();
 }
 
@@ -175,8 +175,7 @@ TEST_F(ServeStressTest, StopDrainsInFlightAndQueuedRequests) {
   ASSERT_NE(system_, nullptr);
   ForecastServer::Options opt;
   opt.num_worker_threads = 2;
-  opt.fast_queue_capacity = 64;
-  opt.enable_batching = false;
+  opt.fast_lane_capacity = 64;
   opt.cache_capacity = 0;
   auto server = std::make_unique<ForecastServer>(system_, opt);
   server->Start();
@@ -213,6 +212,66 @@ TEST_F(ServeStressTest, StopDrainsInFlightAndQueuedRequests) {
   EXPECT_GE(answered.load(), 2);
 
   server.reset();  // double-stop via destructor must be safe
+}
+
+// Stop() racing a stream of short forecasts: every call is answered ok (it
+// was admitted and drained) or Unavailable (it met a stopping server). None
+// hangs, and every admission slot taken is given back.
+TEST_F(ServeStressTest, StopRacingShortForecastsAnswersOkOrUnavailable) {
+  ASSERT_NE(system_, nullptr);
+  const std::string dataset = system_->repository()->names()[0];
+  Json params = Json::Object();
+  params.Set("dataset", dataset);
+  params.Set("method", "naive");
+  params.Set("horizon", static_cast<int64_t>(2));
+
+  for (int round = 0; round < 3; ++round) {
+    ForecastServer::Options opt;
+    opt.num_worker_threads = 2;
+    opt.cache_capacity = 0;  // every call reaches the worker pool
+    auto server = std::make_unique<ForecastServer>(system_, opt);
+    server->Start();
+
+    constexpr int kClients = 6;
+    std::atomic<bool> stopped{false};
+    std::atomic<int> ok{0};
+    std::atomic<int> unavailable{0};
+    std::atomic<int> other{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&]() {
+        for (;;) {
+          // Read before the call: a call that starts after Stop() returned
+          // must be refused.
+          const bool after_stop = stopped.load();
+          auto r = server->Call("forecast", params);
+          if (r.ok() && !after_stop) {
+            ok.fetch_add(1);
+          } else if (!r.ok() && r.status().IsUnavailable()) {
+            unavailable.fetch_add(1);
+          } else {
+            other.fetch_add(1);
+          }
+          if (after_stop) return;
+        }
+      });
+    }
+    // Stop only once traffic is flowing, so the drain races live calls.
+    while (ok.load() < 2 * kClients && unavailable.load() == 0 &&
+           other.load() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5 * round));
+    server->Stop();
+    stopped.store(true);
+    for (auto& t : clients) t.join();
+
+    EXPECT_EQ(other.load(), 0) << "round " << round;
+    EXPECT_GE(unavailable.load(), kClients) << "round " << round;
+    EXPECT_EQ(server->StatsJson().Get("admission").GetInt("total_pending", -1),
+              0)
+        << "round " << round;
+  }
 }
 
 // Readers keep getting consistent answers while an evaluation job commits
