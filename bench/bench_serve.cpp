@@ -303,7 +303,7 @@ struct QosNumbers {
 
 QosNumbers BenchQos(core::EasyTime* system, const std::string& dataset) {
   serve::ForecastServer::Options opt;
-  opt.num_worker_threads = 2;
+  opt.fast_lane_workers = 2;
   opt.fast_lane_capacity = 8;  // admission capacity; 32 asks = 4x overload
   opt.cache_capacity = 0;
   serve::ForecastServer server(system, opt);

@@ -1,11 +1,11 @@
 #pragma once
 
 /// \file bounded_queue.h
-/// \brief A closable bounded MPMC queue — the admission-control primitive of
-/// the serving layer. Producers use non-blocking TryPush (a full queue means
-/// the caller should reject the request, not wait), consumers block on Pop.
+/// \brief A closable bounded MPMC queue — the evaluation job lane's queue
+/// (serve/job_manager.h). Producers use non-blocking TryPush (a full queue
+/// means the caller should reject the request, not wait), consumers block on
+/// Pop.
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -44,18 +44,6 @@ class BoundedQueue {
   std::optional<T> Pop() {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this]() { return closed_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;
-    T out = std::move(items_.front());
-    items_.pop_front();
-    return out;
-  }
-
-  /// \brief Like Pop but gives up after \p timeout; nullopt then means
-  /// either "timed out" or "closed and drained" — check closed() to tell.
-  std::optional<T> PopFor(std::chrono::microseconds timeout) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait_for(lock, timeout,
-                 [this]() { return closed_ || !items_.empty(); });
     if (items_.empty()) return std::nullopt;
     T out = std::move(items_.front());
     items_.pop_front();

@@ -228,6 +228,9 @@ class JsonParser {
     char* end = nullptr;
     double v = std::strtod(num.c_str(), &end);
     if (end != num.c_str() + num.size()) return Err("invalid number");
+    // Overflow comes back as +-inf, which no JSON number denotes (and which
+    // would dump as null); underflow to 0 or a subnormal is accepted.
+    if (std::isinf(v)) return Err("number out of range");
     return Json(v);
   }
 

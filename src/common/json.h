@@ -6,6 +6,7 @@
 /// the Q&A module's structured chart outputs.
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -46,7 +47,14 @@ class Json {
 
   bool AsBool() const { return bool_; }
   double AsDouble() const { return num_; }
-  int64_t AsInt() const { return static_cast<int64_t>(num_); }
+  /// Truncates toward zero, saturating at the int64 range (the plain cast is
+  /// undefined outside it); NaN reads as 0.
+  int64_t AsInt() const {
+    constexpr double kTwo63 = 9223372036854775808.0;
+    if (num_ >= kTwo63) return std::numeric_limits<int64_t>::max();
+    if (num_ < -kTwo63) return std::numeric_limits<int64_t>::min();
+    return num_ == num_ ? static_cast<int64_t>(num_) : 0;
+  }
   const std::string& AsString() const { return str_; }
 
   /// Array access.

@@ -6,8 +6,8 @@
 
 namespace easytime::serve {
 
-AdmissionController::AdmissionController(Options options, Launcher launch)
-    : options_(std::move(options)), launch_(std::move(launch)) {
+AdmissionController::AdmissionController(Options options)
+    : options_(std::move(options)) {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [name, weight] : options_.weights) {
     ClassState& s = classes_[name];
@@ -68,22 +68,33 @@ void AdmissionController::Finish(const std::string& cls) {
   UpdateBrownoutLocked();
 }
 
-bool AdmissionController::Enqueue(const std::string& cls, Unit unit) {
-  std::lock_guard<std::mutex> lock(mu_);
+bool AdmissionController::AcquireWorker(const std::string& cls) {
+  std::unique_lock<std::mutex> lock(mu_);
   if (drained_) return false;
-  Cls(cls).queue.push_back(std::move(unit));
-  LaunchReadyLocked();
+  Waiter waiter;
+  Cls(cls).queue.push_back(&waiter);
+  GrantReadyLocked();
+  waiter.cv.wait(lock, [&waiter]() { return waiter.granted; });
   return true;
 }
 
-void AdmissionController::LaunchReadyLocked() {
+void AdmissionController::ReleaseWorker(const std::string& cls) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ClassState& s = Cls(cls);
+  if (s.running > 0) --s.running;
+  if (total_running_ > 0) --total_running_;
+  GrantReadyLocked();
+  if (drained_ && total_running_ == 0) idle_cv_.notify_all();
+}
+
+void AdmissionController::GrantReadyLocked() {
   while (total_running_ < options_.workers) {
-    // Pick the best non-empty class: under-guarantee classes first, then the
-    // lowest running/weight ratio (weighted fair sharing of borrowed slots),
-    // and on a full tie the least-recently-launched class — a round-robin
-    // that keeps map iteration order from starving later-named classes.
+    // Pick the best class with a waiter: under-guarantee classes first, then
+    // the lowest running/weight ratio (weighted fair sharing of borrowed
+    // slots), and on a full tie the least-recently-granted class — a
+    // round-robin that keeps map iteration order from starving later-named
+    // classes.
     ClassState* best = nullptr;
-    const std::string* best_name = nullptr;
     bool best_under = false;
     double best_ratio = 0.0;
     for (auto& [name, s] : classes_) {
@@ -98,54 +109,38 @@ void AdmissionController::LaunchReadyLocked() {
       } else if (ratio != best_ratio) {
         better = ratio < best_ratio;
       } else {
-        better = s.last_launch < best->last_launch;
+        better = s.last_grant < best->last_grant;
       }
       if (better) {
         best = &s;
-        best_name = &name;
         best_under = under;
         best_ratio = ratio;
       }
     }
     if (best == nullptr) return;
-    Unit unit = std::move(best->queue.front());
-    best->queue.pop_front();
-    best->last_launch = ++launch_seq_;
-    ++best->running;
-    ++total_running_;
-    LaunchLocked(*best_name, std::move(unit));
+    GrantLocked(*best);
   }
 }
 
-void AdmissionController::LaunchLocked(const std::string& cls, Unit unit) {
-  // Under mu_ (the launcher only pushes onto the pool's queue), so DrainAll
-  // is a barrier: no launch can follow it onto a pool being destroyed.
-  launch_([this, cls, unit = std::move(unit)]() mutable {
-    unit();
-    OnUnitDone(cls);
-  });
-}
-
-void AdmissionController::OnUnitDone(const std::string& cls) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ClassState& s = Cls(cls);
-  if (s.running > 0) --s.running;
-  if (total_running_ > 0) --total_running_;
-  LaunchReadyLocked();
+void AdmissionController::GrantLocked(ClassState& s) {
+  Waiter* waiter = s.queue.front();
+  s.queue.pop_front();
+  s.last_grant = ++grant_seq_;
+  ++s.running;
+  ++total_running_;
+  waiter->granted = true;
+  // Notified under mu_: the waiter cannot leave AcquireWorker, and so
+  // destroy its condition variable, before this call returns.
+  waiter->cv.notify_one();
 }
 
 void AdmissionController::DrainAll() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   drained_ = true;
   for (auto& [name, s] : classes_) {
-    while (!s.queue.empty()) {
-      Unit unit = std::move(s.queue.front());
-      s.queue.pop_front();
-      ++s.running;  // balanced by OnUnitDone in the launch wrapper
-      ++total_running_;
-      LaunchLocked(name, std::move(unit));
-    }
+    while (!s.queue.empty()) GrantLocked(s);
   }
+  idle_cv_.wait(lock, [this]() { return total_running_ == 0; });
 }
 
 void AdmissionController::UpdateBrownoutLocked() {

@@ -10,21 +10,22 @@
 ///    is under the shared capacity. A burst on one endpoint therefore sheds
 ///    (`Unavailable`) once it exhausts its own reservation plus the shared
 ///    headroom, while other classes keep their reserved slots.
-///  - **Worker slots.** Each admitted request arrives as one unit in its
-///    class's run queue. The controller launches units onto the executor
-///    pool while any worker is free, preferring classes below their
-///    guaranteed share `max(1, floor(workers * w_i / sum(w)))` and otherwise
-///    the class with the lowest running/weight ratio. Enqueue never blocks
-///    its caller, so a saturated class cannot head-of-line-block the others.
+///  - **Worker slots.** An admitted request runs on its caller's thread once
+///    AcquireWorker grants its class a slot; `workers` caps how many run at
+///    once. While slots are short, waiters queue per class and each freed
+///    slot goes to the class below its guaranteed share `max(1, floor(
+///    workers * w_i / sum(w)))` first, otherwise to the class with the lowest
+///    running/weight ratio, then to the least recently granted one. A
+///    saturated class therefore cannot head-of-line-block the others.
 ///
 /// The controller also owns the brownout hysteresis: when total pending
 /// crosses `enter_fraction * capacity` the process-global OverloadState flips
 /// on (degraded answers, see common/overload.h), and off again once pending
 /// drains below `exit_fraction * capacity`.
 
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -36,15 +37,9 @@ namespace easytime::serve {
 
 class AdmissionController {
  public:
-  /// A unit of admitted work (one request).
-  using Unit = std::function<void()>;
-  /// Hands a ready unit to the executor pool. Called under the controller's
-  /// mutex, so it must neither block nor run the unit inline.
-  using Launcher = std::function<void(Unit)>;
-
   struct Options {
     size_t queue_capacity = 128;  ///< shared queue-slot budget
-    size_t workers = 2;           ///< executor pool size
+    size_t workers = 2;           ///< requests running at once
     /// Class weights; classes seen at runtime but missing here get weight 1.
     std::map<std::string, double> weights;
     double brownout_enter_fraction = 0.75;
@@ -53,7 +48,7 @@ class AdmissionController {
     OverloadState* overload = nullptr;
   };
 
-  AdmissionController(Options options, Launcher launch);
+  explicit AdmissionController(Options options);
 
   /// \brief Claims a queue slot for \p cls. False = shed the request.
   bool TryAdmit(const std::string& cls);
@@ -61,15 +56,17 @@ class AdmissionController {
   /// Releases the queue slot claimed by TryAdmit (response fulfilled).
   void Finish(const std::string& cls);
 
-  /// \brief Queues an admitted unit for a worker slot and launches as many
-  /// units as free workers allow. Never blocks. Returns false, dropping
-  /// \p unit unrun, once DrainAll has run: the caller still owns its slot.
-  bool Enqueue(const std::string& cls, Unit unit);
+  /// \brief Blocks until \p cls is granted a worker slot; the caller then
+  /// runs its request and hands the slot back with ReleaseWorker. Returns
+  /// false, with no slot taken, once DrainAll has run.
+  bool AcquireWorker(const std::string& cls);
 
-  /// Stop-time drain: hands every queued unit to the launcher regardless of
-  /// worker caps, so a destructing pool can run them all, and refuses every
-  /// later Enqueue. Launches happen under the controller's mutex, so once
-  /// this returns no unit can reach the launcher again.
+  /// Frees a slot granted by AcquireWorker and grants the next waiter.
+  void ReleaseWorker(const std::string& cls);
+
+  /// Stop-time drain: grants every waiter regardless of worker caps, makes
+  /// every later AcquireWorker refuse, and returns once no granted slot is
+  /// still held.
   void DrainAll();
 
   /// Total requests shed across all classes.
@@ -82,38 +79,43 @@ class AdmissionController {
   easytime::Json StatsJson() const;
 
  private:
+  /// One caller blocked in AcquireWorker; lives on that caller's stack.
+  struct Waiter {
+    std::condition_variable cv;
+    bool granted = false;
+  };
+
   struct ClassState {
     double weight = 1.0;
     size_t reserved = 1;     ///< queue slots
     size_t guaranteed = 1;   ///< worker slots
     size_t pending = 0;      ///< admitted, not yet finished
-    size_t running = 0;      ///< units on workers
+    size_t running = 0;      ///< granted worker slots
     uint64_t admitted = 0;
     uint64_t shed = 0;
-    uint64_t last_launch = 0;  ///< scheduler sequence of the newest launch
-    std::deque<Unit> queue;    ///< units waiting for a worker slot
+    uint64_t last_grant = 0;    ///< scheduler sequence of the newest grant
+    std::deque<Waiter*> queue;  ///< callers blocked in AcquireWorker
   };
 
   /// Returns (creating if needed) the class record; recomputes shares on
   /// first sight of a new class.
   ClassState& Cls(const std::string& name);
   void RecomputeSharesLocked();
-  /// Launches queued units while worker slots remain.
-  void LaunchReadyLocked();
-  void LaunchLocked(const std::string& cls, Unit unit);
-  void OnUnitDone(const std::string& cls);
+  /// Grants queued waiters while worker slots remain.
+  void GrantReadyLocked();
+  void GrantLocked(ClassState& s);
   void UpdateBrownoutLocked();
 
   Options options_;
-  Launcher launch_;
   mutable std::mutex mu_;
+  std::condition_variable idle_cv_;  ///< DrainAll waits for total_running_ 0
   std::map<std::string, ClassState> classes_;
   size_t total_pending_ = 0;
   size_t total_running_ = 0;
   uint64_t shed_total_ = 0;
-  uint64_t launch_seq_ = 0;  ///< feeds ClassState::last_launch
+  uint64_t grant_seq_ = 0;  ///< feeds ClassState::last_grant
   bool brownout_ = false;
-  bool drained_ = false;  ///< DrainAll ran; Enqueue refuses
+  bool drained_ = false;  ///< DrainAll ran; AcquireWorker refuses
 };
 
 }  // namespace easytime::serve

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <future>
 #include <map>
 #include <thread>
 #include <utility>
@@ -42,20 +41,14 @@ ForecastServer::~ForecastServer() { Stop(); }
 
 void ForecastServer::Start() {
   if (running_.exchange(true)) return;
-  const size_t workers = std::max<size_t>(1, options_.num_worker_threads);
-  pool_ = std::make_unique<ThreadPool>(workers);
   AdmissionController::Options admission_opts;
   admission_opts.queue_capacity = options_.fast_lane_capacity;
-  admission_opts.workers = workers;
+  admission_opts.workers = std::max<size_t>(1, options_.fast_lane_workers);
   admission_opts.weights = options_.endpoint_weights;
   admission_opts.brownout_enter_fraction = options_.brownout_enter_fraction;
   admission_opts.brownout_exit_fraction = options_.brownout_exit_fraction;
   admission_opts.overload = &easytime::GlobalOverload();
-  admission_ = std::make_unique<AdmissionController>(
-      admission_opts,
-      [this](AdmissionController::Unit unit) {
-        pool_->Submit(std::move(unit));
-      });
+  admission_ = std::make_unique<AdmissionController>(admission_opts);
   jobs_.Start();
   if (options_.warm_cache && options_.cache_capacity > 0 &&
       system_->restored_from_store()) {
@@ -87,15 +80,13 @@ void ForecastServer::WarmCache() {
 void ForecastServer::Stop() {
   if (!running_.load() || stopped_.exchange(true)) return;
   accepting_.store(false);
-  // Drain order matters: spill the admission run queues into the pool
-  // (DrainAll, after which Enqueue refuses, so a request racing this Stop
-  // is answered Unavailable instead of reaching a dead pool), then destroy
-  // the pool — its destructor runs all remaining tasks, answering every
-  // admitted request — and finally drain the async lane. The global
-  // brownout flag is cleared so one server's overload never leaks into the
-  // next server (or test) in this process.
+  // Drain order matters: DrainAll grants every request waiting for a worker
+  // slot, makes later acquires refuse (a request racing this Stop is
+  // answered Unavailable) and returns once every granted request has been
+  // answered; then the async lane drains. The global brownout flag is
+  // cleared so one server's overload never leaks into the next server (or
+  // test) in this process.
   if (admission_) admission_->DrainAll();
-  pool_.reset();
   jobs_.Shutdown();
   easytime::GlobalOverload().set_brownout(false);
   running_.store(false);
@@ -310,32 +301,24 @@ easytime::Json ForecastServer::Dispatch(Request req) {
                             "\" is over its admission quota; retry later"));
   }
 
-  // The request is one unit on the worker pool. The unit borrows req and
-  // deadline: this thread blocks until the unit has run, and every unit the
-  // controller accepts does run (Stop drains them).
-  auto promise =
-      std::make_shared<std::promise<easytime::Result<easytime::Json>>>();
-  auto future = promise->get_future();
-  const bool queued =
-      admission_->Enqueue(endpoint, [this, &req, &deadline, promise]() {
-        if (deadline.expired()) {
-          // The request waited out its budget in the run queue; don't burn
-          // a worker on an answer nobody is waiting for.
-          promise->set_value(Status::DeadlineExceeded(
-              "request deadline expired while queued"));
-        } else {
-          promise->set_value(ExecuteFast(req, deadline));
-        }
-      });
-  if (!queued) {
+  // Run on this thread once the controller grants a worker slot. The slot
+  // is held through Fulfill, so Stop() (DrainAll) covers the whole request.
+  if (!admission_->AcquireWorker(endpoint)) {
     admission_->Finish(endpoint);
     RecordStats(endpoint, false, true, false, watch.ElapsedSeconds());
     return MakeErrorResponse(req.id,
                              Status::Unavailable("server is shutting down"));
   }
-  // Wait before reading the clock (argument order is unspecified).
-  const easytime::Result<easytime::Json> answered = future.get();
-  return Fulfill(req, cache_key, answered, watch.ElapsedSeconds());
+  // A request that waited out its budget for a slot is not worth a fit
+  // nobody is waiting for.
+  const easytime::Result<easytime::Json> answered =
+      deadline.expired()
+          ? Status::DeadlineExceeded("request deadline expired while queued")
+          : ExecuteFast(req, deadline);
+  easytime::Json resp =
+      Fulfill(req, cache_key, answered, watch.ElapsedSeconds());
+  admission_->ReleaseWorker(endpoint);
+  return resp;
 }
 
 easytime::Json ForecastServer::Fulfill(

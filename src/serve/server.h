@@ -10,9 +10,10 @@
 ///  - Fast lane: forecast / recommend / ask / sql / append requests claim a
 ///    per-endpoint weighted queue slot (class over quota with no shared
 ///    headroom => Unavailable, the admission-control contract; see
-///    serve/admission.h). The calling thread then hands the request, as one
-///    unit, to the per-class run queues that feed the worker pool with
-///    guaranteed worker shares, and waits for its answer.
+///    serve/admission.h). The calling thread (an in-process client, or an
+///    event-loop handler thread for TCP) then waits for one of the
+///    fast_lane_workers slots, granted by class with guaranteed shares, and
+///    runs the request itself.
 ///  - Async lane: "evaluate" submits a OneClickEvaluate job, "backtest" a
 ///    rolling-origin backtest job, to a bounded job queue
 ///    (serve/job_manager.h); clients poll "job_status" and may "cancel"
@@ -38,7 +39,6 @@
 #include "common/json.h"
 #include "common/overload.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "core/easytime.h"
 #include "serve/admission.h"
 #include "serve/cache.h"
@@ -60,10 +60,10 @@ struct EndpointStats {
 };
 
 /// \brief The serving layer. Construction is cheap; Start() spins up the
-/// worker pool and job workers. Stop() (also run by the destructor)
-/// drains: admitted fast-lane requests are answered, the in-flight
-/// evaluation job completes, queued evaluation jobs are cancelled, and only
-/// then do the threads exit — no response is dropped.
+/// job workers (the fast lane runs on its callers' threads). Stop() (also
+/// run by the destructor) drains: admitted fast-lane requests are answered,
+/// the in-flight evaluation job completes, queued evaluation jobs are
+/// cancelled, and only then do the threads exit — no response is dropped.
 class ForecastServer {
  public:
   struct Options {
@@ -76,7 +76,10 @@ class ForecastServer {
     /// threads so concurrent jobs split the machine instead of
     /// oversubscribing it.
     size_t evaluate_concurrency = 1;
-    size_t num_worker_threads = 2;     ///< fast-lane executor pool
+    /// Fast-lane requests executing at once. A slot count, not a thread
+    /// count: the fast lane runs on its callers' threads (for TCP, the
+    /// event loop's handler threads).
+    size_t fast_lane_workers = 2;
     size_t cache_capacity = 256;       ///< 0 disables the result cache
     double cache_ttl_seconds = 300.0;
     size_t max_request_bytes = 1 << 16;
@@ -160,7 +163,8 @@ class ForecastServer {
   /// Full request lifecycle: route, admit, execute, envelope.
   easytime::Json Dispatch(Request req);
 
-  /// \brief Runs a fast-lane endpoint to completion (worker-pool context).
+  /// \brief Runs a fast-lane endpoint to completion (caller's thread, under
+  /// a granted worker slot).
   /// The request's remaining deadline is forwarded to endpoints that can
   /// honor it mid-flight (the "sql" table functions check it between group
   /// fits); the queue-level expiry check already happened by this point.
@@ -214,12 +218,11 @@ class ForecastServer {
   std::map<std::string, ControlFn> control_endpoints_;
   ResultCache cache_;
   JobManager jobs_;
-  std::unique_ptr<ThreadPool> pool_;
   /// Per-endpoint admission quotas + weighted worker scheduling. Requests
-  /// claim a queue slot in Dispatch (shed = Unavailable), enqueue themselves
-  /// here instead of blocking on a pool permit, so one endpoint's burst
-  /// cannot head-of-line-block the others, and release the slot in Fulfill
-  /// (serve/admission.h).
+  /// claim a queue slot in Dispatch (shed = Unavailable), wait in their
+  /// class's queue for a worker slot, so one endpoint's burst cannot
+  /// head-of-line-block the others, and release the queue slot in Fulfill
+  /// and the worker slot after it (serve/admission.h).
   std::unique_ptr<AdmissionController> admission_;
   std::atomic<bool> running_{false};
   std::atomic<bool> accepting_{false};

@@ -82,7 +82,7 @@ TEST_F(ChaosTest, EveryRequestReachesTerminalStatusUnderFaults) {
                   .ok());
 
   ForecastServer::Options opt;
-  opt.num_worker_threads = 4;
+  opt.fast_lane_workers = 4;
   opt.fast_lane_capacity = 1024;
   opt.cache_capacity = 0;  // every request exercises the faulted path
   ForecastServer server(system_, opt);
@@ -158,7 +158,7 @@ TEST_F(ChaosTest, SqlAndAskRequestsStayTerminalUnderKnowledgeFaults) {
                   .ok());
 
   ForecastServer::Options opt;
-  opt.num_worker_threads = 4;
+  opt.fast_lane_workers = 4;
   opt.cache_capacity = 0;  // every request exercises the faulted path
   ForecastServer server(system_, opt);
   server.Start();
@@ -224,7 +224,7 @@ TEST_F(ChaosTest, TcpClientsRetryThroughConnectionFaults) {
       FaultRegistry::Global().ArmFromSpec("serve.tcp.read:error:0.1").ok());
 
   ForecastServer::Options opt;
-  opt.num_worker_threads = 4;
+  opt.fast_lane_workers = 4;
   opt.fast_lane_capacity = 1024;
   ForecastServer server(system_, opt);
   server.Start();
@@ -475,7 +475,7 @@ TEST_F(ChaosTest, QosOverloadDeadlinesAndFaultsStayTerminal) {
                   .ok());
 
   ForecastServer::Options opt;
-  opt.num_worker_threads = 2;
+  opt.fast_lane_workers = 2;
   opt.fast_lane_capacity = 8;  // 8 clients oversubscribe this heavily
   opt.cache_capacity = 0;
   ForecastServer server(system_, opt);

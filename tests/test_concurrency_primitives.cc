@@ -6,65 +6,11 @@
 #include <vector>
 
 #include "common/bounded_queue.h"
-#include "common/semaphore.h"
 
 namespace easytime {
 namespace {
 
 using namespace std::chrono_literals;
-
-// ---------------------------------------------------------------- Semaphore
-
-TEST(SemaphoreTest, AcquireAndReleaseRoundTrip) {
-  Semaphore sem(2);
-  EXPECT_TRUE(sem.Acquire());
-  EXPECT_TRUE(sem.TryAcquire());
-  EXPECT_EQ(sem.available(), 0u);
-  EXPECT_FALSE(sem.TryAcquire());  // exhausted
-  sem.Release();
-  EXPECT_TRUE(sem.TryAcquire());
-}
-
-TEST(SemaphoreTest, CloseWakesBlockedAcquire) {
-  Semaphore sem(1);
-  ASSERT_TRUE(sem.Acquire());  // take the only permit
-
-  std::atomic<int> result{-1};
-  std::thread waiter([&]() {
-    // Blocks: no permit available until Close.
-    result.store(sem.Acquire() ? 1 : 0);
-  });
-  std::this_thread::sleep_for(30ms);
-  EXPECT_EQ(result.load(), -1) << "Acquire should still be blocked";
-
-  sem.Close();
-  waiter.join();
-  EXPECT_EQ(result.load(), 0) << "closed Acquire must return false";
-  EXPECT_TRUE(sem.closed());
-
-  // Permits handed out before Close may still be returned safely, and
-  // Close stays idempotent.
-  sem.Release();
-  sem.Close();
-  EXPECT_FALSE(sem.Acquire());
-  EXPECT_FALSE(sem.TryAcquire());
-}
-
-TEST(SemaphoreTest, CloseWakesEveryWaiter) {
-  Semaphore sem(0);
-  constexpr int kWaiters = 4;
-  std::atomic<int> refused{0};
-  std::vector<std::thread> waiters;
-  for (int i = 0; i < kWaiters; ++i) {
-    waiters.emplace_back([&]() {
-      if (!sem.Acquire()) refused.fetch_add(1);
-    });
-  }
-  std::this_thread::sleep_for(30ms);
-  sem.Close();
-  for (auto& t : waiters) t.join();
-  EXPECT_EQ(refused.load(), kWaiters);
-}
 
 // ------------------------------------------------------------- BoundedQueue
 
@@ -98,14 +44,6 @@ TEST(BoundedQueueTest, FullQueueShutdownDrainsQueuedItemsThenSignalsExit) {
   EXPECT_EQ(q.Pop(), 3);
   EXPECT_EQ(q.Pop(), std::nullopt) << "drained + closed signals exit";
   EXPECT_TRUE(q.closed());
-}
-
-TEST(BoundedQueueTest, PopForTimesOutOnEmptyOpenQueue) {
-  BoundedQueue<int> q(2);
-  auto start = std::chrono::steady_clock::now();
-  EXPECT_EQ(q.PopFor(20ms), std::nullopt);
-  EXPECT_GE(std::chrono::steady_clock::now() - start, 15ms);
-  EXPECT_FALSE(q.closed()) << "timeout is distinguishable from closure";
 }
 
 TEST(BoundedQueueTest, ConcurrentProducersAgainstClosingConsumer) {

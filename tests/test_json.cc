@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace easytime {
 namespace {
 
@@ -43,6 +46,10 @@ TEST(JsonParse, Errors) {
   EXPECT_FALSE(Json::Parse("tru").ok());
   EXPECT_FALSE(Json::Parse("1 2").ok());  // trailing garbage
   EXPECT_FALSE(Json::Parse("\"unterminated").ok());
+  EXPECT_FALSE(Json::Parse("1e999").ok()) << "overflows a double";
+  EXPECT_FALSE(Json::Parse("-1e999").ok());
+  EXPECT_FALSE(Json::Parse("[1, 1e999]").ok());
+  EXPECT_TRUE(Json::Parse("1e-999").ok()) << "underflow is accepted";
 }
 
 TEST(JsonDump, RoundTrip) {
@@ -92,6 +99,14 @@ TEST(JsonNumber, IntegersDumpWithoutDecimalPoint) {
   EXPECT_EQ(j.Dump(), "42");
   Json f(2.5);
   EXPECT_EQ(f.Dump(), "2.5");
+}
+
+TEST(JsonNumber, AsIntSaturatesOutOfRange) {
+  EXPECT_EQ(Json(1e300).AsInt(), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(Json(-1e300).AsInt(), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(Json::Parse(R"({"id":1e300})")->GetInt("id", 0),
+            std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(Json(-7.9).AsInt(), -7) << "in range: truncates toward zero";
 }
 
 TEST(JsonString, EscapedOnDump) {

@@ -266,7 +266,7 @@ bool SendChunk(int fd, LineReader& reader, const std::string& data,
 // well-formed envelope, no hang, and the server alive at the end.
 TEST_F(ProtocolFuzzTest, TenThousandMalformedFramesNeverWedgeTheServer) {
   ForecastServer::Options sopt;
-  sopt.num_worker_threads = 2;
+  sopt.fast_lane_workers = 2;
   sopt.cache_capacity = 0;
   ForecastServer server(system_, sopt);
   server.Start();

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,7 +73,7 @@ TEST(QosAdmissionTest, ReservationsAdmitBorrowAndShed) {
   opt.queue_capacity = 4;
   opt.workers = 2;
   opt.weights = {{"a", 3.0}, {"b", 1.0}};
-  AdmissionController ac(opt, [](AdmissionController::Unit u) { u(); });
+  AdmissionController ac(opt);
 
   // a reserves floor(4 * 3/4) = 3 slots, b reserves 1.
   EXPECT_TRUE(ac.TryAdmit("a"));
@@ -100,7 +101,7 @@ TEST(QosAdmissionTest, BrownoutEntersAndExitsWithHysteresis) {
   opt.brownout_enter_fraction = 0.75;  // enter at pending >= 3
   opt.brownout_exit_fraction = 0.25;   // exit at pending <= 1
   opt.overload = &overload;
-  AdmissionController ac(opt, [](AdmissionController::Unit u) { u(); });
+  AdmissionController ac(opt);
 
   EXPECT_TRUE(ac.TryAdmit("a"));
   EXPECT_TRUE(ac.TryAdmit("a"));
@@ -118,36 +119,101 @@ TEST(QosAdmissionTest, BrownoutEntersAndExitsWithHysteresis) {
   ac.Finish("a");
 }
 
+// Polls \p done (1 ms steps, at most 5 s); true once it holds.
+bool WaitFor(const std::function<bool()>& done) {
+  for (int i = 0; i < 5000 && !done(); ++i) std::this_thread::sleep_for(1ms);
+  return done();
+}
+
+int64_t QueuedUnits(const AdmissionController& ac, const std::string& cls) {
+  return ac.StatsJson().Get("classes").Get(cls).GetInt("queued_units", -1);
+}
+
 TEST(QosAdmissionTest, WorkerTieBreakRoundRobinsAcrossClasses) {
-  // One worker, two equal classes: after each completion the scheduler must
+  // One worker, two equal classes: after each release the scheduler must
   // alternate rather than draining the alphabetically-first class.
   AdmissionController::Options opt;
   opt.queue_capacity = 16;
   opt.workers = 1;
   opt.weights = {{"a", 1.0}, {"b", 1.0}};
-  std::vector<AdmissionController::Unit> launched;
-  AdmissionController ac(
-      opt, [&](AdmissionController::Unit u) { launched.push_back(std::move(u)); });
+  AdmissionController ac(opt);
 
+  std::mutex order_mu;
   std::vector<std::string> order;
-  auto unit = [&order](const std::string& name) {
-    return [&order, name]() { order.push_back(name); };
+  auto run = [&](const std::string& cls, const std::string& name) {
+    ASSERT_TRUE(ac.AcquireWorker(cls));
+    {
+      std::lock_guard<std::mutex> lock(order_mu);
+      order.push_back(name);
+    }
+    ac.ReleaseWorker(cls);
   };
-  ac.Enqueue("a", unit("a1"));  // launches immediately: the worker is free
-  ac.Enqueue("a", unit("a2"));
-  ac.Enqueue("a", unit("a3"));
-  ac.Enqueue("b", unit("b1"));
 
-  // Drive the fake worker: run each launched unit; completions trigger the
-  // next launch synchronously through OnUnitDone.
-  while (!launched.empty()) {
-    auto u = std::move(launched.front());
-    launched.erase(launched.begin());
-    u();
-  }
+  ASSERT_TRUE(ac.AcquireWorker("a"));  // a1 takes the only slot
+  order.push_back("a1");
+  std::vector<std::thread> waiters;
+  waiters.emplace_back(run, "a", "a2");
+  ASSERT_TRUE(WaitFor([&]() { return QueuedUnits(ac, "a") == 1; }));
+  waiters.emplace_back(run, "a", "a3");
+  ASSERT_TRUE(WaitFor([&]() { return QueuedUnits(ac, "a") == 2; }));
+  waiters.emplace_back(run, "b", "b1");
+  ASSERT_TRUE(WaitFor([&]() { return QueuedUnits(ac, "b") == 1; }));
+
+  ac.ReleaseWorker("a");  // a1 done: the slot goes to the next waiter
+  for (auto& t : waiters) t.join();
   ASSERT_EQ(order.size(), 4u);
   EXPECT_EQ(order[0], "a1");
   EXPECT_EQ(order[1], "b1") << "b must not wait behind all of a's backlog";
+}
+
+TEST(QosAdmissionTest, DrainAllGrantsEveryWaiterAndWaitsForTheirRelease) {
+  // One worker held by this thread and three callers queued behind it.
+  // DrainAll grants all three past the worker cap, returns only once every
+  // granted slot is released, and refuses every later acquire.
+  AdmissionController::Options opt;
+  opt.queue_capacity = 8;
+  opt.workers = 1;
+  opt.weights = {{"a", 1.0}};
+  AdmissionController ac(opt);
+
+  ASSERT_TRUE(ac.AcquireWorker("a"));
+  std::atomic<int> started{0};
+  std::atomic<int> released{0};
+  std::atomic<bool> gate{false};
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < 3; ++i) {
+    waiters.emplace_back([&]() {
+      ASSERT_TRUE(ac.AcquireWorker("a"));
+      started.fetch_add(1);
+      while (!gate.load()) std::this_thread::sleep_for(1ms);
+      released.fetch_add(1);
+      ac.ReleaseWorker("a");
+    });
+  }
+  ASSERT_TRUE(WaitFor([&]() { return QueuedUnits(ac, "a") == 3; }));
+  EXPECT_EQ(started.load(), 0) << "the single worker slot is taken";
+
+  std::atomic<bool> drained{false};
+  std::atomic<int> released_at_drain{-1};
+  std::thread drainer([&]() {
+    ac.DrainAll();
+    released_at_drain.store(released.load());
+    drained.store(true);
+  });
+  EXPECT_TRUE(WaitFor([&]() { return started.load() == 3; }))
+      << "DrainAll grants every waiter regardless of the worker cap";
+  std::this_thread::sleep_for(20ms);
+  EXPECT_FALSE(drained.load()) << "granted slots are still held";
+
+  gate.store(true);
+  for (auto& t : waiters) t.join();
+  std::this_thread::sleep_for(20ms);
+  EXPECT_FALSE(drained.load()) << "this thread still holds its slot";
+  ac.ReleaseWorker("a");
+  drainer.join();
+  EXPECT_EQ(released_at_drain.load(), 3);
+  EXPECT_EQ(ac.StatsJson().GetInt("total_running", -1), 0);
+  EXPECT_FALSE(ac.AcquireWorker("a")) << "acquires after DrainAll refuse";
 }
 
 TEST(QosAdmissionTest, StatsJsonExposesPerClassCounters) {
@@ -155,7 +221,7 @@ TEST(QosAdmissionTest, StatsJsonExposesPerClassCounters) {
   opt.queue_capacity = 4;
   opt.workers = 2;
   opt.weights = {{"forecast", 4.0}, {"ask", 1.0}};
-  AdmissionController ac(opt, [](AdmissionController::Unit u) { u(); });
+  AdmissionController ac(opt);
   ASSERT_TRUE(ac.TryAdmit("forecast"));
   Json stats = ac.StatsJson();
   EXPECT_TRUE(stats.Has("classes"));
@@ -301,7 +367,7 @@ TEST_F(QosServerTest, AskOverloadDoesNotStarveForecast) {
   // its guaranteed share — not wait for the whole ask backlog — and the
   // excess asks must shed Unavailable rather than queue without bound.
   ForecastServer::Options opt;
-  opt.num_worker_threads = 2;
+  opt.fast_lane_workers = 2;
   opt.fast_lane_capacity = 8;
   opt.cache_capacity = 0;
   ForecastServer server(system_, opt);

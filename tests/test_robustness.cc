@@ -676,7 +676,7 @@ core::EasyTime* RobustnessServeTest::system_ = nullptr;
 
 TEST_F(RobustnessServeTest, RequestDeadlineExpiredInQueueReturnsDeadline) {
   serve::ForecastServer::Options opt;
-  opt.num_worker_threads = 1;  // one slow request blocks the lane
+  opt.fast_lane_workers = 1;  // one slow request blocks the lane
   opt.cache_capacity = 0;
   serve::ForecastServer server(system_, opt);
   server.Start();

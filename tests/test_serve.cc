@@ -149,6 +149,20 @@ TEST_F(ServeTest, ForecastOnInlineValues) {
   EXPECT_GT(result->Get("values").items()[3].AsDouble(), 40.0);
 }
 
+TEST_F(ServeTest, ForecastOnOutOfRangeInlineValueIsAnError) {
+  // 1e999 overflows a double. Read as inf it would be fitted, answered with
+  // null forecasts and cached; it must be rejected as malformed input.
+  std::string values;
+  for (int t = 0; t < 64; ++t) values += std::to_string(10 + t) + ",";
+  const std::string line =
+      R"({"id": 3, "endpoint": "forecast", "params": {"method": "theta",)"
+      R"( "horizon": 4, "values": [)" +
+      values + R"(1e999]}})";
+  Json resp = MustParse(server_->HandleLine(line));
+  EXPECT_FALSE(resp.GetBool("ok", true)) << resp.Dump();
+  EXPECT_EQ(resp.Get("error").GetString("code", ""), "ParseError");
+}
+
 TEST_F(ServeTest, ForecastValidation) {
   Json params = Json::Object();
   params.Set("dataset", FirstDataset());
@@ -352,7 +366,7 @@ TEST_F(ServeTest, FastLaneQueueFullIsRejectedNotDropped) {
   // a second pending request; a third while both are still pending bounces
   // with Unavailable instead of queueing unboundedly.
   ForecastServer::Options opt;
-  opt.num_worker_threads = 1;
+  opt.fast_lane_workers = 1;
   opt.fast_lane_capacity = 2;
   opt.cache_capacity = 0;  // keep every request on the slow path
   ForecastServer small(system_, opt);

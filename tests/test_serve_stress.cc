@@ -51,7 +51,7 @@ core::EasyTime* ServeStressTest::system_ = nullptr;
 TEST_F(ServeStressTest, EightConcurrentClientsZeroWrongOrDroppedResponses) {
   ASSERT_NE(system_, nullptr);
   ForecastServer::Options opt;
-  opt.num_worker_threads = 4;
+  opt.fast_lane_workers = 4;
   opt.fast_lane_capacity = 1024;  // admission control is tested elsewhere
   ForecastServer server(system_, opt);
   server.Start();
@@ -126,7 +126,7 @@ TEST_F(ServeStressTest, EightConcurrentClientsZeroWrongOrDroppedResponses) {
 TEST_F(ServeStressTest, IdenticalConcurrentRequestsEachGetTheirOwnAnswer) {
   ASSERT_NE(system_, nullptr);
   ForecastServer::Options opt;
-  opt.num_worker_threads = 2;
+  opt.fast_lane_workers = 2;
   opt.cache_capacity = 0;  // no request is answered from another's result
   ForecastServer server(system_, opt);
   server.Start();
@@ -174,7 +174,7 @@ TEST_F(ServeStressTest, IdenticalConcurrentRequestsEachGetTheirOwnAnswer) {
 TEST_F(ServeStressTest, StopDrainsInFlightAndQueuedRequests) {
   ASSERT_NE(system_, nullptr);
   ForecastServer::Options opt;
-  opt.num_worker_threads = 2;
+  opt.fast_lane_workers = 2;
   opt.fast_lane_capacity = 64;
   opt.cache_capacity = 0;
   auto server = std::make_unique<ForecastServer>(system_, opt);
@@ -227,8 +227,8 @@ TEST_F(ServeStressTest, StopRacingShortForecastsAnswersOkOrUnavailable) {
 
   for (int round = 0; round < 3; ++round) {
     ForecastServer::Options opt;
-    opt.num_worker_threads = 2;
-    opt.cache_capacity = 0;  // every call reaches the worker pool
+    opt.fast_lane_workers = 2;
+    opt.cache_capacity = 0;  // every call takes a worker slot
     auto server = std::make_unique<ForecastServer>(system_, opt);
     server->Start();
 
