@@ -4,7 +4,7 @@
 //
 //   1. sharding    — pipelined req/sec through the router TCP front-end at
 //                    1 / 2 / 4 shards, against a single-process
-//                    ForecastServer+epoll baseline (same preset, same
+//                    ForecastServer+TCP baseline (same preset, same
 //                    request mix) so the routing hop's cost is visible
 //   2. failover    — SIGKILL the only primary: ms until the replica serves
 //                    a (tagged) degraded read, ms until promotion restores
@@ -184,9 +184,7 @@ double MeasureSingleProcessRps(core::EasyTime* system,
                                int clients, int bursts, int burst_size) {
   serve::ForecastServer server(system);
   server.Start();
-  serve::EventLoopServer::Options lopt;
-  lopt.num_handler_threads = 4;
-  serve::EventLoopServer loop(&server, lopt);
+  serve::EventLoopServer loop(&server, serve::EventLoopServer::Options());
   if (auto st = loop.Start(); !st.ok()) Die("baseline: " + st.ToString());
   double rps =
       MeasurePipelinedRps(loop.port(), datasets, clients, bursts, burst_size);
@@ -312,7 +310,7 @@ FailoverNumbers MeasureFailover(const std::string& dataset) {
 int main(int argc, char** argv) {
   constexpr int kClients = 4;
   constexpr int kBursts = 20;
-  constexpr int kBurstSize = 16;  // stays under the epoll pipeline depth
+  constexpr int kBurstSize = 16;
 
   // The baseline system mirrors the workers' "small" preset exactly, so the
   // single-process number differs only by the routing hop.

@@ -4,7 +4,8 @@
 //
 //   1. cache     — forecast latency, cache hit vs cache miss
 //   2. loopback  — end-to-end req/sec over the TCP front-end
-//   3. epoll     — multi-client and pipelined req/sec against the event loop
+//   3. front_end — multi-client and pipelined req/sec against the TCP
+//                  front-end (one thread per connection)
 //   4. job_pool  — two concurrent evaluations vs the same two run back-to-back
 //   5. qos       — overload shedding (4x ask oversubscription vs a concurrent
 //                  forecast) and the latency of a deadline-bounded fit abort
@@ -139,7 +140,7 @@ double BenchTcp(serve::ForecastServer* server, const std::string& dataset) {
   return kRequests / seconds;
 }
 
-// ---- 3. epoll front-end: many clients, then one pipelined client ----------
+// ---- 3. TCP front-end: many clients, then one pipelined client ------------
 
 int ConnectTo(uint16_t port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -149,7 +150,7 @@ int ConnectTo(uint16_t port) {
   addr.sin_port = htons(port);
   if (fd < 0 ||
       ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    std::fprintf(stderr, "epoll bench: connect failed\n");
+    std::fprintf(stderr, "front-end bench: connect failed\n");
     std::exit(1);
   }
   int one = 1;  // burst writes must not sit behind Nagle
@@ -160,7 +161,7 @@ int ConnectTo(uint16_t port) {
 void SendLine(int fd, const std::string& line) {
   if (::send(fd, line.data(), line.size(), 0) !=
       static_cast<ssize_t>(line.size())) {
-    std::fprintf(stderr, "epoll bench: send failed\n");
+    std::fprintf(stderr, "front-end bench: send failed\n");
     std::exit(1);
   }
 }
@@ -171,31 +172,29 @@ void ReadLines(int fd, int n) {
     if (c == '\n') --n;
   }
   if (n != 0) {
-    std::fprintf(stderr, "epoll bench: connection closed early\n");
+    std::fprintf(stderr, "front-end bench: connection closed early\n");
     std::exit(1);
   }
 }
 
-struct EpollNumbers {
+struct FrontEndNumbers {
   double multi_client_rps = 0.0;
   double pipelined_rps = 0.0;
 };
 
-EpollNumbers BenchEpoll(serve::ForecastServer* server,
+FrontEndNumbers BenchFrontEnd(serve::ForecastServer* server,
                         const std::string& dataset) {
-  serve::EventLoopServer::Options opt;
-  opt.num_handler_threads = 4;
-  serve::EventLoopServer loop(server, opt);
+  serve::EventLoopServer loop(server, serve::EventLoopServer::Options());
   if (auto st = loop.Start(); !st.ok()) {
-    std::fprintf(stderr, "epoll bench: %s\n", st.ToString().c_str());
+    std::fprintf(stderr, "front-end bench: %s\n", st.ToString().c_str());
     std::exit(1);
   }
 
   const std::string line = ForecastLine(dataset, "theta", 1, 6) + "\n";
-  EpollNumbers out;
+  FrontEndNumbers out;
 
   // (a) Concurrent clients, one request in flight per connection: measures
-  // the event loop multiplexing many sockets (cache warm: protocol cost).
+  // many connections served at once (cache warm: protocol cost).
   {
     constexpr int kClients = 8;
     constexpr int kPerClient = 250;
@@ -219,10 +218,10 @@ EpollNumbers BenchEpoll(serve::ForecastServer* server,
     for (int fd : fds) ::close(fd);
   }
 
-  // (b) One connection, deep pipelining: bursts under the server's pipeline
-  // depth, responses streamed back in order.
+  // (b) One connection, deep pipelining: bursts of requests, responses
+  // streamed back in order.
   {
-    constexpr int kBatch = 32;  // stays under max_pipeline_depth
+    constexpr int kBatch = 32;
     constexpr int kBatches = 16;
     int fd = ConnectTo(loop.port());
     std::string burst;
@@ -387,7 +386,7 @@ int main(int argc, char** argv) {
 
   CacheNumbers cache = BenchCache(&server, datasets);
   double tcp_rps = BenchTcp(&server, datasets[0]);
-  EpollNumbers epoll = BenchEpoll(&server, datasets[0]);
+  FrontEndNumbers front_end = BenchFrontEnd(&server, datasets[0]);
   server.Stop();
 
   // The concurrent configuration scales with the machine: min(cores, 4)
@@ -419,12 +418,12 @@ int main(int argc, char** argv) {
   tcp_json.Set("cached_forecast_req_per_sec", tcp_rps);
   out.Set("loopback_tcp", std::move(tcp_json));
 
-  Json epoll_json = Json::Object();
-  epoll_json.Set("clients", static_cast<int64_t>(8));
-  epoll_json.Set("threads", static_cast<int64_t>(8));  // client threads
-  epoll_json.Set("multi_client_req_per_sec", epoll.multi_client_rps);
-  epoll_json.Set("pipelined_req_per_sec", epoll.pipelined_rps);
-  out.Set("epoll", std::move(epoll_json));
+  Json front_end_json = Json::Object();
+  front_end_json.Set("clients", static_cast<int64_t>(8));
+  front_end_json.Set("threads", static_cast<int64_t>(8));  // client threads
+  front_end_json.Set("multi_client_req_per_sec", front_end.multi_client_rps);
+  front_end_json.Set("pipelined_req_per_sec", front_end.pipelined_rps);
+  out.Set("front_end", std::move(front_end_json));
 
   Json pool_json = Json::Object();
   pool_json.Set("threads", static_cast<int64_t>(pool_workers));

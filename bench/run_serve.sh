@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs the serving-layer benchmark and writes BENCH_serve.json at the repo
 # root: cache-hit vs cache-miss forecast latency, loopback TCP req/sec,
-# the epoll front-end under multiple clients and pipelining, the
+# the TCP front-end under multiple clients and pipelining, the
 # multi-worker job pool (min(cores, 4) workers when >1 core is available)
 # vs sequential jobs, and the QoS
 # section: overload shedding under 4x ask oversubscription (forecast

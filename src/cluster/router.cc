@@ -104,7 +104,6 @@ easytime::Status ClusterRouter::Start() {
   serve::EventLoopServer::Options fopt;
   fopt.port = options_.port;
   fopt.auth_token = options_.auth_token;
-  fopt.num_handler_threads = options_.frontend_threads;
   frontend_ = std::make_unique<serve::EventLoopServer>(
       [this](const std::string& line) { return HandleLine(line); },
       options_.max_request_bytes, fopt);

@@ -2,7 +2,7 @@
 
 /// \file router.h
 /// \brief The cluster router (DESIGN.md §14): one process that owns the
-/// client-facing epoll front-end and consistent-hashes work across N shard
+/// client-facing TCP front-end and consistent-hashes work across N shard
 /// worker processes, each a full ForecastServer over loopback.
 ///
 /// Routing contract:
@@ -62,7 +62,6 @@ class ClusterRouter {
     std::string preset = "small";   ///< worker system preset
     std::string auth_token;         ///< front-end AND worker credential
     uint16_t port = 0;              ///< client-facing port (0 = ephemeral)
-    size_t frontend_threads = 4;
     size_t max_request_bytes = 1 << 20;
     double health_interval_ms = 200.0;
     int breaker_threshold = 3;
@@ -119,7 +118,7 @@ class ClusterRouter {
     std::string replica_store;
     std::atomic<uint16_t> primary_port{0};
     std::atomic<uint16_t> replica_port{0};
-    /// Never reassigned after construction — handler threads call through
+    /// Never reassigned after construction — connection threads call through
     /// the raw pointer without a lock, so failover calls Reset() on the
     /// stable object instead of swapping it.
     std::unique_ptr<CircuitBreaker> breaker;
@@ -130,7 +129,7 @@ class ClusterRouter {
     size_t replica_generation = 0;  ///< fresh staging dir per replica
     std::mutex mu;                  ///< failover transitions
     /// Guards the four name/store strings above. The health thread (their
-    /// sole writer) holds it while rewriting them; handler threads hold it
+    /// sole writer) holds it while rewriting them; connection threads hold it
     /// to copy them out. Held only for the copy — never across I/O — so
     /// status reads cannot stall behind a health ping or promotion.
     std::mutex meta_mu;

@@ -146,7 +146,7 @@ easytime::Status ShardWorker::BringUp(const std::string& store_dir,
   server->Start();
 
   // Detach the old stack first (the new listener needs the port), but stop
-  // it OUTSIDE mu_: Stop joins handler threads, and an in-flight control
+  // it OUTSIDE mu_: Stop joins connection threads, and an in-flight control
   // handler may be waiting on mu_ — stopping under the lock would deadlock.
   std::unique_ptr<serve::EventLoopServer> old_frontend;
   std::unique_ptr<serve::ForecastServer> old_server;

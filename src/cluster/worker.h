@@ -2,7 +2,7 @@
 
 /// \file worker.h
 /// \brief One shard worker process (DESIGN.md §14): a full EasyTime system
-/// behind a ForecastServer on the epoll front-end, plus the replication
+/// behind a ForecastServer on the TCP front-end, plus the replication
 /// control plane the router and replicator drive.
 ///
 /// Roles:

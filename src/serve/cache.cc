@@ -33,10 +33,27 @@ std::optional<std::string> ResultCache::Lookup(const std::string& key) {
   return entry.payload;
 }
 
+uint64_t ResultCache::StampLocked(const std::vector<std::string>& tags) const {
+  // Every counter only grows, so the sum moves iff one of them moved.
+  uint64_t stamp = stats_.flushes;
+  for (const auto& tag : tags) {
+    auto t = tag_invalidations_.find(tag);
+    if (t != tag_invalidations_.end()) stamp += t->second;
+  }
+  return stamp;
+}
+
+uint64_t ResultCache::Stamp(const std::vector<std::string>& tags) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return StampLocked(tags);
+}
+
 void ResultCache::Insert(const std::string& key, std::string payload,
-                         const std::vector<std::string>& tags) {
+                         const std::vector<std::string>& tags,
+                         uint64_t stamp) {
   if (options_.capacity == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
+  if (StampLocked(tags) != stamp) return;  // stale: computed before a change
   auto it = index_.find(key);
   if (it != index_.end()) EraseLocked(it->second);
   Entry entry;
@@ -61,6 +78,9 @@ void ResultCache::Insert(const std::string& key, std::string payload,
 
 size_t ResultCache::InvalidateTag(const std::string& tag) {
   std::lock_guard<std::mutex> lock(mu_);
+  // Counted even when nothing is cached yet: a fill computed before this
+  // call may still be on its way to Insert.
+  ++tag_invalidations_[tag];
   auto t = tag_index_.find(tag);
   if (t == tag_index_.end()) return 0;
   // EraseLocked mutates the tag's key set; drain a copy.

@@ -50,12 +50,19 @@ class ResultCache {
   /// miss either way.
   std::optional<std::string> Lookup(const std::string& key);
 
+  /// \brief Invalidation stamp for an entry tagged \p tags: it moves
+  /// whenever InvalidateTag hits one of the tags or Clear() runs. Read it
+  /// before computing a payload and hand it to Insert.
+  uint64_t Stamp(const std::vector<std::string>& tags) const;
+
   /// \brief Inserts (or refreshes) \p key, evicting the LRU tail beyond
   /// capacity. \p tags names the datasets the payload was computed from;
   /// an untagged entry (inline values, dataset-free requests) is only ever
-  /// dropped by TTL, LRU pressure, or Clear().
+  /// dropped by TTL, LRU pressure, or Clear(). The fill is dropped if
+  /// Stamp(tags) has moved from \p stamp: the payload was computed from
+  /// data that an append (or a flush) has since invalidated.
   void Insert(const std::string& key, std::string payload,
-              const std::vector<std::string>& tags = {});
+              const std::vector<std::string>& tags, uint64_t stamp);
 
   /// \brief Eagerly drops every entry tagged with \p tag (the fine-grained
   /// path: one dataset's append leaves other datasets' entries hot).
@@ -81,6 +88,7 @@ class ResultCache {
 
   /// Unlinks one entry from the LRU list, the key index, and the tag index.
   void EraseLocked(std::list<Entry>::iterator it);
+  uint64_t StampLocked(const std::vector<std::string>& tags) const;
 
   Options options_;
   mutable std::mutex mu_;
@@ -88,6 +96,9 @@ class ResultCache {
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
   /// tag -> keys carrying it (the reverse index InvalidateTag walks).
   std::unordered_map<std::string, std::set<std::string>> tag_index_;
+  /// tag -> InvalidateTag calls so far (Stamp's per-tag part; Clear() is
+  /// counted by stats_.flushes).
+  std::unordered_map<std::string, uint64_t> tag_invalidations_;
   Stats stats_;
 };
 

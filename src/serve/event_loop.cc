@@ -3,15 +3,15 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
 #include <utility>
 
 #include "common/fault.h"
@@ -19,13 +19,6 @@
 #include "serve/request.h"
 
 namespace easytime::serve {
-
-namespace {
-
-constexpr uint64_t kListenId = 0;
-constexpr uint64_t kWakeId = 1;
-
-}  // namespace
 
 EventLoopServer::EventLoopServer(ForecastServer* server, Options options)
     : handler_([server](const std::string& line) {
@@ -60,7 +53,7 @@ easytime::Status EventLoopServer::Start() {
     }
   }
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) {
     return Status::Internal(std::string("socket(): ") + std::strerror(errno));
   }
@@ -73,10 +66,8 @@ easytime::Status EventLoopServer::Start() {
   addr.sin_port = htons(options_.port);
   auto fail = [this](const std::string& what) {
     std::string err = std::strerror(errno);
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
-    if (wake_fd_ >= 0) ::close(wake_fd_);
-    listen_fd_ = epoll_fd_ = wake_fd_ = -1;
+    ::close(listen_fd_);
+    listen_fd_ = -1;
     return Status::Internal(what + ": " + err);
   };
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
@@ -91,478 +82,230 @@ easytime::Status EventLoopServer::Start() {
   port_ = ntohs(addr.sin_port);
   if (::listen(listen_fd_, options_.backlog) < 0) return fail("listen()");
 
-  epoll_fd_ = ::epoll_create1(0);
-  if (epoll_fd_ < 0) return fail("epoll_create1()");
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
-  if (wake_fd_ < 0) return fail("eventfd()");
-
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = kListenId;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) < 0) {
-    return fail("epoll_ctl(listen)");
-  }
-  ev.events = EPOLLIN;
-  ev.data.u64 = kWakeId;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) < 0) {
-    return fail("epoll_ctl(wake)");
-  }
-
-  handlers_ = std::make_unique<ThreadPool>(
-      std::max<size_t>(1, options_.num_handler_threads));
   running_.store(true);
-  loop_thread_ = std::thread([this]() { LoopThread(); });
+  accept_thread_ = std::thread([this]() { AcceptLoop(); });
   return Status::OK();
 }
 
 void EventLoopServer::Stop() {
   if (!running_.load() || stopped_.exchange(true)) return;
-  stopping_.store(true);
-  WakeLoop();
-  if (loop_thread_.joinable()) loop_thread_.join();
-  // The pool destructor runs any still-queued handler tasks; their
-  // completions land in the mailbox and are simply discarded. It must go
-  // before the fds so a late PostCompletion never writes a recycled fd.
-  handlers_.reset();
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  wake_fd_ = epoll_fd_ = listen_fd_ = -1;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_.store(true);
+  }
+  closed_cv_.notify_all();
+  ::shutdown(listen_fd_, SHUT_RDWR);  // wakes the blocking accept4
+  if (accept_thread_.joinable()) accept_thread_.join();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
+
+  std::unique_lock<std::mutex> lock(mu_);
+  // Drain contract: idle readers see EOF at once; an in-flight request
+  // finishes and its response flushes; pipelined lines not yet started are
+  // abandoned (each connection thread checks stopping_ before executing).
+  for (Conn& conn : conns_) {
+    if (conn.fd >= 0) ::shutdown(conn.fd, SHUT_RD);
+  }
+  const auto deadline =
+      Clock::now() + std::chrono::microseconds(static_cast<int64_t>(
+                         options_.drain_timeout_ms * 1000.0));
+  closed_cv_.wait_until(lock, deadline,
+                        [this] { return open_connections_.load() == 0; });
+  for (Conn& conn : conns_) {
+    if (conn.fd >= 0) ::shutdown(conn.fd, SHUT_RDWR);  // a stuck writer
+  }
+  lock.unlock();
+  // The accept thread is gone, so nothing else changes the list's shape.
+  for (Conn& conn : conns_) {
+    if (conn.thread.joinable()) conn.thread.join();
+  }
+  conns_.clear();
   running_.store(false);
 }
 
-void EventLoopServer::WakeLoop() {
-  if (wake_fd_ < 0) return;
-  uint64_t one = 1;
-  // A full eventfd counter (impossible here) or a race with close is
-  // harmless: the loop polls with a bounded timeout anyway.
-  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-}
-
-void EventLoopServer::PostCompletion(Completion c) {
-  {
-    std::lock_guard<std::mutex> lock(mailbox_mu_);
-    mailbox_.push_back(std::move(c));
-  }
-  WakeLoop();
-}
-
 EventLoopServer::Stats EventLoopServer::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return stats_;
 }
 
-void EventLoopServer::LoopThread() {
-  std::vector<epoll_event> events(64);
-  bool draining = false;
-  Clock::time_point drain_deadline{};
-
-  for (;;) {
-    const Clock::time_point now = Clock::now();
-
-    if (stopping_.load() && !draining) {
-      draining = true;
-      drain_deadline =
-          now + std::chrono::microseconds(
-                    static_cast<int64_t>(options_.drain_timeout_ms * 1000.0));
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-      accept_paused_ = true;  // and never resumed
-      for (auto& [id, conn] : conns_) {
-        // Drain contract: the dispatched request finishes and its response
-        // flushes; framed-but-undispatched pipelined lines are abandoned.
-        conn.lines.clear();
-        conn.eof = true;
-        conn.reading_paused = true;
-        UpdateInterest(conn);
-        CloseIfDrained(conn);
-      }
-      CloseDead();
-    }
-    if (draining) {
-      if (conns_.empty()) break;
-      if (now >= drain_deadline) {
-        for (auto& [id, conn] : conns_) conn.dead = true;
-        CloseDead();
-        break;
-      }
-    }
-
-    int timeout_ms = 500;
-    if (draining) {
-      timeout_ms = 10;
-    } else if (options_.idle_timeout_ms > 0.0 && !conns_.empty()) {
-      timeout_ms = std::clamp(
-          static_cast<int>(options_.idle_timeout_ms / 4.0), 5, 100);
-    }
-
-    int n = ::epoll_wait(epoll_fd_, events.data(),
-                         static_cast<int>(events.size()), timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      EASYTIME_LOG(Warning) << "epoll_wait: " << std::strerror(errno);
-      break;
-    }
-
-    for (int i = 0; i < n; ++i) {
-      const uint64_t id = events[i].data.u64;
-      const uint32_t ev = events[i].events;
-      if (id == kListenId) {
-        if (!draining) HandleAccept();
-        continue;
-      }
-      if (id == kWakeId) {
-        uint64_t counter;
-        while (::read(wake_fd_, &counter, sizeof(counter)) > 0) {
-        }
-        continue;  // the mailbox is drained below
-      }
-      auto it = conns_.find(id);
-      if (it == conns_.end()) continue;
-      Conn& conn = it->second;
-      if (conn.dead) continue;
-      if (ev & (EPOLLERR | EPOLLHUP)) {
-        conn.dead = true;
-        continue;
-      }
-      if (ev & EPOLLIN) HandleReadable(conn);
-      if (conn.dead) continue;
-      if (ev & EPOLLOUT) {
-        FlushWrite(conn);
-        if (!conn.dead) {
-          UpdateInterest(conn);
-          CloseIfDrained(conn);
-        }
-      }
-    }
-
-    DrainMailbox();
-    CloseDead();
-    if (!draining) SweepIdle(Clock::now());
-    CloseDead();
-  }
+void EventLoopServer::Bump(uint64_t Stats::*counter) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++(stats_.*counter);
 }
 
-void EventLoopServer::HandleAccept() {
+void EventLoopServer::AcceptLoop() {
   for (;;) {
-    if (conns_.size() >= options_.max_connections) {
-      PauseAccept();
-      return;
+    std::list<Conn> finished;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      closed_cv_.wait(lock, [this] {
+        return stopping_.load() ||
+               open_connections_.load() < options_.max_connections;
+      });
+      for (auto it = conns_.begin(); it != conns_.end();) {
+        auto next = std::next(it);
+        if (it->fd < 0) finished.splice(finished.end(), conns_, it);
+        it = next;
+      }
     }
-    int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
+    for (Conn& conn : finished) {
+      if (conn.thread.joinable()) conn.thread.join();
+    }
+    if (stopping_.load()) return;
+
+    int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // EAGAIN (no more pending) or a transient accept error
+      if (stopping_.load()) return;
+      // Out of fds or memory: back off instead of spinning on the error.
+      if (errno != EINTR && errno != ECONNABORTED) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+      continue;
     }
     // Without TCP_NODELAY a pipelined client's responses are held hostage
     // by Nagle + delayed ACK (~40ms each): line-delimited request/response
     // traffic always wants small writes out immediately.
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    const uint64_t id = next_conn_id_++;
-    Conn& conn = conns_[id];
-    conn.id = id;
-    conn.fd = fd;
-    conn.last_activity = Clock::now();
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = id;
-    conn.armed_events = EPOLLIN;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      ::close(fd);
-      conns_.erase(id);
+    Conn* conn;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      conn = &conns_.emplace_back();
+      conn->fd = fd;
+      open_connections_.fetch_add(1);
+      ++stats_.accepted;
+    }
+    try {
+      conn->thread = std::thread([this, conn]() { Serve(conn); });
+    } catch (const std::system_error& e) {
+      EASYTIME_LOG(Warning) << "connection thread: " << e.what();
+      CloseConn(conn);
+    }
+  }
+}
+
+void EventLoopServer::CloseConn(Conn* conn) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ::close(conn->fd);
+  conn->fd = -1;
+  open_connections_.fetch_sub(1);
+  ++stats_.closed;
+  closed_cv_.notify_all();
+}
+
+void EventLoopServer::Serve(Conn* conn) {
+  const int fd = conn->fd;  // open until CloseConn below
+  bool authed = auth_token_.empty();
+  std::string inbuf;
+  for (;;) {
+    if (stopping_.load()) break;  // drain: lines not yet started are dropped
+    const size_t newline = inbuf.find('\n');
+    if (newline == std::string::npos) {
+      if (inbuf.size() > LineByteCap()) {
+        // Unterminated oversized line: a protocol violation. Every earlier
+        // line has been answered; this one gets an error, then the close.
+        WriteLine(fd, MakeErrorResponse(-1, Status::InvalidArgument(
+                                                "request line exceeds size "
+                                                "limit"))
+                          .Dump());
+        Bump(&Stats::protocol_errors);
+        break;
+      }
+      if (!ReadMore(fd, &inbuf)) break;
       continue;
     }
-    open_connections_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.accepted;
-  }
-}
-
-void EventLoopServer::PauseAccept() {
-  if (accept_paused_) return;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-  accept_paused_ = true;
-}
-
-void EventLoopServer::ResumeAccept() {
-  if (!accept_paused_ || stopping_.load()) return;
-  if (conns_.size() >= options_.max_connections) return;
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = kListenId;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) == 0) {
-    accept_paused_ = false;
-  }
-}
-
-void EventLoopServer::HandleReadable(Conn& conn) {
-  // Bounded per event so one firehose peer cannot starve the others; the
-  // level-triggered epoll re-notifies for whatever is left.
-  char chunk[16384];
-  for (int rounds = 0; rounds < 4; ++rounds) {
-    ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      conn.inbuf.append(chunk, static_cast<size_t>(n));
-      conn.last_activity = Clock::now();
-      if (static_cast<size_t>(n) < sizeof(chunk)) break;
-      continue;
-    }
-    if (n == 0) {
-      conn.eof = true;
-      conn.reading_paused = true;
-      break;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    conn.dead = true;  // reset or unexpected socket error
-    return;
-  }
-  FrameLines(conn);
-  MaybeDispatch(conn);
-  UpdateInterest(conn);
-  CloseIfDrained(conn);
-}
-
-void EventLoopServer::FrameLines(Conn& conn) {
-  size_t newline;
-  while ((newline = conn.inbuf.find('\n')) != std::string::npos) {
-    std::string line = conn.inbuf.substr(0, newline);
-    conn.inbuf.erase(0, newline + 1);
+    std::string line = inbuf.substr(0, newline);
+    inbuf.erase(0, newline + 1);
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
-    conn.lines.push_back(std::move(line));
-  }
-  if (conn.inbuf.size() > LineByteCap() && !conn.close_after_flush) {
-    // Unterminated oversized line: a protocol violation. Undispatched
-    // pipelined lines are abandoned — the peer is misbehaving — and the
-    // connection gets one error response before closing.
-    conn.inbuf.clear();
-    conn.inbuf.shrink_to_fit();
-    conn.lines.clear();
-    if (!conn.inflight) {
-      conn.outbuf += MakeErrorResponse(
-                         -1, Status::InvalidArgument(
-                                 "request line exceeds size limit"))
-                         .Dump();
-      conn.outbuf += '\n';
+    if (!authed) {
+      if (!Authenticate(fd, line)) break;
+      authed = true;
+      continue;
     }
-    conn.close_after_flush = true;
-    conn.reading_paused = true;
-    FlushWrite(conn);
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.protocol_errors;
+    Bump(&Stats::requests_dispatched);
+    // Chaos-level connection faults: a failed read/write drops the
+    // connection mid-stream the way a flaky network would.
+    if (FaultRegistry::AnyArmed() &&
+        !FaultRegistry::Global().Check("serve.tcp.read").ok()) {
+      break;
     }
-    return;
+    std::string response = handler_(line);
+    if (FaultRegistry::AnyArmed() &&
+        !FaultRegistry::Global().Check("serve.tcp.write").ok()) {
+      break;
+    }
+    if (!WriteLine(fd, std::move(response))) break;
+    Bump(&Stats::responses_written);
   }
-  // Pipelining backpressure: stop reading while the peer has a deep
-  // backlog of unexecuted requests or unflushed responses.
-  if (conn.lines.size() >= options_.max_pipeline_depth ||
-      conn.outbuf.size() - conn.out_off > options_.max_write_buffer_bytes) {
-    conn.reading_paused = true;
+  CloseConn(conn);
+}
+
+bool EventLoopServer::ReadMore(int fd, std::string* inbuf) {
+  if (options_.idle_timeout_ms > 0.0) {
+    pollfd pfd{fd, POLLIN, 0};
+    const int timeout_ms =
+        static_cast<int>(std::ceil(options_.idle_timeout_ms));
+    int ready;
+    do {
+      ready = ::poll(&pfd, 1, timeout_ms);
+    } while (ready < 0 && errno == EINTR);
+    if (ready == 0) {
+      Bump(&Stats::idle_closed);
+      return false;
+    }
+  }
+  char chunk[16384];
+  for (;;) {
+    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n > 0) {
+      inbuf->append(chunk, static_cast<size_t>(n));
+      return true;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return false;  // EOF (a half-closed peer has its answers), reset, error
   }
 }
 
-bool EventLoopServer::CheckAuth(Conn& conn) {
-  if (auth_token_.empty() || conn.authed) return true;
-  if (conn.lines.empty()) return false;  // handshake frame not here yet
-  std::string line = std::move(conn.lines.front());
-  conn.lines.pop_front();
+bool EventLoopServer::Authenticate(int fd, const std::string& line) {
   int64_t error_id = -1;
   auto parsed = ParseRequest(line, max_request_bytes_, &error_id);
   // Length-insensitive comparison isn't attempted here: the listener is
   // loopback-only, so the token guards against accidental cross-process
   // traffic, not a timing adversary.
   const bool ok = parsed.ok() && parsed->endpoint == "auth" &&
-                  !auth_token_.empty() &&
                   parsed->params.GetString("token", "") == auth_token_;
   if (!ok) {
     // One Unauthenticated error, then the connection closes — the same
     // answer-and-hang-up shape as the oversized-line protocol violation.
     // Pipelined lines sent ahead of a valid handshake are abandoned.
-    conn.lines.clear();
-    conn.outbuf +=
-        MakeErrorResponse(parsed.ok() ? parsed->id : error_id,
-                          Status::Unauthenticated(
-                              "this listener requires an \"auth\" first frame "
-                              "with a valid token"))
-            .Dump();
-    conn.outbuf += '\n';
-    conn.close_after_flush = true;
-    conn.reading_paused = true;
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.auth_failures;
-    }
-    FlushWrite(conn);
+    WriteLine(fd, MakeErrorResponse(
+                      parsed.ok() ? parsed->id : error_id,
+                      Status::Unauthenticated(
+                          "this listener requires an \"auth\" first frame "
+                          "with a valid token"))
+                      .Dump());
+    Bump(&Stats::auth_failures);
     return false;
   }
-  conn.authed = true;
   easytime::Json result = easytime::Json::Object();
   result.Set("authenticated", true);
-  conn.outbuf += MakeOkResponse(parsed->id, std::move(result)).Dump();
-  conn.outbuf += '\n';
-  FlushWrite(conn);
-  return !conn.dead;  // pipelined requests behind the handshake may proceed
+  return WriteLine(fd, MakeOkResponse(parsed->id, std::move(result)).Dump());
 }
 
-void EventLoopServer::MaybeDispatch(Conn& conn) {
-  if (conn.inflight || conn.close_after_flush || conn.lines.empty()) return;
-  if (stopping_.load()) return;
-  if (!CheckAuth(conn)) return;
-  if (conn.lines.empty()) return;  // the handshake was the only frame
-  std::string line = std::move(conn.lines.front());
-  conn.lines.pop_front();
-  conn.inflight = true;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.requests_dispatched;
-  }
-  const uint64_t id = conn.id;
-  handlers_->Submit([this, id, line = std::move(line)]() {
-    Completion done;
-    done.id = id;
-    // Chaos-level connection faults, same points as the old front-end: a
-    // failed read/write drops the connection mid-stream the way a flaky
-    // network would.
-    if (FaultRegistry::AnyArmed() &&
-        !FaultRegistry::Global().Check("serve.tcp.read").ok()) {
-      done.drop = true;
-    } else {
-      done.response = handler_(line);
-      done.response += '\n';
-      if (FaultRegistry::AnyArmed() &&
-          !FaultRegistry::Global().Check("serve.tcp.write").ok()) {
-        done.drop = true;
-        done.response.clear();
-      }
-    }
-    PostCompletion(std::move(done));
-  });
-}
-
-void EventLoopServer::DrainMailbox() {
-  std::vector<Completion> batch;
-  {
-    std::lock_guard<std::mutex> lock(mailbox_mu_);
-    batch.swap(mailbox_);
-  }
-  for (Completion& done : batch) {
-    auto it = conns_.find(done.id);
-    if (it == conns_.end()) continue;  // connection died while computing
-    Conn& conn = it->second;
-    conn.inflight = false;
-    if (conn.dead) continue;
-    if (done.drop) {
-      conn.dead = true;
-      continue;
-    }
-    conn.outbuf += done.response;
-    conn.last_activity = Clock::now();
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.responses_written;
-    }
-    FlushWrite(conn);
-    if (conn.dead) continue;
-    MaybeDispatch(conn);
-    UpdateInterest(conn);
-    CloseIfDrained(conn);
-  }
-}
-
-void EventLoopServer::FlushWrite(Conn& conn) {
-  while (conn.out_off < conn.outbuf.size()) {
-    ssize_t n = ::send(conn.fd, conn.outbuf.data() + conn.out_off,
-                       conn.outbuf.size() - conn.out_off,
-#ifdef MSG_NOSIGNAL
-                       MSG_NOSIGNAL
-#else
-                       0
-#endif
-    );
+bool EventLoopServer::WriteLine(int fd, std::string line) {
+  line += '\n';
+  size_t off = 0;
+  while (off < line.size()) {
+    ssize_t n = ::send(fd, line.data() + off, line.size() - off, MSG_NOSIGNAL);
     if (n > 0) {
-      conn.out_off += static_cast<size_t>(n);
+      off += static_cast<size_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      conn.want_write = true;
-      break;
-    }
-    conn.dead = true;  // peer hung up mid-response
-    return;
+    return false;  // peer hung up mid-response
   }
-  if (conn.out_off >= conn.outbuf.size()) {
-    conn.outbuf.clear();
-    conn.out_off = 0;
-    conn.want_write = false;
-  } else if (conn.out_off > (1u << 20)) {
-    conn.outbuf.erase(0, conn.out_off);  // keep the backlog compact
-    conn.out_off = 0;
-  }
-  // Backpressure release: resume reading once the backlog is halfway gone.
-  if (conn.reading_paused && !conn.eof && !conn.close_after_flush &&
-      !stopping_.load() &&
-      conn.outbuf.size() - conn.out_off <= options_.max_write_buffer_bytes / 2 &&
-      conn.lines.size() < std::max<size_t>(1, options_.max_pipeline_depth / 2)) {
-    conn.reading_paused = false;
-  }
-}
-
-void EventLoopServer::UpdateInterest(Conn& conn) {
-  uint32_t want = 0;
-  if (!conn.reading_paused) want |= EPOLLIN;
-  if (conn.want_write) want |= EPOLLOUT;
-  if (want == conn.armed_events) return;
-  epoll_event ev{};
-  ev.events = want;
-  ev.data.u64 = conn.id;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev) == 0) {
-    conn.armed_events = want;
-  }
-}
-
-void EventLoopServer::CloseIfDrained(Conn& conn) {
-  if (conn.dead || conn.inflight) return;
-  const bool flushed = conn.out_off >= conn.outbuf.size();
-  if (conn.close_after_flush && flushed) {
-    conn.dead = true;
-    return;
-  }
-  if (conn.eof && conn.lines.empty() && flushed) conn.dead = true;
-}
-
-void EventLoopServer::CloseDead() {
-  for (auto it = conns_.begin(); it != conns_.end();) {
-    if (!it->second.dead) {
-      ++it;
-      continue;
-    }
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second.fd, nullptr);
-    ::close(it->second.fd);
-    it = conns_.erase(it);
-    open_connections_.fetch_sub(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.closed;
-  }
-  ResumeAccept();
-}
-
-void EventLoopServer::SweepIdle(Clock::time_point now) {
-  if (options_.idle_timeout_ms <= 0.0) return;
-  for (auto& [id, conn] : conns_) {
-    if (conn.dead || conn.inflight) continue;
-    if (conn.out_off < conn.outbuf.size()) continue;  // still flushing
-    double idle_ms =
-        std::chrono::duration<double, std::milli>(now - conn.last_activity)
-            .count();
-    if (idle_ms >= options_.idle_timeout_ms) {
-      conn.dead = true;
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.idle_closed;
-    }
-  }
+  return true;
 }
 
 }  // namespace easytime::serve

@@ -67,10 +67,11 @@ void ForecastServer::WarmCache() {
   for (const auto& meta : system_->knowledge().datasets()) {
     easytime::Json params = easytime::Json::Object();
     params.Set("dataset", meta.name);
+    const uint64_t stamp = cache_.Stamp({meta.name});
     auto result = ExecuteRecommend(params);
     if (!result.ok()) continue;
     cache_.Insert(CanonicalKey("recommend", params), result->Dump(),
-                  {meta.name});
+                  {meta.name}, stamp);
     ++warmed;
   }
   EASYTIME_LOG(Info) << "serve: warmed recommend cache for " << warmed
@@ -274,6 +275,7 @@ easytime::Json ForecastServer::Dispatch(Request req) {
   }
 
   std::string cache_key;
+  uint64_t cache_stamp = 0;
   if (IsCacheable(endpoint)) {
     cache_key = CanonicalKey(endpoint, req.params);
     auto hit = cache_.Lookup(cache_key);
@@ -288,6 +290,9 @@ easytime::Json ForecastServer::Dispatch(Request req) {
         return resp;
       }
     }
+    // Read before the request snapshots its data: an append that lands
+    // while it computes moves the stamp, and Fulfill's fill is dropped.
+    cache_stamp = cache_.Stamp(CacheTags(req.params));
   }
 
   // Per-endpoint admission: claim a weighted queue slot (released in
@@ -316,13 +321,13 @@ easytime::Json ForecastServer::Dispatch(Request req) {
           ? Status::DeadlineExceeded("request deadline expired while queued")
           : ExecuteFast(req, deadline);
   easytime::Json resp =
-      Fulfill(req, cache_key, answered, watch.ElapsedSeconds());
+      Fulfill(req, cache_key, cache_stamp, answered, watch.ElapsedSeconds());
   admission_->ReleaseWorker(endpoint);
   return resp;
 }
 
 easytime::Json ForecastServer::Fulfill(
-    const Request& req, const std::string& cache_key,
+    const Request& req, const std::string& cache_key, uint64_t cache_stamp,
     const easytime::Result<easytime::Json>& result, double seconds) {
   // Release the admission slot claimed in Dispatch — every request the
   // controller accepted reaches Fulfill exactly once.
@@ -341,7 +346,7 @@ easytime::Json ForecastServer::Fulfill(
   // after the system recovered.
   if (!cache_key.empty() && !degraded) {
     cache_.Insert(cache_key, result.ValueOrDie().Dump(),
-                  CacheTags(req.params));
+                  CacheTags(req.params), cache_stamp);
   }
   easytime::Json resp = MakeOkResponse(req.id, result.ValueOrDie());
   resp.Set("cached", false);

@@ -10,8 +10,8 @@
 ///  - Fast lane: forecast / recommend / ask / sql / append requests claim a
 ///    per-endpoint weighted queue slot (class over quota with no shared
 ///    headroom => Unavailable, the admission-control contract; see
-///    serve/admission.h). The calling thread (an in-process client, or an
-///    event-loop handler thread for TCP) then waits for one of the
+///    serve/admission.h). The calling thread (an in-process client, or a
+///    TCP connection's own thread) then waits for one of the
 ///    fast_lane_workers slots, granted by class with guaranteed shares, and
 ///    runs the request itself.
 ///  - Async lane: "evaluate" submits a OneClickEvaluate job, "backtest" a
@@ -77,8 +77,8 @@ class ForecastServer {
     /// oversubscribing it.
     size_t evaluate_concurrency = 1;
     /// Fast-lane requests executing at once. A slot count, not a thread
-    /// count: the fast lane runs on its callers' threads (for TCP, the
-    /// event loop's handler threads).
+    /// count: the fast lane runs on its callers' threads (for TCP, each
+    /// connection's own thread).
     size_t fast_lane_workers = 2;
     size_t cache_capacity = 256;       ///< 0 disables the result cache
     double cache_ttl_seconds = 300.0;
@@ -194,8 +194,10 @@ class ForecastServer {
       const easytime::Json& params, std::string* source_name) const;
 
   /// Answers one admitted request from its endpoint result: releases the
-  /// admission slot, records stats and fills the cache.
+  /// admission slot, records stats and fills the cache (unless
+  /// \p cache_stamp, read before executing, shows the data changed).
   easytime::Json Fulfill(const Request& req, const std::string& cache_key,
+                         uint64_t cache_stamp,
                          const easytime::Result<easytime::Json>& result,
                          double seconds);
 

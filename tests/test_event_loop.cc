@@ -1,9 +1,10 @@
-// EventLoopServer tests: the epoll front-end driven through raw loopback
-// sockets. Covers request/response and pipelining order, partial writes,
-// CRLF/blank-line tolerance, the oversized-line protocol error, idle-
-// connection sweeping, the max_connections accept gate, half-closed peers,
-// and the graceful drain on Stop. Every read is poll-bounded, so a server
-// hang fails the test instead of wedging the suite.
+// EventLoopServer tests: the thread-per-connection TCP front-end driven
+// through raw loopback sockets. Covers request/response and pipelining
+// order, partial writes, CRLF/blank-line tolerance, the oversized-line
+// protocol error, the idle timeout, the max_connections accept gate,
+// half-closed peers, and the graceful drain on Stop. Every read is
+// poll-bounded, so a server hang fails the test instead of wedging the
+// suite.
 
 #include "serve/event_loop.h"
 
@@ -368,8 +369,8 @@ TEST_F(EventLoopTest, ManySequentialConnectionsRecycleCleanly) {
   EventLoopServer loop(&server, EventLoopServer::Options{});
   ASSERT_TRUE(loop.Start().ok());
 
-  // Rapid connect/request/close cycles reuse kernel fds; the loop's
-  // monotonic connection ids must never confuse one peer for another.
+  // Rapid connect/request/close cycles reuse kernel fds; a recycled fd
+  // must never confuse one peer for another.
   for (int i = 0; i < 40; ++i) {
     int fd = ConnectLoopback(loop.port());
     ASSERT_GE(fd, 0);

@@ -1,5 +1,5 @@
 // Protocol fuzz: a deterministic, seeded fuzzer fires >10k malformed frames
-// at the epoll front-end — random garbage, binary noise, truncated JSON,
+// at the TCP front-end — random garbage, binary noise, truncated JSON,
 // type-confused envelopes, oversized unterminated lines, blank/CRLF frames,
 // and partial writes split at random byte boundaries — interleaved with
 // valid requests. The contract: every line the server sends back is a
@@ -161,7 +161,7 @@ class FrameGen {
   }
 
   Frame Oversized() {
-    // Past the event loop's line cap with no newline: one error response,
+    // Past the front-end's line cap with no newline: one error response,
     // then close.
     return {std::string(5000, 'z'), true, true};
   }
@@ -273,7 +273,6 @@ TEST_F(ProtocolFuzzTest, TenThousandMalformedFramesNeverWedgeTheServer) {
 
   EventLoopServer::Options lopt;
   lopt.max_line_bytes = 4096;  // cheap oversized trigger
-  lopt.num_handler_threads = 2;
   EventLoopServer loop(&server, lopt);
   ASSERT_TRUE(loop.Start().ok());
 
@@ -378,7 +377,7 @@ TEST_F(ProtocolFuzzTest, InterleavedFragmentsAcrossConnectionsStayIsolated) {
   std::mt19937_64 rng(777);
   size_t bad_lines = 0;
   // Each peer sends 60 valid pings with its own id-space; fragments from
-  // different peers interleave arbitrarily on the server's event thread.
+  // different peers interleave arbitrarily on the wire.
   constexpr size_t kPerPeer = 60;
   for (size_t round = 0; round < kPerPeer; ++round) {
     for (size_t i = 0; i < kConns; ++i) {

@@ -421,6 +421,67 @@ TEST_F(QosServerTest, AskOverloadDoesNotStarveForecast) {
   server.Stop();
 }
 
+TEST_F(QosServerTest, TcpOverloadShedsAndControlPlaneStaysResponsive) {
+  // The same burst over TCP, one connection per asker. Each connection's
+  // thread is the caller that admission sheds or grants, so the front-end
+  // puts no queue of its own in front of the quotas: the excess asks shed,
+  // and a ping or forecast on its own connection is not stuck behind them.
+  ForecastServer::Options opt;
+  opt.fast_lane_workers = 2;
+  opt.fast_lane_capacity = 8;
+  opt.cache_capacity = 0;
+  ForecastServer server(system_, opt);
+  server.Start();
+  EventLoopServer loop(&server, EventLoopServer::Options{});
+  ASSERT_TRUE(loop.Start().ok());
+  const uint16_t port = loop.port();
+  RetryPolicy no_retry;
+  no_retry.max_attempts = 1;
+
+  constexpr int kAskClients = 32;  // 4x the admission capacity of 8
+  std::atomic<int> ask_shed{0};
+  std::vector<std::thread> askers;
+  for (int i = 0; i < kAskClients; ++i) {
+    askers.emplace_back([port, no_retry, &ask_shed]() {
+      TcpClient client(port, no_retry);
+      Json params = Json::Object();
+      params.Set("question", "What is the average mae of theta?");
+      params.Set("sleep_ms", 120.0);
+      auto r = client.Call("ask", params);
+      if (!r.ok() && r.status().IsUnavailable()) ask_shed.fetch_add(1);
+    });
+  }
+  std::this_thread::sleep_for(40ms);  // let the burst saturate admission
+
+  double ping_ms = 0.0;
+  easytime::Status ping_status;
+  std::thread pinger([port, no_retry, &ping_ms, &ping_status]() {
+    TcpClient client(port, no_retry);
+    easytime::Stopwatch watch;
+    ping_status = client.Call("ping", Json::Object()).status();
+    ping_ms = watch.ElapsedSeconds() * 1000.0;
+  });
+  TcpClient forecaster(port, no_retry);
+  Json params = Json::Object();
+  params.Set("dataset", FirstDataset());
+  params.Set("method", "naive");
+  params.Set("horizon", static_cast<int64_t>(4));
+  easytime::Stopwatch watch;
+  auto forecast = forecaster.Call("forecast", params);
+  const double forecast_ms = watch.ElapsedSeconds() * 1000.0;
+  pinger.join();
+  for (auto& t : askers) t.join();
+
+  ASSERT_TRUE(ping_status.ok()) << ping_status.ToString();
+  EXPECT_LT(ping_ms, 250.0) << "ping queued behind the ask burst";
+  ASSERT_TRUE(forecast.ok()) << forecast.status().ToString();
+  EXPECT_LT(forecast_ms, 1500.0) << "forecast waited behind the ask backlog";
+  EXPECT_GT(ask_shed.load(), 0) << "4x oversubscription must shed over TCP";
+  EXPECT_GE(server.StatsJson().Get("admission").GetInt("shed_total", 0), 1);
+  loop.Stop();
+  server.Stop();
+}
+
 TEST_F(QosServerTest, ServerForecastAbortsMidFitAndCountsIt) {
   ForecastServer::Options opt;
   opt.cache_capacity = 0;

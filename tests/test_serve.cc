@@ -356,6 +356,42 @@ TEST_F(ServeTest, CacheSurvivesEvaluationAndIsInvalidatedByAppend) {
   EXPECT_FALSE(cold.GetBool("cached", true));
 }
 
+TEST_F(ServeTest, AppendDuringAForecastDropsItsStaleCacheFill) {
+  // The forecast snapshots the series, then sleeps; the append lands in
+  // between. Its invalidation finds nothing cached yet, so the forecast's
+  // own fill (computed from the pre-append series) must be dropped, not
+  // served until the TTL runs out.
+  Json params = Json::Object();
+  params.Set("dataset", FirstDataset());
+  params.Set("method", "naive");
+  params.Set("horizon", static_cast<int64_t>(3));
+  params.Set("sleep_ms", 200.0);
+  std::thread slow([&params]() {
+    auto r = server_->Call("forecast", params);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  Json append = Json::Object();
+  append.Set("dataset", FirstDataset());
+  Json values = Json::Array();
+  values.Append(1e6);
+  append.Set("values", std::move(values));
+  auto appended = server_->Call("append", append);
+  slow.join();
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+
+  Json request = Json::Object();
+  request.Set("id", static_cast<int64_t>(300));
+  request.Set("endpoint", "forecast");
+  request.Set("params", params);
+  Json again = MustParse(server_->HandleLine(request.Dump()));
+  ASSERT_TRUE(again.GetBool("ok", false)) << again.Dump();
+  EXPECT_FALSE(again.GetBool("cached", true)) << "stale fill was cached";
+  const Json& forecast = again.Get("result").Get("values");
+  ASSERT_EQ(forecast.size(), 3u);
+  for (const auto& v : forecast.items()) EXPECT_DOUBLE_EQ(v.AsDouble(), 1e6);
+}
+
 // ---------------------------------------------------------------------------
 // Admission control
 // ---------------------------------------------------------------------------
