@@ -24,7 +24,7 @@ namespace easytime::serve {
 
 /// \brief Thread-safe LRU cache with per-entry TTL and dataset tags.
 /// Stores serialized result payloads (the "result" member of a response), so
-/// hits cost one map lookup plus one JSON parse — no model work.
+/// hits cost one map lookup and a byte splice — no model work, no JSON work.
 class ResultCache {
  public:
   struct Options {

@@ -278,14 +278,16 @@ bool EventLoopServer::Authenticate(int fd, const std::string& line) {
   if (!ok) {
     // One Unauthenticated error, then the connection closes — the same
     // answer-and-hang-up shape as the oversized-line protocol violation.
-    // Pipelined lines sent ahead of a valid handshake are abandoned.
+    // Pipelined lines sent ahead of a valid handshake are abandoned. The
+    // counter is bumped first, so a peer that reads stats() after seeing
+    // its rejection always finds the rejection counted.
+    Bump(&Stats::auth_failures);
     WriteLine(fd, MakeErrorResponse(
                       parsed.ok() ? parsed->id : error_id,
                       Status::Unauthenticated(
                           "this listener requires an \"auth\" first frame "
                           "with a valid token"))
                       .Dump());
-    Bump(&Stats::auth_failures);
     return false;
   }
   easytime::Json result = easytime::Json::Object();

@@ -131,4 +131,23 @@ easytime::Json MakeErrorResponse(int64_t id, const Status& status) {
   return resp;
 }
 
+std::string SpliceOkResponseLine(int64_t id, const std::string& result_bytes,
+                                 bool cached, double seconds) {
+  std::string line;
+  line.reserve(result_bytes.size() + 64);
+  line += '{';
+  if (id >= 0) {
+    line += "\"id\":";
+    line += easytime::Json(id).Dump();
+    line += ',';
+  }
+  line += "\"ok\":true,\"result\":";
+  line += result_bytes;
+  line += cached ? ",\"cached\":true,\"seconds\":"
+                 : ",\"cached\":false,\"seconds\":";
+  line += easytime::Json(seconds).Dump();
+  line += '}';
+  return line;
+}
+
 }  // namespace easytime::serve

@@ -51,4 +51,11 @@ easytime::Json MakeOkResponse(int64_t id, easytime::Json result);
 /// Builds the error envelope from a failure status.
 easytime::Json MakeErrorResponse(int64_t id, const Status& status);
 
+/// \brief The fast-lane success line around an already-serialized result:
+/// {"id":…,"ok":true,"result":<result_bytes>,"cached":…,"seconds":…}.
+/// Byte-identical to dumping MakeOkResponse(id, Parse(result_bytes)) with
+/// "cached" and "seconds" set, without building or re-dumping the tree.
+std::string SpliceOkResponseLine(int64_t id, const std::string& result_bytes,
+                                 bool cached, double seconds);
+
 }  // namespace easytime::serve

@@ -121,7 +121,7 @@ std::string ForecastServer::HandleLine(const std::string& line) {
     RecordStats("_protocol", false, false, false, 0.0);
     return MakeErrorResponse(error_id, parsed.status()).Dump();
   }
-  return Dispatch(std::move(*parsed)).Dump();
+  return Dispatch(std::move(*parsed));
 }
 
 easytime::Result<easytime::Json> ForecastServer::Call(
@@ -129,7 +129,9 @@ easytime::Result<easytime::Json> ForecastServer::Call(
   Request req;
   req.endpoint = endpoint;
   req.params = params;
-  easytime::Json resp = Dispatch(std::move(req));
+  // Dispatch answers with the wire line; only this typed API wants a tree.
+  EASYTIME_ASSIGN_OR_RETURN(easytime::Json resp,
+                            easytime::Json::Parse(Dispatch(std::move(req))));
   if (resp.GetBool("ok", false)) return resp.Get("result");
   const easytime::Json& err = resp.Get("error");
   // Surface the original code where possible; Internal otherwise.
@@ -150,7 +152,7 @@ easytime::Result<easytime::Json> ForecastServer::CallWithRetry(
                    [&]() { return Call(endpoint, params); });
 }
 
-easytime::Json ForecastServer::Dispatch(Request req) {
+std::string ForecastServer::Dispatch(Request req) {
   Stopwatch watch;
   const std::string endpoint = req.endpoint;
 
@@ -158,7 +160,7 @@ easytime::Json ForecastServer::Dispatch(Request req) {
     Status fs = FaultRegistry::Global().Check("serve.dispatch");
     if (!fs.ok()) {
       RecordStats(endpoint, false, false, false, watch.ElapsedSeconds());
-      return MakeErrorResponse(req.id, fs);
+      return MakeErrorResponse(req.id, fs).Dump();
     }
   }
 
@@ -173,14 +175,16 @@ easytime::Json ForecastServer::Dispatch(Request req) {
     if (!dm.is_number()) {
       RecordStats(endpoint, false, false, false, watch.ElapsedSeconds());
       return MakeErrorResponse(
-          req.id, Status::InvalidArgument("\"deadline_ms\" must be a number"));
+          req.id, Status::InvalidArgument("\"deadline_ms\" must be a number"))
+          .Dump();
     }
     double ms = dm.AsDouble();
     if (!std::isfinite(ms) || ms <= 0.0) {
       RecordStats(endpoint, false, false, false, watch.ElapsedSeconds());
       return MakeErrorResponse(
           req.id, Status::InvalidArgument(
-                      "\"deadline_ms\" must be a positive finite number"));
+                      "\"deadline_ms\" must be a positive finite number"))
+          .Dump();
     }
     deadline = easytime::Deadline::AfterMillis(ms);
   }
@@ -190,12 +194,12 @@ easytime::Json ForecastServer::Dispatch(Request req) {
     easytime::Json result = easytime::Json::Object();
     result.Set("pong", true);
     RecordStats(endpoint, true, false, false, watch.ElapsedSeconds());
-    return MakeOkResponse(req.id, std::move(result));
+    return MakeOkResponse(req.id, std::move(result)).Dump();
   }
   if (endpoint == "stats") {
     easytime::Json result = StatsJson();
     RecordStats(endpoint, true, false, false, watch.ElapsedSeconds());
-    return MakeOkResponse(req.id, std::move(result));
+    return MakeOkResponse(req.id, std::move(result)).Dump();
   }
   if (endpoint == "flush_cache") {
     // The drop-everything escape hatch (DESIGN.md §13): appends invalidate
@@ -206,20 +210,21 @@ easytime::Json ForecastServer::Dispatch(Request req) {
     easytime::Json result = easytime::Json::Object();
     result.Set("flushed", static_cast<int64_t>(dropped));
     RecordStats(endpoint, true, false, false, watch.ElapsedSeconds());
-    return MakeOkResponse(req.id, std::move(result));
+    return MakeOkResponse(req.id, std::move(result)).Dump();
   }
   if (endpoint == "job_status" || endpoint == "cancel") {
     if (!req.params.Has("job") || !req.params.Get("job").is_number()) {
       RecordStats(endpoint, false, false, false, watch.ElapsedSeconds());
       return MakeErrorResponse(
-          req.id, Status::InvalidArgument("missing numeric \"job\" id"));
+          req.id, Status::InvalidArgument("missing numeric \"job\" id"))
+          .Dump();
     }
     uint64_t job_id = static_cast<uint64_t>(req.params.Get("job").AsInt());
     auto result = endpoint == "cancel" ? jobs_.Cancel(job_id)
                                        : jobs_.StatusJson(job_id);
     RecordStats(endpoint, result.ok(), false, false, watch.ElapsedSeconds());
-    if (!result.ok()) return MakeErrorResponse(req.id, result.status());
-    return MakeOkResponse(req.id, std::move(*result));
+    if (!result.ok()) return MakeErrorResponse(req.id, result.status()).Dump();
+    return MakeOkResponse(req.id, std::move(*result)).Dump();
   }
   if (auto it = control_endpoints_.find(endpoint);
       it != control_endpoints_.end()) {
@@ -227,8 +232,8 @@ easytime::Json ForecastServer::Dispatch(Request req) {
     // inline control path: they must answer even when the fast lanes shed.
     auto result = it->second(req.params);
     RecordStats(endpoint, result.ok(), false, false, watch.ElapsedSeconds());
-    if (!result.ok()) return MakeErrorResponse(req.id, result.status());
-    return MakeOkResponse(req.id, std::move(*result));
+    if (!result.ok()) return MakeErrorResponse(req.id, result.status()).Dump();
+    return MakeOkResponse(req.id, std::move(*result)).Dump();
   }
 
   // ----- async lane: evaluation + backtest jobs ----------------------------
@@ -236,7 +241,8 @@ easytime::Json ForecastServer::Dispatch(Request req) {
     if (!accepting_.load()) {
       RecordStats(endpoint, false, true, false, watch.ElapsedSeconds());
       return MakeErrorResponse(req.id,
-                               Status::Unavailable("server is not accepting"));
+                               Status::Unavailable("server is not accepting"))
+          .Dump();
     }
     easytime::Json job_config = req.params;
     // The endpoint picks the job type; an explicit "type" in the params
@@ -248,47 +254,45 @@ easytime::Json ForecastServer::Dispatch(Request req) {
       return MakeErrorResponse(
           req.id, Status::InvalidArgument(
                       "job \"type\" conflicts with the \"" + endpoint +
-                      "\" endpoint"));
+                      "\" endpoint"))
+          .Dump();
     }
     job_config.Set("type", endpoint);
     auto job_id = jobs_.Submit(job_config);
     const bool rejected = !job_id.ok() && job_id.status().IsUnavailable();
     RecordStats(endpoint, job_id.ok(), rejected, false,
                 watch.ElapsedSeconds());
-    if (!job_id.ok()) return MakeErrorResponse(req.id, job_id.status());
+    if (!job_id.ok()) return MakeErrorResponse(req.id, job_id.status()).Dump();
     easytime::Json result = easytime::Json::Object();
     result.Set("job", static_cast<int64_t>(*job_id));
     result.Set("state", "queued");
-    return MakeOkResponse(req.id, std::move(result));
+    return MakeOkResponse(req.id, std::move(result)).Dump();
   }
 
   // ----- fast lane ---------------------------------------------------------
   if (!IsFastEndpoint(endpoint)) {
     RecordStats("_protocol", false, false, false, watch.ElapsedSeconds());
     return MakeErrorResponse(
-        req.id, Status::NotFound("unknown endpoint: " + endpoint));
+        req.id, Status::NotFound("unknown endpoint: " + endpoint))
+        .Dump();
   }
   if (!accepting_.load() || !running_.load()) {
     RecordStats(endpoint, false, true, false, watch.ElapsedSeconds());
     return MakeErrorResponse(
-        req.id, Status::Unavailable("server is not accepting requests"));
+        req.id, Status::Unavailable("server is not accepting requests"))
+        .Dump();
   }
 
   std::string cache_key;
   uint64_t cache_stamp = 0;
   if (IsCacheable(endpoint)) {
     cache_key = CanonicalKey(endpoint, req.params);
-    auto hit = cache_.Lookup(cache_key);
-    if (hit) {
-      auto payload = easytime::Json::Parse(*hit);
-      if (payload.ok()) {
-        const double secs = watch.ElapsedSeconds();
-        RecordStats(endpoint, true, false, true, secs);
-        easytime::Json resp = MakeOkResponse(req.id, std::move(*payload));
-        resp.Set("cached", true);
-        resp.Set("seconds", secs);
-        return resp;
-      }
+    // A hit is bytes in, bytes out: the cached result goes into the reply
+    // line as stored, so a hit formats no numbers.
+    if (auto hit = cache_.Lookup(cache_key)) {
+      const double secs = watch.ElapsedSeconds();
+      RecordStats(endpoint, true, false, true, secs);
+      return SpliceOkResponseLine(req.id, *hit, /*cached=*/true, secs);
     }
     // Read before the request snapshots its data: an append that lands
     // while it computes moves the stamp, and Fulfill's fill is dropped.
@@ -303,7 +307,8 @@ easytime::Json ForecastServer::Dispatch(Request req) {
     return MakeErrorResponse(
         req.id,
         Status::Unavailable("endpoint \"" + endpoint +
-                            "\" is over its admission quota; retry later"));
+                            "\" is over its admission quota; retry later"))
+        .Dump();
   }
 
   // Run on this thread once the controller grants a worker slot. The slot
@@ -312,7 +317,8 @@ easytime::Json ForecastServer::Dispatch(Request req) {
     admission_->Finish(endpoint);
     RecordStats(endpoint, false, true, false, watch.ElapsedSeconds());
     return MakeErrorResponse(req.id,
-                             Status::Unavailable("server is shutting down"));
+                             Status::Unavailable("server is shutting down"))
+        .Dump();
   }
   // A request that waited out its budget for a slot is not worth a fit
   // nobody is waiting for.
@@ -320,13 +326,13 @@ easytime::Json ForecastServer::Dispatch(Request req) {
       deadline.expired()
           ? Status::DeadlineExceeded("request deadline expired while queued")
           : ExecuteFast(req, deadline);
-  easytime::Json resp =
+  std::string line =
       Fulfill(req, cache_key, cache_stamp, answered, watch.ElapsedSeconds());
   admission_->ReleaseWorker(endpoint);
-  return resp;
+  return line;
 }
 
-easytime::Json ForecastServer::Fulfill(
+std::string ForecastServer::Fulfill(
     const Request& req, const std::string& cache_key, uint64_t cache_stamp,
     const easytime::Result<easytime::Json>& result, double seconds) {
   // Release the admission slot claimed in Dispatch — every request the
@@ -337,21 +343,22 @@ easytime::Json ForecastServer::Fulfill(
     if (result.status().IsDeadlineExceeded()) {
       deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
     }
-    return MakeErrorResponse(req.id, result.status());
+    return MakeErrorResponse(req.id, result.status()).Dump();
   }
   const bool degraded = result.ValueOrDie().GetBool("degraded", false);
   if (degraded) degraded_responses_.fetch_add(1, std::memory_order_relaxed);
   // Degraded answers must not outlive the overload that produced them: a
   // cached brownout response would keep serving the cheap fallback long
-  // after the system recovered.
+  // after the system recovered. The result is dumped once: the same bytes
+  // are the reply's "result" and the cache fill.
+  std::string bytes = result.ValueOrDie().Dump();
+  std::string line =
+      SpliceOkResponseLine(req.id, bytes, /*cached=*/false, seconds);
   if (!cache_key.empty() && !degraded) {
-    cache_.Insert(cache_key, result.ValueOrDie().Dump(),
-                  CacheTags(req.params), cache_stamp);
+    cache_.Insert(cache_key, std::move(bytes), CacheTags(req.params),
+                  cache_stamp);
   }
-  easytime::Json resp = MakeOkResponse(req.id, result.ValueOrDie());
-  resp.Set("cached", false);
-  resp.Set("seconds", seconds);
-  return resp;
+  return line;
 }
 
 easytime::Result<easytime::Json> ForecastServer::ExecuteFast(

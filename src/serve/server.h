@@ -160,8 +160,10 @@ class ForecastServer {
   const Options& options() const { return options_; }
 
  private:
-  /// Full request lifecycle: route, admit, execute, envelope.
-  easytime::Json Dispatch(Request req);
+  /// Full request lifecycle: route, admit, execute, envelope. Returns the
+  /// response line (no trailing newline); a cache hit splices the cached
+  /// result bytes into it without parsing them.
+  std::string Dispatch(Request req);
 
   /// \brief Runs a fast-lane endpoint to completion (caller's thread, under
   /// a granted worker slot).
@@ -196,10 +198,11 @@ class ForecastServer {
   /// Answers one admitted request from its endpoint result: releases the
   /// admission slot, records stats and fills the cache (unless
   /// \p cache_stamp, read before executing, shows the data changed).
-  easytime::Json Fulfill(const Request& req, const std::string& cache_key,
-                         uint64_t cache_stamp,
-                         const easytime::Result<easytime::Json>& result,
-                         double seconds);
+  /// Returns the response line.
+  std::string Fulfill(const Request& req, const std::string& cache_key,
+                      uint64_t cache_stamp,
+                      const easytime::Result<easytime::Json>& result,
+                      double seconds);
 
   void RecordStats(const std::string& endpoint, bool ok, bool rejected,
                    bool cache_hit, double seconds);

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -390,6 +391,167 @@ TEST_F(ServeTest, AppendDuringAForecastDropsItsStaleCacheFill) {
   const Json& forecast = again.Get("result").Get("values");
   ASSERT_EQ(forecast.size(), 3u);
   for (const auto& v : forecast.items()) EXPECT_DOUBLE_EQ(v.AsDouble(), 1e6);
+}
+
+// A fast-lane success line with its "cached" and "seconds" members cut off.
+// They are the last two members, so what is left is the part that must not
+// depend on whether the reply came from the cache.
+std::string WithoutCacheTail(const std::string& line, bool cached) {
+  const std::string tail = std::string(",\"cached\":") +
+                           (cached ? "true" : "false") + ",\"seconds\":";
+  const size_t at = line.rfind(tail);
+  EXPECT_NE(at, std::string::npos) << "no " << tail << " in " << line;
+  if (at == std::string::npos) return line;
+  EXPECT_EQ(line.back(), '}') << line;
+  EXPECT_EQ(line.find(',', at + tail.size()), std::string::npos) << line;
+  return line.substr(0, at);
+}
+
+std::string RequestLine(const Json* id, const std::string& endpoint,
+                        const Json& params) {
+  Json req = Json::Object();
+  if (id) req.Set("id", *id);
+  req.Set("endpoint", endpoint);
+  req.Set("params", params);
+  return req.Dump();
+}
+
+TEST_F(ServeTest, CacheHitReplyIsByteIdenticalToTheMiss) {
+  const Json id(static_cast<int64_t>(4242));
+  for (const Json* with_id : {&id, static_cast<const Json*>(nullptr)}) {
+    Json params = Json::Object();
+    params.Set("dataset", FirstDataset());
+    params.Set("method", "drift");
+    params.Set("horizon", static_cast<int64_t>(with_id ? 5 : 9));
+    const std::string line = RequestLine(with_id, "forecast", params);
+    const std::string miss = server_->HandleLine(line);
+    const std::string hit = server_->HandleLine(line);
+    SCOPED_TRACE(miss);
+    const std::string head = with_id ? "{\"id\":4242,\"ok\":true,\"result\":{"
+                                     : "{\"ok\":true,\"result\":{";
+    EXPECT_EQ(miss.substr(0, head.size()), head);
+    EXPECT_EQ(WithoutCacheTail(hit, true), WithoutCacheTail(miss, false));
+    // The bytes are the tree's own dump: a reader that re-serializes the
+    // reply gets the same line back.
+    EXPECT_EQ(MustParse(hit).Dump(), hit);
+    EXPECT_EQ(MustParse(miss).Dump(), miss);
+  }
+}
+
+TEST_F(ServeTest, CacheHitStillRunsTheDispatchChecks) {
+  Json params = Json::Object();
+  params.Set("dataset", FirstDataset());
+  params.Set("method", "drift");
+  params.Set("horizon", static_cast<int64_t>(11));
+  const std::string line = RequestLine(nullptr, "forecast", params);
+  ASSERT_TRUE(MustParse(server_->HandleLine(line)).GetBool("ok", false));
+  ASSERT_TRUE(MustParse(server_->HandleLine(line)).GetBool("cached", false));
+
+  // An armed serve.dispatch fault fails the request before the cache is
+  // consulted, hit or not.
+  FaultSpec spec;
+  spec.code = StatusCode::kUnavailable;
+  ASSERT_TRUE(FaultRegistry::Global().Arm("serve.dispatch", spec).ok());
+  Json faulted = MustParse(server_->HandleLine(line));
+  FaultRegistry::Global().DisarmAll();
+  EXPECT_FALSE(faulted.GetBool("ok", true)) << faulted.Dump();
+  EXPECT_EQ(faulted.Get("error").GetString("code", ""), "Unavailable");
+  EXPECT_TRUE(MustParse(server_->HandleLine(line)).GetBool("cached", false));
+
+  // A malformed deadline on the same request is rejected, not answered.
+  Json bad = params;
+  bad.Set("deadline_ms", "x");
+  auto rejected = server_->Call("forecast", bad);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(rejected.status().IsInvalidArgument())
+      << rejected.status().ToString();
+}
+
+TEST_F(ServeTest, CallReturnsEqualResultsForAMissAndAHit) {
+  Json params = Json::Object();
+  params.Set("dataset", FirstDataset());
+  params.Set("method", "seasonal_naive");
+  params.Set("horizon", static_cast<int64_t>(13));
+  const int64_t hits_before = server_->StatsJson()
+                                  .Get("endpoints")
+                                  .Get("forecast")
+                                  .GetInt("cache_hits", 0);
+  auto miss = server_->Call("forecast", params);
+  auto hit = server_->Call("forecast", params);
+  ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_EQ(hit->Dump(), miss->Dump());
+  ASSERT_EQ(hit->Get("values").size(), 13u);
+  for (size_t i = 0; i < 13; ++i) {
+    EXPECT_EQ(hit->Get("values").items()[i].AsDouble(),
+              miss->Get("values").items()[i].AsDouble());
+  }
+  EXPECT_EQ(server_->StatsJson()
+                .Get("endpoints")
+                .Get("forecast")
+                .GetInt("cache_hits", 0),
+            hits_before + 1);
+}
+
+TEST_F(ServeTest, DegradedResultIsNotCached) {
+  Json params = Json::Object();
+  params.Set("dataset", FirstDataset());
+  params.Set("k", static_cast<int64_t>(2));
+  const std::string line = RequestLine(nullptr, "recommend", params);
+  easytime::GlobalOverload().set_brownout(true);
+  const Json degraded = MustParse(server_->HandleLine(line));
+  easytime::GlobalOverload().set_brownout(false);
+  ASSERT_TRUE(degraded.GetBool("ok", false)) << degraded.Dump();
+  EXPECT_TRUE(degraded.Get("result").GetBool("degraded", false));
+
+  const Json fresh = MustParse(server_->HandleLine(line));
+  ASSERT_TRUE(fresh.GetBool("ok", false)) << fresh.Dump();
+  EXPECT_FALSE(fresh.GetBool("cached", true))
+      << "a brownout answer was served from the cache";
+  EXPECT_FALSE(fresh.Get("result").GetBool("degraded", false));
+  EXPECT_TRUE(MustParse(server_->HandleLine(line)).GetBool("cached", false));
+}
+
+// The recommend entries WarmCache seeds at start-up are spliced into replies
+// like any other fill: a warmed hit, an organic miss and an organic hit on
+// the same key differ only in "cached" and "seconds".
+TEST(ServeWarmCacheTest, WarmedHitIsByteIdenticalToAMiss) {
+  const std::string dir = (std::filesystem::path(::testing::TempDir()) /
+                           "easytime_serve_warm_cache")
+                              .string();
+  std::filesystem::remove_all(dir);
+  core::EasyTime::Options opt = SmallSystemOptions();
+  opt.store_dir = dir;
+  { ASSERT_TRUE(core::EasyTime::Create(opt).ok()); }
+  auto system = core::EasyTime::Create(opt);
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  ASSERT_TRUE((*system)->restored_from_store());
+
+  Json params = Json::Object();
+  params.Set("dataset", (*system)->repository()->names()[0]);
+  const Json id(static_cast<int64_t>(9));
+  for (const Json* with_id : {&id, static_cast<const Json*>(nullptr)}) {
+    const std::string line = RequestLine(with_id, "recommend", params);
+    ForecastServer warmed(system->get());
+    warmed.Start();
+    const std::string warm_hit = warmed.HandleLine(line);
+    warmed.Stop();
+
+    ForecastServer::Options cold_opt;
+    cold_opt.warm_cache = false;
+    ForecastServer cold(system->get(), cold_opt);
+    cold.Start();
+    const std::string miss = cold.HandleLine(line);
+    const std::string hit = cold.HandleLine(line);
+    cold.Stop();
+
+    SCOPED_TRACE(miss);
+    ASSERT_TRUE(MustParse(miss).GetBool("ok", false));
+    EXPECT_EQ(WithoutCacheTail(warm_hit, true), WithoutCacheTail(miss, false));
+    EXPECT_EQ(WithoutCacheTail(hit, true), WithoutCacheTail(miss, false));
+  }
+  system->reset();
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
