@@ -12,6 +12,7 @@
 #include "eval/metrics.h"
 #include "nn/gru.h"
 #include "nn/matrix.h"
+#include "serve/retry.h"
 #include "tsdata/characteristics.h"
 #include "tsdata/generator.h"
 #include "tsdata/scaler.h"
@@ -312,6 +313,18 @@ void BM_FaultPointArmedRateZero(benchmark::State& state) {
   FaultRegistry::Global().DisarmAll();
 }
 BENCHMARK(BM_FaultPointArmedRateZero);
+
+// Every router forward runs under RetryCall and almost always succeeds on
+// the first try; that path should cost no more than the call it wraps (no
+// jitter RNG is seeded unless a backoff is actually taken).
+void BM_RetryCallFirstTrySuccess(benchmark::State& state) {
+  serve::RetryPolicy policy;  // seed 0: random_device when a backoff is due
+  for (auto _ : state) {
+    Status s = serve::RetryCall(policy, [] { return Status::OK(); });
+    benchmark::DoNotOptimize(s);
+  }
+}
+BENCHMARK(BM_RetryCallFirstTrySuccess);
 
 }  // namespace
 

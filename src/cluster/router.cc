@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <utility>
@@ -15,10 +16,26 @@ namespace {
 namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
-serve::RetryPolicy OneShot() {
-  serve::RetryPolicy p;
-  p.max_attempts = 1;
-  return p;
+constexpr size_t kIdleClientsPerShard = 8;  ///< pooled idle connections cap
+
+std::string ErrorLine(int64_t id, const Status& status) {
+  return serve::MakeErrorResponse(id, status).Dump();
+}
+
+/// Sets \p fields on a successful reply's result object with one parse and
+/// one dump; error replies and non-object results pass through untouched.
+std::string StampResult(
+    const std::string& reply,
+    std::initializer_list<std::pair<const char*, easytime::Json>> fields) {
+  auto resp = easytime::Json::Parse(reply);
+  if (!resp.ok() || !resp->GetBool("ok", false) ||
+      !resp->Get("result").is_object()) {
+    return reply;
+  }
+  easytime::Json result = resp->Get("result");
+  for (const auto& [key, value] : fields) result.Set(key, value);
+  resp->Set("result", std::move(result));
+  return resp->Dump();
 }
 }  // namespace
 
@@ -83,16 +100,7 @@ easytime::Status ClusterRouter::Start() {
         uint16_t pport,
         SpawnWorker(shard->primary_name, "primary", shard->primary_store));
     shard->primary_port.store(pport);
-    if (options_.replicate) {
-      shard->replica_name = shard->id + "-r0";
-      shard->replica_store =
-          options_.work_dir + "/" + shard->id + "-replica-0";
-      EASYTIME_ASSIGN_OR_RETURN(
-          uint16_t rport,
-          SpawnWorker(shard->replica_name, "replica", shard->replica_store));
-      shard->replica_port.store(rport);
-      replicator_.SetLink(shard->id, shard->primary_store, rport);
-    }
+    if (options_.replicate) EASYTIME_RETURN_IF_ERROR(SpawnReplica(*shard));
     map_.AddShard(shard->id);
     shards_.push_back(std::move(shard));
   }
@@ -118,17 +126,16 @@ easytime::Status ClusterRouter::Start() {
 
 void ClusterRouter::Stop() {
   if (stopped_.exchange(true)) return;
-  running_.store(false);
+  {
+    std::lock_guard<std::mutex> lock(health_mu_);
+    running_.store(false);
+  }
+  health_cv_.notify_all();
   if (health_thread_.joinable()) health_thread_.join();
   replicator_.Stop();
   if (frontend_) frontend_->Stop();
   for (auto& shard : shards_) {
-    std::string primary, replica;
-    {
-      std::lock_guard<std::mutex> lock(shard->meta_mu);
-      primary = shard->primary_name;
-      replica = shard->replica_name;
-    }
+    auto [primary, replica] = shard->Names();
     if (!primary.empty()) supervisor_.Terminate(primary);
     if (!replica.empty()) supervisor_.Terminate(replica);
   }
@@ -170,59 +177,47 @@ easytime::Status ClusterRouter::KillShardPrimary(const std::string& shard_id,
                                                  int sig) {
   Shard* shard = FindShard(shard_id);
   if (shard == nullptr) return Status::NotFound("no shard '" + shard_id + "'");
-  std::string primary;
-  {
-    std::lock_guard<std::mutex> lock(shard->meta_mu);
-    primary = shard->primary_name;
-  }
-  return supervisor_.Kill(primary, sig);
+  return supervisor_.Kill(shard->Names().first, sig);
 }
 
-// ----- connection pooling ---------------------------------------------------
+// ----- the worker exchange -------------------------------------------------
 
-std::unique_ptr<serve::TcpClient> ClusterRouter::AcquireClient(
-    Shard& shard, uint16_t port) {
-  {
+easytime::Result<std::string> ClusterRouter::Exchange(Shard& shard,
+                                                      uint16_t port,
+                                                      const std::string& line,
+                                                      bool fresh, bool* sent) {
+  bool unused = false;
+  if (sent == nullptr) sent = &unused;
+  *sent = false;
+  if (port == 0) {
+    return Status::Unavailable("shard " + shard.id + " has no worker endpoint");
+  }
+  std::unique_ptr<serve::TcpClient> client;
+  if (!fresh) {
     std::lock_guard<std::mutex> lock(shard.pool_mu);
-    for (auto it = shard.pool.begin(); it != shard.pool.end(); ++it) {
-      if (it->port == port) {
-        auto client = std::move(it->client);
-        shard.pool.erase(it);
-        return client;
-      }
+    if (auto it = shard.pool.find(port); it != shard.pool.end()) {
+      client = std::move(it->second);
+      shard.pool.erase(it);
     }
   }
-  return std::make_unique<serve::TcpClient>(port, OneShot(),
-                                            options_.auth_token);
-}
-
-void ClusterRouter::ReleaseClient(Shard& shard, uint16_t port,
-                                  std::unique_ptr<serve::TcpClient> client) {
-  if (!client->connected()) return;  // broken: let it die
+  if (client == nullptr) {
+    client = std::make_unique<serve::TcpClient>(port, serve::RetryPolicy(),
+                                                options_.auth_token);
+  }
+  auto reply = client->SendLineOnce(line, sent);
   std::lock_guard<std::mutex> lock(shard.pool_mu);
-  if (shard.pool.size() >= options_.client_pool_per_shard) return;
-  shard.pool.push_back(IdleClient{port, std::move(client)});
-}
-
-easytime::Result<std::string> ClusterRouter::SendToWorker(
-    Shard& shard, uint16_t port, const std::string& line,
-    const serve::RetryPolicy& policy) {
-  if (port == 0) return Status::Unavailable("no worker endpoint");
-  auto client = AcquireClient(shard, port);
-  auto result =
-      serve::RetryCall(policy, [&]() { return client->SendLine(line); });
-  ReleaseClient(shard, port, std::move(client));
-  return result;
+  // A broken connection is dropped, not pooled.
+  if (client->connected() && shard.pool.size() < kIdleClientsPerShard) {
+    shard.pool.emplace(port, std::move(client));
+  }
+  return reply;
 }
 
 easytime::Result<easytime::Json> ClusterRouter::CallWorker(
-    Shard& shard, uint16_t port, const std::string& endpoint,
-    const easytime::Json& params) {
-  if (port == 0) return Status::Unavailable("no worker endpoint");
-  auto client = AcquireClient(shard, port);
-  auto result = client->Call(endpoint, params);
-  ReleaseClient(shard, port, std::move(client));
-  return result;
+    Shard& shard, uint16_t port, const std::string& line) {
+  EASYTIME_ASSIGN_OR_RETURN(std::string reply,
+                            Exchange(shard, port, line, /*fresh=*/false));
+  return serve::ParseResponse(reply);
 }
 
 // ----- request routing ------------------------------------------------------
@@ -231,9 +226,7 @@ std::string ClusterRouter::HandleLine(const std::string& line) {
   int64_t error_id = -1;
   auto parsed =
       serve::ParseRequest(line, options_.max_request_bytes, &error_id);
-  if (!parsed.ok()) {
-    return serve::MakeErrorResponse(error_id, parsed.status()).Dump();
-  }
+  if (!parsed.ok()) return ErrorLine(error_id, parsed.status());
   const serve::Request& req = *parsed;
   requests_routed_.fetch_add(1, std::memory_order_relaxed);
 
@@ -254,113 +247,75 @@ std::string ClusterRouter::HandleLine(const std::string& line) {
   }
 
   const std::string dataset = req.params.GetString("dataset", "");
+  if (req.endpoint == "append" && dataset.empty()) {
+    return ErrorLine(req.id,
+                     Status::InvalidArgument("append requires a \"dataset\""));
+  }
+  // Datasets pin to their owner; everything else is fungible and takes the
+  // bounded-load path keyed on its most meaningful field.
+  const std::string key =
+      !dataset.empty()          ? dataset
+      : req.endpoint == "sql"   ? req.params.GetString("sql", "")
+      : req.endpoint == "ask"   ? req.params.GetString("question", "")
+                                : serve::CanonicalKey(req.endpoint, req.params);
+  auto shard = RouteKey(key, /*stable=*/!dataset.empty());
+  if (!shard.ok()) return ErrorLine(req.id, shard.status());
   if (req.endpoint == "append") {
-    if (dataset.empty()) {
-      return serve::MakeErrorResponse(
-                 req.id,
-                 Status::InvalidArgument("append requires a \"dataset\""))
-          .Dump();
-    }
-    auto shard = RouteKey(dataset, /*stable=*/true);
-    if (!shard.ok()) {
-      return serve::MakeErrorResponse(req.id, shard.status()).Dump();
-    }
     return ForwardAtMostOnce(
         **shard, req, line,
         "re-send with an explicit \"start\" offset to make the retry safe");
   }
-
-  // Reads: datasets pin to their owner; everything else is fungible and
-  // takes the bounded-load path keyed on its most meaningful field.
-  std::string key;
-  bool stable = false;
-  if (!dataset.empty()) {
-    key = dataset;
-    stable = true;
-  } else if (req.endpoint == "sql") {
-    key = req.params.GetString("sql", "");
-  } else if (req.endpoint == "ask") {
-    key = req.params.GetString("question", "");
-  } else {
-    key = serve::CanonicalKey(req.endpoint, req.params);
+  if (req.endpoint == "evaluate" || req.endpoint == "backtest") {
+    // A job submit is as non-idempotent as an append (a blind retry after an
+    // ambiguous drop would start a second job under a new id), so it takes
+    // the at-most-once path instead of the retrying read path. Jobs live on
+    // the shard that accepted them: the ack is stamped so job_status/cancel
+    // can pin with {"shard": ...}.
+    return StampResult(
+        ForwardAtMostOnce(**shard, req, line,
+                          "check job_status before re-submitting (a "
+                          "duplicate submit would start a second job)"),
+        {{"shard", (*shard)->id}});
   }
-  auto shard = RouteKey(key, stable);
-  if (!shard.ok()) {
-    return serve::MakeErrorResponse(req.id, shard.status()).Dump();
-  }
-  const bool is_job_submit =
-      req.endpoint == "evaluate" || req.endpoint == "backtest";
-  // A job submit is as non-idempotent as an append (a blind retry after an
-  // ambiguous drop would start a second job under a new id), so it takes
-  // the at-most-once path instead of the retrying read path.
-  std::string response =
-      is_job_submit
-          ? ForwardAtMostOnce(**shard, req, line,
-                              "check job_status before re-submitting (a "
-                              "duplicate submit would start a second job)")
-          : ForwardRead(**shard, req, line);
-  if (is_job_submit) {
-    // Jobs live on the shard that accepted them: stamp the submit ack so
-    // job_status/cancel can pin with {"shard": ...} instead of fanning out.
-    auto parsed = easytime::Json::Parse(response);
-    if (parsed.ok() && parsed->GetBool("ok", false) &&
-        parsed->Get("result").is_object()) {
-      easytime::Json result = parsed->Get("result");
-      result.Set("shard", (*shard)->id);
-      parsed->Set("result", std::move(result));
-      response = parsed->Dump();
-    }
-  }
-  return response;
-}
-
-std::string ClusterRouter::TagDegraded(const std::string& response_line,
-                                       const std::string& reason) {
-  degraded_responses_.fetch_add(1, std::memory_order_relaxed);
-  auto resp = easytime::Json::Parse(response_line);
-  if (!resp.ok() || !resp->GetBool("ok", false) ||
-      !resp->Get("result").is_object()) {
-    return response_line;  // errors pass through untagged
-  }
-  easytime::Json result = resp->Get("result");
-  result.Set("degraded", true);
-  result.Set("degraded_reason", reason);
-  resp->Set("result", std::move(result));
-  return resp->Dump();
+  return ForwardRead(**shard, req, line, /*replica_fallback=*/true);
 }
 
 std::string ClusterRouter::ForwardRead(Shard& shard, const serve::Request& req,
-                                       const std::string& line) {
-  const auto now = Clock::now();
-  const bool primary_usable =
-      !shard.down.load() && shard.breaker->Allow(now);
-  if (primary_usable) {
+                                       const std::string& line,
+                                       bool replica_fallback) {
+  if (!shard.down.load() && shard.breaker->Allow(Clock::now())) {
     shard.outstanding.fetch_add(1, std::memory_order_relaxed);
-    auto resp =
-        SendToWorker(shard, shard.primary_port.load(), line, options_.retry);
+    // Retries dial fresh: the pooled socket that just failed may have idle
+    // siblings from the same dead worker life.
+    bool fresh = false;
+    auto reply = serve::RetryCall(options_.retry, [&] {
+      return Exchange(shard, shard.primary_port.load(), line,
+                      std::exchange(fresh, true));
+    });
     shard.outstanding.fetch_sub(1, std::memory_order_relaxed);
-    if (resp.ok()) {
+    if (reply.ok()) {
       shard.breaker->RecordSuccess();
-      return *resp;
+      return *reply;
     }
     shard.breaker->RecordFailure(Clock::now());
   }
   // Degraded path: the replica answers from its (possibly stale) mirror.
-  const uint16_t rport = shard.replica_port.load();
-  if (rport != 0) {
-    auto resp = SendToWorker(shard, rport, line, OneShot());
-    if (resp.ok()) {
-      return TagDegraded(*resp, "shard " + shard.id +
-                                    " primary unavailable; replica served a "
-                                    "possibly stale answer");
+  if (replica_fallback) {
+    auto reply = Exchange(shard, shard.replica_port.load(), line,
+                          /*fresh=*/false);
+    if (reply.ok()) {
+      degraded_responses_.fetch_add(1, std::memory_order_relaxed);
+      return StampResult(*reply, {{"degraded", true},
+                                  {"degraded_reason",
+                                   "shard " + shard.id +
+                                       " primary unavailable; replica served "
+                                       "a possibly stale answer"}});
     }
   }
-  unavailable_responses_.fetch_add(1, std::memory_order_relaxed);
-  return serve::MakeErrorResponse(
-             req.id, Status::Unavailable("shard " + shard.id +
-                                         " is unavailable (no primary, no "
-                                         "responsive replica)"))
-      .Dump();
+  return UnavailableReply(
+      req.id, Status::Unavailable(
+                  "shard " + shard.id + " is unavailable (no primary" +
+                  (replica_fallback ? ", no responsive replica)" : ")")));
 }
 
 std::string ClusterRouter::ForwardAtMostOnce(Shard& shard,
@@ -369,87 +324,82 @@ std::string ClusterRouter::ForwardAtMostOnce(Shard& shard,
                                              const std::string& retry_hint) {
   // At-most-once: only failures that PROVE the worker never saw the request
   // (connect-level failures, the worker's own clean Unavailable rejection)
-  // are retried. An ambiguous transport drop after bytes were sent is
-  // surfaced as Unavailable — a blind retry could apply the request twice.
-  serve::RetryPolicy policy = options_.retry;
-  easytime::Status last = Status::Unavailable("request not attempted");
-  for (int attempt = 0; attempt < std::max(1, policy.max_attempts);
-       ++attempt) {
-    if (attempt > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          policy.DelayMs(attempt - 1)));
-    }
-    if (shard.down.load() || shard.promoting.load()) {
-      last = Status::Unavailable("shard " + shard.id +
-                                 " has no primary (failover in progress); "
-                                 "the request cannot be durably accepted");
-      continue;
-    }
-    const uint16_t port = shard.primary_port.load();
-    if (port == 0) {
-      last = Status::Unavailable("shard " + shard.id + " has no primary");
-      continue;
-    }
-    // Always dial fresh instead of reusing a pooled idle socket: a worker
-    // restart between health ticks leaves pool entries half-dead, where the
-    // first write "succeeds" into the local buffer and a provably-unexecuted
-    // request would be misreported as ambiguous. A fresh connect that fails
-    // proves the worker never saw the request, keeping the retry safe.
-    auto client = std::make_unique<serve::TcpClient>(port, OneShot(),
-                                                     options_.auth_token);
-    bool request_sent = false;
-    auto resp = client->SendLineOnce(line, &request_sent);
-    if (resp.ok()) {
-      ReleaseClient(shard, port, std::move(client));
-      shard.breaker->RecordSuccess();
-      // A clean worker-side Unavailable (admission shed) was not applied —
-      // safe to retry under the policy.
-      auto parsed = easytime::Json::Parse(*resp);
-      if (parsed.ok() && !parsed->GetBool("ok", true) &&
-          parsed->Get("error").GetString("code", "") == "Unavailable") {
-        last = Status::Unavailable(
-            parsed->Get("error").GetString("message", "worker shed"));
-        continue;
-      }
-      return *resp;
-    }
-    shard.breaker->RecordFailure(Clock::now());
-    if (request_sent) {
-      append_ambiguous_.fetch_add(1, std::memory_order_relaxed);
-      unavailable_responses_.fetch_add(1, std::memory_order_relaxed);
-      return serve::MakeErrorResponse(
-                 req.id,
-                 Status::Unavailable(
-                     "outcome unknown (connection lost after the request "
-                     "was sent); not retried — " +
-                     retry_hint))
-          .Dump();
-    }
-    last = resp.status();  // nothing was sent: retry is safe
-  }
+  // come back Unavailable and are retried. An ambiguous transport drop after
+  // bytes were sent becomes the final reply (an OK value, so RetryCall
+  // stops) — a blind retry could apply the request twice.
+  auto reply = serve::RetryCall(
+      options_.retry, [&]() -> easytime::Result<std::string> {
+        if (shard.down.load() || shard.promoting.load()) {
+          return Status::Unavailable(
+              "shard " + shard.id +
+              " has no primary (failover in progress); the request cannot "
+              "be durably accepted");
+        }
+        // Always dial fresh instead of reusing a pooled idle socket: a
+        // worker restart between health ticks leaves pool entries
+        // half-dead, where the first write "succeeds" into the local buffer
+        // and a provably-unexecuted request would be misreported as
+        // ambiguous. A fresh connect that fails proves the worker never saw
+        // the request, keeping the retry safe.
+        bool sent = false;
+        auto r = Exchange(shard, shard.primary_port.load(), line,
+                          /*fresh=*/true, &sent);
+        if (!r.ok()) {
+          shard.breaker->RecordFailure(Clock::now());
+          if (!sent) return r.status();  // nothing was sent: retry is safe
+          append_ambiguous_.fetch_add(1, std::memory_order_relaxed);
+          return UnavailableReply(
+              req.id, Status::Unavailable(
+                          "outcome unknown (connection lost after the request "
+                          "was sent); not retried — " +
+                          retry_hint));
+        }
+        shard.breaker->RecordSuccess();
+        // A clean worker-side Unavailable (admission shed) was not applied.
+        auto unwrapped = serve::ParseResponse(*r);
+        if (!unwrapped.ok() && unwrapped.status().IsUnavailable()) {
+          return unwrapped.status();
+        }
+        return r;
+      });
+  return reply.ok() ? *reply : UnavailableReply(req.id, reply.status());
+}
+
+std::string ClusterRouter::UnavailableReply(int64_t id, const Status& why) {
   unavailable_responses_.fetch_add(1, std::memory_order_relaxed);
-  return serve::MakeErrorResponse(req.id, last).Dump();
+  return ErrorLine(id, why);
 }
 
 // ----- fan-out + merge ------------------------------------------------------
 
-std::string ClusterRouter::FanOutStats(const serve::Request& req) {
+std::vector<ClusterRouter::ShardAnswer> ClusterRouter::AskEveryShard(
+    const std::string& endpoint, const easytime::Json& params,
+    bool replica_fallback) {
   fanouts_.fetch_add(1, std::memory_order_relaxed);
+  const std::string line = serve::MakeRequestLine(endpoint, params);
+  std::vector<ShardAnswer> answers;
+  for (auto& shard : shards_) {
+    auto result = CallWorker(*shard, shard->primary_port.load(), line);
+    const bool from_replica = !result.ok() && replica_fallback &&
+                              shard->replica_port.load() != 0;
+    if (from_replica) {
+      result = CallWorker(*shard, shard->replica_port.load(), line);
+    }
+    answers.push_back(ShardAnswer{shard.get(), std::move(result),
+                                  from_replica});
+  }
+  return answers;
+}
+
+std::string ClusterRouter::FanOutStats(const serve::Request& req) {
   easytime::Json shards = easytime::Json::Object();
   easytime::Json totals = easytime::Json::Object();
-  uint64_t requests = 0, ok_count = 0, errors = 0, rejected = 0;
-  uint64_t deadline_exceeded = 0, worker_degraded = 0;
+  int64_t requests = 0, ok_count = 0, errors = 0, rejected = 0;
+  int64_t deadline_exceeded = 0, worker_degraded = 0;
   size_t responding = 0;
   bool degraded = false;
-  for (auto& shard : shards_) {
-    auto stats = CallWorker(*shard, shard->primary_port.load(), "stats",
-                            easytime::Json::Object());
-    bool from_replica = false;
-    if (!stats.ok() && shard->replica_port.load() != 0) {
-      stats = CallWorker(*shard, shard->replica_port.load(), "stats",
-                         easytime::Json::Object());
-      from_replica = true;
-    }
+  for (auto& [shard, stats, from_replica] :
+       AskEveryShard("stats", easytime::Json::Object(), true)) {
     if (!stats.ok()) {
       degraded = true;
       easytime::Json down = easytime::Json::Object();
@@ -459,30 +409,27 @@ std::string ClusterRouter::FanOutStats(const serve::Request& req) {
     }
     ++responding;
     if (from_replica) degraded = true;
-    deadline_exceeded +=
-        static_cast<uint64_t>(stats->GetInt("deadline_exceeded", 0));
-    worker_degraded +=
-        static_cast<uint64_t>(stats->GetInt("degraded_responses", 0));
+    deadline_exceeded += stats->GetInt("deadline_exceeded", 0);
+    worker_degraded += stats->GetInt("degraded_responses", 0);
     const easytime::Json& endpoints = stats->Get("endpoints");
     if (endpoints.is_object()) {
       for (const auto& name : endpoints.keys()) {
         const easytime::Json& e = endpoints.Get(name);
-        requests += static_cast<uint64_t>(e.GetInt("requests", 0));
-        ok_count += static_cast<uint64_t>(e.GetInt("ok", 0));
-        errors += static_cast<uint64_t>(e.GetInt("errors", 0));
-        rejected += static_cast<uint64_t>(e.GetInt("rejected", 0));
+        requests += e.GetInt("requests", 0);
+        ok_count += e.GetInt("ok", 0);
+        errors += e.GetInt("errors", 0);
+        rejected += e.GetInt("rejected", 0);
       }
     }
     if (from_replica) stats->Set("from_replica", true);
     shards.Set(shard->id, std::move(*stats));
   }
-  totals.Set("requests", static_cast<int64_t>(requests));
-  totals.Set("ok", static_cast<int64_t>(ok_count));
-  totals.Set("errors", static_cast<int64_t>(errors));
-  totals.Set("rejected", static_cast<int64_t>(rejected));
-  totals.Set("deadline_exceeded", static_cast<int64_t>(deadline_exceeded));
-  totals.Set("worker_degraded_responses",
-             static_cast<int64_t>(worker_degraded));
+  totals.Set("requests", requests);
+  totals.Set("ok", ok_count);
+  totals.Set("errors", errors);
+  totals.Set("rejected", rejected);
+  totals.Set("deadline_exceeded", deadline_exceeded);
+  totals.Set("worker_degraded_responses", worker_degraded);
 
   easytime::Json router = easytime::Json::Object();
   router.Set("requests_routed",
@@ -513,7 +460,6 @@ std::string ClusterRouter::FanOutStats(const serve::Request& req) {
 }
 
 std::string ClusterRouter::FanOutRecommend(const serve::Request& req) {
-  fanouts_.fetch_add(1, std::memory_order_relaxed);
   // Every shard ranks from its own knowledge (all carry the full suite;
   // each adds its own locally committed evaluations); scores are averaged
   // across responders.
@@ -524,18 +470,10 @@ std::string ClusterRouter::FanOutRecommend(const serve::Request& req) {
   std::map<std::string, Tally> tallies;
   size_t responding = 0;
   bool degraded = false;
-  for (auto& shard : shards_) {
-    auto rec =
-        CallWorker(*shard, shard->primary_port.load(), "recommend", req.params);
-    if (!rec.ok() && shard->replica_port.load() != 0) {
-      rec = CallWorker(*shard, shard->replica_port.load(), "recommend",
-                       req.params);
-      if (rec.ok()) degraded = true;
-    }
-    if (!rec.ok()) {
-      degraded = true;
-      continue;
-    }
+  for (auto& [shard, rec, from_replica] :
+       AskEveryShard("recommend", req.params, true)) {
+    if (!rec.ok() || from_replica) degraded = true;
+    if (!rec.ok()) continue;
     ++responding;
     const easytime::Json& items = rec->Get("recommendations");
     if (!items.is_array()) continue;
@@ -548,10 +486,8 @@ std::string ClusterRouter::FanOutRecommend(const serve::Request& req) {
     }
   }
   if (responding == 0) {
-    unavailable_responses_.fetch_add(1, std::memory_order_relaxed);
-    return serve::MakeErrorResponse(
-               req.id, Status::Unavailable("no shard answered recommend"))
-        .Dump();
+    return UnavailableReply(
+        req.id, Status::Unavailable("no shard answered recommend"));
   }
   std::vector<std::pair<std::string, double>> ranked;
   for (const auto& [method, t] : tallies) {
@@ -583,12 +519,10 @@ std::string ClusterRouter::FanOutRecommend(const serve::Request& req) {
 }
 
 std::string ClusterRouter::FanOutFlushCache(const serve::Request& req) {
-  fanouts_.fetch_add(1, std::memory_order_relaxed);
   int64_t flushed = 0;
   size_t responding = 0;
-  for (auto& shard : shards_) {
-    auto resp = CallWorker(*shard, shard->primary_port.load(), "flush_cache",
-                           req.params);
+  for (auto& [shard, resp, from_replica] :
+       AskEveryShard("flush_cache", req.params, false)) {
     if (resp.ok()) {
       flushed += resp->GetInt("flushed", 0);
       ++responding;
@@ -603,63 +537,60 @@ std::string ClusterRouter::FanOutFlushCache(const serve::Request& req) {
 
 std::string ClusterRouter::FanOutJobLookup(const serve::Request& req,
                                            const std::string& line) {
-  // Jobs live on the shard that accepted them. A "shard" param pins the
-  // lookup; otherwise every shard is asked and the first one that KNOWS the
-  // job answers (the rest say NotFound).
+  // Jobs live on the shard that accepted them, and every worker numbers its
+  // jobs from 1, so an id alone may name a different job on each shard. A
+  // "shard" param (stamped on every submit ack) pins the lookup to that
+  // shard's primary: a replica runs no jobs and could only say NotFound.
   const std::string pinned = req.params.GetString("shard", "");
   if (!pinned.empty()) {
     Shard* shard = FindShard(pinned);
     if (shard == nullptr) {
-      return serve::MakeErrorResponse(
-                 req.id, Status::NotFound("no shard '" + pinned + "'"))
-          .Dump();
+      return ErrorLine(req.id, Status::NotFound("no shard '" + pinned + "'"));
     }
-    return ForwardRead(*shard, req, line);
+    return ForwardRead(*shard, req, line, /*replica_fallback=*/false);
   }
-  bool unreachable = false;
-  for (auto& shard : shards_) {
-    auto resp =
-        SendToWorker(*shard, shard->primary_port.load(), line, OneShot());
-    if (!resp.ok()) {
-      unreachable = true;  // this shard might own the job
-      continue;
+  // Un-pinned: ask every primary, and act only when exactly one knows the id.
+  Shard* owner = nullptr;
+  Status verdict = Status::NotFound("no shard knows this job");
+  for (const ShardAnswer& a : AskEveryShard("job_status", req.params, false)) {
+    const Status& st = a.result.status();
+    if (a.result.ok() && owner != nullptr) {
+      return ErrorLine(req.id, Status::InvalidArgument(
+                                   "more than one shard has a job with this "
+                                   "id; pin the request with the \"shard\" "
+                                   "its submit ack carried"));
     }
-    auto parsed = easytime::Json::Parse(*resp);
-    if (parsed.ok() && !parsed->GetBool("ok", true) &&
-        parsed->Get("error").GetString("code", "") == "NotFound") {
-      continue;
+    if (a.result.ok()) {
+      owner = a.shard;
+    } else if (st.IsUnavailable()) {
+      verdict = Status::Unavailable(
+          "at least one shard did not answer and may own this job id; retry "
+          "shortly, or pin the request with the \"shard\" its submit ack "
+          "carried");
+    } else if (!st.IsNotFound()) {
+      return ErrorLine(req.id, st);  // e.g. no numeric "job" id
     }
-    return *resp;
   }
-  // An unreachable shard (dead or failing-over primary) may own the job:
-  // claiming NotFound would make a fanned cancel silently drop it and a
-  // status poll report a live job as gone. Tell the client to retry.
-  if (unreachable) {
-    unavailable_responses_.fetch_add(1, std::memory_order_relaxed);
-    return serve::MakeErrorResponse(
-               req.id,
-               Status::Unavailable(
-                   "no responding shard knows this job, but at least one "
-                   "shard did not answer and may own it; retry shortly"))
-        .Dump();
-  }
-  return serve::MakeErrorResponse(
-             req.id, Status::NotFound("no shard knows this job"))
-      .Dump();
+  // An unreachable shard (dead or failing-over primary) may own the job, or
+  // a second job with this id: claiming NotFound would make a cancel
+  // silently drop it, and answering from the one known owner might act on
+  // another client's job. Tell the client to retry or pin.
+  if (verdict.IsUnavailable()) return UnavailableReply(req.id, verdict);
+  if (owner == nullptr) return ErrorLine(req.id, verdict);
+  return ForwardRead(*owner, req, line, /*replica_fallback=*/false);
 }
 
 // ----- health + failover ----------------------------------------------------
 
 void ClusterRouter::HealthLoop() {
+  const std::chrono::duration<double, std::milli> interval(
+      options_.health_interval_ms);
+  std::unique_lock<std::mutex> lock(health_mu_);
   while (running_.load()) {
+    lock.unlock();
     HealthCheckNow();
-    const auto step = std::chrono::milliseconds(10);
-    auto remaining =
-        std::chrono::duration<double, std::milli>(options_.health_interval_ms);
-    while (running_.load() && remaining.count() > 0) {
-      std::this_thread::sleep_for(step);
-      remaining -= step;
-    }
+    lock.lock();
+    health_cv_.wait_for(lock, interval, [this] { return !running_.load(); });
   }
 }
 
@@ -679,8 +610,9 @@ void ClusterRouter::CheckShard(Shard& shard) {
   }
   // Liveness ping feeds the breaker so an unresponsive-but-running primary
   // degrades reads instead of hanging them.
-  auto pong = CallWorker(shard, shard.primary_port.load(), "ping",
-                         easytime::Json::Object());
+  auto pong =
+      CallWorker(shard, shard.primary_port.load(),
+                 serve::MakeRequestLine("ping", easytime::Json::Object()));
   if (pong.ok()) {
     shard.breaker->RecordSuccess();
     shard.down.store(false);
@@ -691,10 +623,7 @@ void ClusterRouter::CheckShard(Shard& shard) {
 
 void ClusterRouter::StartFailover(Shard& shard) {
   shard.down.store(true);
-  {
-    std::lock_guard<std::mutex> lock(shard.pool_mu);
-    shard.pool.clear();
-  }
+  shard.DropIdleClients();
   if (!shard.replica_name.empty() && supervisor_.Alive(shard.replica_name)) {
     EASYTIME_LOG(Warning) << "router: " << shard.id << " primary '"
                        << shard.primary_name
@@ -703,8 +632,8 @@ void ClusterRouter::StartFailover(Shard& shard) {
     replicator_.SetLink(shard.id, shard.primary_store, 0);  // pause shipping
     easytime::Json params = easytime::Json::Object();
     params.Set("source_dir", shard.primary_store);
-    auto resp =
-        CallWorker(shard, shard.replica_port.load(), "promote", params);
+    auto resp = CallWorker(shard, shard.replica_port.load(),
+                           serve::MakeRequestLine("promote", params));
     if (resp.ok()) {
       shard.promoting.store(true);
       return;
@@ -732,8 +661,9 @@ void ClusterRouter::StartFailover(Shard& shard) {
 }
 
 void ClusterRouter::FinishFailoverIfPromoted(Shard& shard) {
-  auto status = CallWorker(shard, shard.replica_port.load(), "replica_status",
-                           easytime::Json::Object());
+  auto status = CallWorker(
+      shard, shard.replica_port.load(),
+      serve::MakeRequestLine("replica_status", easytime::Json::Object()));
   if (!status.ok()) return;  // promotion in progress; ask again next tick
   const std::string err = status->GetString("promote_error", "");
   if (!err.empty()) {
@@ -759,10 +689,7 @@ void ClusterRouter::FinishFailoverIfPromoted(Shard& shard) {
     shard.replica_store.clear();
   }
   shard.breaker->Reset();
-  {
-    std::lock_guard<std::mutex> lock(shard.pool_mu);
-    shard.pool.clear();
-  }
+  shard.DropIdleClients();
   shard.promoting.store(false);
   shard.down.store(false);
   failovers_.fetch_add(1, std::memory_order_relaxed);
@@ -771,32 +698,32 @@ void ClusterRouter::FinishFailoverIfPromoted(Shard& shard) {
   EASYTIME_LOG(Warning) << "router: " << shard.id << " promoted '"
                      << shard.primary_name << "' to primary on port "
                      << shard.primary_port.load();
-  if (options_.replicate) SpawnReplacementReplica(shard);
+  if (!options_.replicate) return;
+  if (auto spawned = SpawnReplica(shard); !spawned.ok()) {
+    EASYTIME_LOG(Error) << "router: could not spawn replacement replica for "
+                        << shard.id << ": " << spawned.ToString();
+  }
 }
 
-void ClusterRouter::SpawnReplacementReplica(Shard& shard) {
-  ++shard.replica_generation;
-  const std::string name =
-      shard.id + "-r" + std::to_string(shard.replica_generation);
+easytime::Status ClusterRouter::SpawnReplica(Shard& shard) {
+  const std::string generation = std::to_string(shard.replica_generation++);
+  const std::string name = shard.id + "-r" + generation;
   // A fresh staging dir: the new primary's WAL continues the old chain, and
   // stale leftovers from a previous replica life must not mask new ships.
-  const std::string store = options_.work_dir + "/" + shard.id + "-replica-" +
-                            std::to_string(shard.replica_generation);
-  auto port = SpawnWorker(name, "replica", store);
-  if (!port.ok()) {
-    EASYTIME_LOG(Error) << "router: could not spawn replacement replica for "
-                        << shard.id << ": " << port.status().ToString();
-    return;
-  }
+  const std::string store =
+      options_.work_dir + "/" + shard.id + "-replica-" + generation;
+  EASYTIME_ASSIGN_OR_RETURN(uint16_t port,
+                            SpawnWorker(name, "replica", store));
   {
     std::lock_guard<std::mutex> lock(shard.meta_mu);
     shard.replica_name = name;
     shard.replica_store = store;
   }
-  shard.replica_port.store(*port);
-  replicator_.SetLink(shard.id, shard.primary_store, *port);
-  EASYTIME_LOG(Info) << "router: " << shard.id << " replacement replica '"
-                     << name << "' on port " << *port;
+  shard.replica_port.store(port);
+  replicator_.SetLink(shard.id, shard.primary_store, port);
+  EASYTIME_LOG(Info) << "router: " << shard.id << " replica '" << name
+                     << "' on port " << port;
+  return Status::OK();
 }
 
 // ----- observability --------------------------------------------------------
@@ -805,12 +732,7 @@ easytime::Json ClusterRouter::ClusterStatusJson() {
   easytime::Json shards = easytime::Json::Object();
   for (auto& shard : shards_) {
     easytime::Json j = easytime::Json::Object();
-    std::string primary, replica;
-    {
-      std::lock_guard<std::mutex> lock(shard->meta_mu);
-      primary = shard->primary_name;
-      replica = shard->replica_name;
-    }
+    auto [primary, replica] = shard->Names();
     j.Set("primary", primary);
     j.Set("primary_port", static_cast<int64_t>(shard->primary_port.load()));
     j.Set("replica", replica);
@@ -819,17 +741,9 @@ easytime::Json ClusterRouter::ClusterStatusJson() {
     j.Set("promoting", shard->promoting.load());
     j.Set("failovers", static_cast<int64_t>(shard->failovers.load()));
     j.Set("outstanding", static_cast<int64_t>(shard->outstanding.load()));
-    switch (shard->breaker->state()) {
-      case CircuitBreaker::State::kClosed:
-        j.Set("breaker", "closed");
-        break;
-      case CircuitBreaker::State::kOpen:
-        j.Set("breaker", "open");
-        break;
-      case CircuitBreaker::State::kHalfOpen:
-        j.Set("breaker", "half_open");
-        break;
-    }
+    // Indexed by CircuitBreaker::State.
+    static constexpr const char* kBreaker[] = {"closed", "open", "half_open"};
+    j.Set("breaker", kBreaker[static_cast<int>(shard->breaker->state())]);
     shards.Set(shard->id, std::move(j));
   }
   easytime::Json out = easytime::Json::Object();

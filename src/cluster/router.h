@@ -15,14 +15,23 @@
 ///  - recommend / stats / flush_cache fan out to every shard and merge.
 ///  - append and evaluate/backtest job submits are forwarded AT MOST ONCE:
 ///    connect-level failures (no request byte sent) and the worker's own
-///    clean Unavailable rejections retry under the backoff policy, but once
-///    bytes are in flight a failure is ambiguous and surfaces as
+///    clean Unavailable rejections retry under the jittered backoff policy,
+///    but once bytes are in flight a failure is ambiguous and surfaces as
 ///    Unavailable instead of risking a duplicate ingest or a second job
 ///    (producers disambiguate appends with an explicit "start" offset).
 ///  - When a shard's primary is down (process death or open breaker), reads
 ///    fall back to its replica with `"degraded": true` in the result —
 ///    stale but never wrong answers; appends return Unavailable until the
 ///    replica is promoted.
+///  - job_status / cancel pinned with the submit ack's "shard" go to that
+///    primary only. Un-pinned, every primary is asked and the one shard that
+///    knows the id answers; workers number jobs independently, so an id two
+///    shards know is InvalidArgument, and one a silent shard might know is
+///    Unavailable.
+///
+/// Every router→worker call is one Exchange (one attempt over one of at most
+/// 8 pooled idle connections per shard, or a fresh dial); retrying lives in
+/// one serve::RetryCall per forward.
 ///
 /// Failure handling: a health thread pings workers (feeding per-shard
 /// circuit breakers), detects primary death, asks the shard's replica to
@@ -32,11 +41,14 @@
 /// supervisor's exponential backoff.
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/replicator.h"
@@ -70,7 +82,6 @@ class ClusterRouter {
     double ship_interval_ms = 150.0;  ///< 0 disables background shipping
     double worker_spawn_timeout_ms = 120000.0;
     ShardMap::Options placement;
-    size_t client_pool_per_shard = 8;  ///< idle pooled connections cap
   };
 
   explicit ClusterRouter(Options options);
@@ -105,11 +116,6 @@ class ClusterRouter {
   Replicator* replicator() { return &replicator_; }
 
  private:
-  struct IdleClient {
-    uint16_t port = 0;
-    std::unique_ptr<serve::TcpClient> client;
-  };
-
   struct Shard {
     std::string id;
     std::string primary_name;
@@ -133,8 +139,18 @@ class ClusterRouter {
     /// to copy them out. Held only for the copy — never across I/O — so
     /// status reads cannot stall behind a health ping or promotion.
     std::mutex meta_mu;
+    /// {primary_name, replica_name}, copied under meta_mu.
+    std::pair<std::string, std::string> Names() {
+      std::lock_guard<std::mutex> lock(meta_mu);
+      return {primary_name, replica_name};
+    }
     std::mutex pool_mu;
-    std::vector<IdleClient> pool;
+    /// Idle connections by worker port (primary and replica share it).
+    std::multimap<uint16_t, std::unique_ptr<serve::TcpClient>> pool;
+    void DropIdleClients() {
+      std::lock_guard<std::mutex> lock(pool_mu);
+      pool.clear();
+    }
   };
 
   Shard* FindShard(const std::string& id);
@@ -142,47 +158,55 @@ class ClusterRouter {
   /// false for fungible work (bounded-load Pick).
   easytime::Result<Shard*> RouteKey(std::string_view key, bool stable);
 
-  /// Pooled send: one raw line to a worker port under \p policy.
-  easytime::Result<std::string> SendToWorker(Shard& shard, uint16_t port,
-                                             const std::string& line,
-                                             const serve::RetryPolicy& policy);
+  /// One unretried SendLineOnce to the worker on \p port over an idle pooled
+  /// connection (a new dial when \p fresh); \p sent as in SendLineOnce.
+  easytime::Result<std::string> Exchange(Shard& shard, uint16_t port,
+                                         const std::string& line, bool fresh,
+                                         bool* sent = nullptr);
+  /// Exchange plus serve::ParseResponse: the reply's result or its error.
   easytime::Result<easytime::Json> CallWorker(Shard& shard, uint16_t port,
-                                              const std::string& endpoint,
-                                              const easytime::Json& params);
+                                              const std::string& line);
 
+  /// Retried primary forward, then (if \p replica_fallback) one replica try.
   std::string ForwardRead(Shard& shard, const serve::Request& req,
-                          const std::string& line);
+                          const std::string& line, bool replica_fallback);
   /// Forward for non-idempotent requests (append, evaluate/backtest job
   /// submits): only provably-unexecuted failures retry; an ambiguous drop
   /// surfaces as Unavailable carrying \p retry_hint.
   std::string ForwardAtMostOnce(Shard& shard, const serve::Request& req,
                                 const std::string& line,
                                 const std::string& retry_hint);
+
+  /// Counts one unavailable_responses and returns \p why's error line.
+  std::string UnavailableReply(int64_t id, const easytime::Status& why);
+
+  struct ShardAnswer {
+    Shard* shard;
+    easytime::Result<easytime::Json> result;
+    bool from_replica;  ///< the primary failed and the replica was asked
+  };
+  /// One request line to every primary (or, if \p replica_fallback, to the
+  /// replica of a primary that failed); the FanOut* merges read the answers.
+  std::vector<ShardAnswer> AskEveryShard(const std::string& endpoint,
+                                         const easytime::Json& params,
+                                         bool replica_fallback);
   std::string FanOutStats(const serve::Request& req);
   std::string FanOutRecommend(const serve::Request& req);
   std::string FanOutFlushCache(const serve::Request& req);
   std::string FanOutJobLookup(const serve::Request& req,
                               const std::string& line);
 
-  /// Tags a successful response's result object "degraded": true.
-  std::string TagDegraded(const std::string& response_line,
-                          const std::string& reason);
-
   void HealthLoop();
   void CheckShard(Shard& shard);
   void StartFailover(Shard& shard);
   void FinishFailoverIfPromoted(Shard& shard);
-  /// Spawns a fresh replica for \p shard (new name + empty staging dir).
-  void SpawnReplacementReplica(Shard& shard);
+  /// Spawns the shard's next replica (new name + empty staging dir) and
+  /// links it to the primary's store.
+  easytime::Status SpawnReplica(Shard& shard);
 
   easytime::Result<uint16_t> SpawnWorker(const std::string& name,
                                          const std::string& role,
                                          const std::string& store_dir);
-
-  std::unique_ptr<serve::TcpClient> AcquireClient(Shard& shard,
-                                                  uint16_t port);
-  void ReleaseClient(Shard& shard, uint16_t port,
-                     std::unique_ptr<serve::TcpClient> client);
 
   Options options_;
   ShardMap map_;
@@ -191,6 +215,8 @@ class ClusterRouter {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<serve::EventLoopServer> frontend_;
   std::thread health_thread_;
+  std::mutex health_mu_;  ///< with health_cv_, wakes HealthLoop on Stop()
+  std::condition_variable health_cv_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopped_{false};
 

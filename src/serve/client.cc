@@ -58,12 +58,9 @@ easytime::Status TcpClient::Connect() {
     // reconnect — the handshake is per-connection server-side. A dropped
     // socket mid-handshake is transient (Unavailable, retried by SendLine);
     // an explicit rejection is terminal (Unauthenticated, not retried).
-    easytime::Json req = easytime::Json::Object();
-    req.Set("endpoint", "auth");
     easytime::Json params = easytime::Json::Object();
     params.Set("token", auth_token_);
-    req.Set("params", std::move(params));
-    auto line = WriteAndReadLine(req.Dump());
+    auto line = WriteAndReadLine(MakeRequestLine("auth", params));
     if (!line.ok()) {
       Disconnect();
       return line.status();
@@ -138,21 +135,9 @@ easytime::Result<std::string> TcpClient::SendLineOnce(const std::string& line,
 
 easytime::Result<easytime::Json> TcpClient::Call(const std::string& endpoint,
                                                  const easytime::Json& params) {
-  easytime::Json req = easytime::Json::Object();
-  req.Set("endpoint", endpoint);
-  req.Set("params", params);
-  EASYTIME_ASSIGN_OR_RETURN(std::string line, SendLine(req.Dump()));
-  EASYTIME_ASSIGN_OR_RETURN(easytime::Json resp, easytime::Json::Parse(line));
-  if (resp.GetBool("ok", false)) return resp.Get("result");
-  const easytime::Json& err = resp.Get("error");
-  std::string code = err.GetString("code", "Internal");
-  std::string message = err.GetString("message", "unknown serving error");
-  for (int c = 0; c < kNumStatusCodes; ++c) {
-    if (code == ErrorCodeToken(static_cast<StatusCode>(c))) {
-      return Status(static_cast<StatusCode>(c), std::move(message));
-    }
-  }
-  return Status::Internal(std::move(message));
+  EASYTIME_ASSIGN_OR_RETURN(std::string line,
+                            SendLine(MakeRequestLine(endpoint, params)));
+  return ParseResponse(line);
 }
 
 }  // namespace easytime::serve

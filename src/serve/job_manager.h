@@ -32,9 +32,10 @@
 /// terminal marker is appended and the checkpoint removed; Start() sweeps
 /// orphaned checkpoints whose persisted status is terminal (a crash
 /// between marker and removal). Two admitted jobs with the same job_key
-/// never run concurrently (they share a checkpoint store): the second
-/// waits for the first to reach a terminal state, preserving FIFO order
-/// within the key.
+/// never run concurrently (they share a checkpoint store): the one a worker
+/// picks up second parks until the first reaches a terminal state. Which of
+/// two queued same-key jobs runs first is not fixed by submit order (workers
+/// race for them); jobs parked behind a running one start in parking order.
 
 #include <atomic>
 #include <cstdint>

@@ -112,6 +112,14 @@ const char* ErrorCodeToken(StatusCode code) {
   return "Unknown";
 }
 
+std::string MakeRequestLine(const std::string& endpoint,
+                            const easytime::Json& params) {
+  easytime::Json req = easytime::Json::Object();
+  req.Set("endpoint", endpoint);
+  req.Set("params", params);
+  return req.Dump();
+}
+
 easytime::Json MakeOkResponse(int64_t id, easytime::Json result) {
   easytime::Json resp = easytime::Json::Object();
   if (id >= 0) resp.Set("id", id);
@@ -129,6 +137,21 @@ easytime::Json MakeErrorResponse(int64_t id, const Status& status) {
   err.Set("message", status.message());
   resp.Set("error", std::move(err));
   return resp;
+}
+
+easytime::Result<easytime::Json> ParseResponse(const std::string& line) {
+  EASYTIME_ASSIGN_OR_RETURN(easytime::Json resp, easytime::Json::Parse(line));
+  if (resp.GetBool("ok", false)) return resp.Get("result");
+  const easytime::Json& err = resp.Get("error");
+  const std::string code = err.GetString("code", "Internal");
+  std::string message = err.GetString("message", "unknown serving error");
+  // From 1: a failed reply carrying "Ok" is malformed, not a success.
+  for (int c = 1; c < kNumStatusCodes; ++c) {
+    if (code == ErrorCodeToken(static_cast<StatusCode>(c))) {
+      return Status(static_cast<StatusCode>(c), std::move(message));
+    }
+  }
+  return Status::Internal(std::move(message));
 }
 
 std::string SpliceOkResponseLine(int64_t id, const std::string& result_bytes,

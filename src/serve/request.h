@@ -42,6 +42,10 @@ easytime::Result<Request> ParseRequest(const std::string& line,
 std::string CanonicalKey(const std::string& endpoint,
                          const easytime::Json& params);
 
+/// The request line {"endpoint":…,"params":…} (no "id", no newline).
+std::string MakeRequestLine(const std::string& endpoint,
+                            const easytime::Json& params);
+
 /// CamelCase wire token for a status code ("InvalidArgument", "Unavailable").
 const char* ErrorCodeToken(StatusCode code);
 
@@ -50,6 +54,12 @@ easytime::Json MakeOkResponse(int64_t id, easytime::Json result);
 
 /// Builds the error envelope from a failure status.
 easytime::Json MakeErrorResponse(int64_t id, const Status& status);
+
+/// \brief Unwraps a response line: the "result" payload when "ok" is true,
+/// else the error envelope as a Status with its code and message (a code
+/// this build does not know reads as Internal). A line that is not JSON
+/// comes back as the parse error.
+easytime::Result<easytime::Json> ParseResponse(const std::string& line);
 
 /// \brief The fast-lane success line around an already-serialized result:
 /// {"id":…,"ok":true,"result":<result_bytes>,"cached":…,"seconds":…}.

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <thread>
 
@@ -53,13 +54,17 @@ template <typename Fn>
 auto RetryCall(const RetryPolicy& policy, Fn&& call,
                const easytime::Deadline& deadline = easytime::Deadline())
     -> decltype(call()) {
-  std::mt19937_64 rng(policy.seed != 0 ? policy.seed
-                                       : std::random_device{}());
-  std::uniform_real_distribution<double> jitter(0.5, 1.0);
   auto result = call();
+  // Seeded at the first backoff: a first-try success (the common case)
+  // builds no random_device and no engine.
+  std::optional<std::mt19937_64> rng;
+  std::uniform_real_distribution<double> jitter(0.5, 1.0);
   for (int retry = 0; retry < policy.max_attempts - 1; ++retry) {
     if (result.ok() || !IsRetryableStatus(GetStatus(result))) return result;
-    double delay_ms = policy.DelayMs(retry) * jitter(rng);
+    if (!rng) {
+      rng.emplace(policy.seed != 0 ? policy.seed : std::random_device{}());
+    }
+    double delay_ms = policy.DelayMs(retry) * jitter(*rng);
     if (deadline.expired() || delay_ms >= deadline.remaining_ms()) {
       return result;  // the backoff would outlive the budget
     }

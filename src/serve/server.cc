@@ -130,19 +130,7 @@ easytime::Result<easytime::Json> ForecastServer::Call(
   req.endpoint = endpoint;
   req.params = params;
   // Dispatch answers with the wire line; only this typed API wants a tree.
-  EASYTIME_ASSIGN_OR_RETURN(easytime::Json resp,
-                            easytime::Json::Parse(Dispatch(std::move(req))));
-  if (resp.GetBool("ok", false)) return resp.Get("result");
-  const easytime::Json& err = resp.Get("error");
-  // Surface the original code where possible; Internal otherwise.
-  std::string code = err.GetString("code", "Internal");
-  std::string message = err.GetString("message", "unknown serving error");
-  for (int c = 0; c < kNumStatusCodes; ++c) {
-    if (code == ErrorCodeToken(static_cast<StatusCode>(c))) {
-      return Status(static_cast<StatusCode>(c), std::move(message));
-    }
-  }
-  return Status::Internal(std::move(message));
+  return ParseResponse(Dispatch(std::move(req)));
 }
 
 easytime::Result<easytime::Json> ForecastServer::CallWithRetry(

@@ -509,6 +509,139 @@ TEST(ClusterRouterTest, RoutesAppendsAndMergesFanOuts) {
   router.Stop();
 }
 
+// Each worker numbers its jobs from 1, so two shards both hold a job 1. An
+// un-pinned lookup of such an id must refuse rather than act on whichever
+// shard answers first (possibly another client's job); the "shard" pin from
+// the submit ack finds each one. Also covers the flush_cache and recommend
+// merges.
+TEST(ClusterRouterTest, CollidingJobIdsNeedTheShardPin) {
+  ClusterRouter::Options opt = BaseOptions(TestDir("router_jobs"));
+  opt.shards = 2;
+  opt.replicate = false;
+  ClusterRouter router(opt);
+  auto started = router.Start();
+  ASSERT_TRUE(started.ok()) << started.ToString();
+
+  // flush_cache sums every shard's dropped entries. Distinct inline
+  // forecasts spread over the shards and each leaves one cache entry.
+  for (int i = 0; i < 8; ++i) {
+    Json params = Json::Object();
+    Json values = Json::Array();
+    for (int t = 0; t < 24; ++t) values.Append(static_cast<double>(i + t % 6));
+    params.Set("values", std::move(values));
+    params.Set("method", "naive");
+    params.Set("horizon", int64_t{3});
+    Json forecast = Call(router, 10 + i, "forecast", std::move(params));
+    ASSERT_TRUE(forecast.GetBool("ok", false)) << forecast.Dump();
+  }
+  Json stats = Call(router, 20, "stats", Json::Object());
+  ASSERT_TRUE(stats.GetBool("ok", false)) << stats.Dump();
+  int64_t cached = 0;
+  for (const char* shard : {"shard-0", "shard-1"}) {
+    cached += stats.Get("result").Get("shards").Get(shard).Get("cache").GetInt(
+        "entries", -1);
+  }
+  EXPECT_GE(cached, 8);
+  Json flushed = Call(router, 21, "flush_cache", Json::Object());
+  ASSERT_TRUE(flushed.GetBool("ok", false)) << flushed.Dump();
+  EXPECT_EQ(flushed.Get("result").GetInt("flushed", -1), cached);
+  EXPECT_EQ(flushed.Get("result").GetInt("shards_responding", -1), 2);
+  EXPECT_FALSE(flushed.Get("result").GetBool("degraded", false));
+  Json again = Call(router, 22, "flush_cache", Json::Object());
+  EXPECT_EQ(again.Get("result").GetInt("flushed", -1), 0) << again.Dump();
+
+  // recommend's "k" cuts the merged ranking, best score first.
+  Json rec_params = Json::Object();
+  rec_params.Set("dataset", "traffic_u0");
+  Json all = Call(router, 23, "recommend", rec_params);
+  ASSERT_TRUE(all.GetBool("ok", false)) << all.Dump();
+  const auto& ranking = all.Get("result").Get("recommendations").items();
+  ASSERT_GE(ranking.size(), 2u);
+  EXPECT_GE(ranking[0].GetDouble("score", 0.0),
+            ranking[1].GetDouble("score", 0.0));
+  rec_params.Set("k", int64_t{1});
+  Json top = Call(router, 24, "recommend", rec_params);
+  ASSERT_TRUE(top.GetBool("ok", false)) << top.Dump();
+  const auto& cut = top.Get("result").Get("recommendations").items();
+  ASSERT_EQ(cut.size(), 1u);
+  EXPECT_EQ(cut[0].GetString("method", ""), ranking[0].GetString("method", ""));
+
+  // Submits are fungible work: vary the horizon until both shards have
+  // acked a job and one of them holds more jobs than the other.
+  std::map<std::string, int64_t> last_job;  // shard -> newest acked id
+  for (int h = 2; h < 40; ++h) {
+    if (last_job.size() == 2 && last_job["shard-0"] != last_job["shard-1"]) {
+      break;
+    }
+    auto parsed = Json::Parse(
+        R"({"datasets": ["traffic_u0"], "methods": ["naive"], "evaluation":)"
+        R"( {"strategy": "fixed", "horizon": )" +
+        std::to_string(h) + R"(, "metrics": ["mae"]}})");
+    ASSERT_TRUE(parsed.ok());
+    Json ack = Call(router, 100 + h, "evaluate", std::move(*parsed));
+    ASSERT_TRUE(ack.GetBool("ok", false)) << ack.Dump();
+    const std::string shard = ack.Get("result").GetString("shard", "");
+    const int64_t job = ack.Get("result").GetInt("job", -1);
+    EXPECT_EQ(job, last_job[shard] + 1) << shard << " numbers its own jobs";
+    last_job[shard] = job;
+  }
+  ASSERT_EQ(last_job.size(), 2u);
+  ASSERT_NE(last_job["shard-0"], last_job["shard-1"]);
+
+  // Both shards know job 1: an un-pinned status or cancel is refused and
+  // acts on neither.
+  Json job_one = Json::Object();
+  job_one.Set("job", int64_t{1});
+  for (const char* endpoint : {"job_status", "cancel"}) {
+    Json resp = Call(router, 200, endpoint, job_one);
+    ASSERT_FALSE(resp.GetBool("ok", true)) << endpoint << ": " << resp.Dump();
+    EXPECT_EQ(resp.Get("error").GetString("code", ""), "InvalidArgument")
+        << resp.Dump();
+  }
+  Json after = Call(router, 201, "stats", Json::Object());
+  for (const char* shard : {"shard-0", "shard-1"}) {
+    EXPECT_EQ(after.Get("result")
+                  .Get("shards")
+                  .Get(shard)
+                  .Get("jobs")
+                  .GetInt("cancelled", -1),
+              0)
+        << shard;
+  }
+
+  // Pinned lookups find each shard's own job 1 (and only that shard's).
+  for (const char* shard : {"shard-0", "shard-1"}) {
+    Json pinned = job_one;
+    pinned.Set("shard", shard);
+    Json status = Call(router, 202, "job_status", pinned);
+    ASSERT_TRUE(status.GetBool("ok", false)) << status.Dump();
+    EXPECT_EQ(status.Get("result").GetInt("job", -1), 1);
+    EXPECT_NE(status.Get("result").GetString("state", ""), "cancelled");
+  }
+
+  // An id exactly one shard knows is answered un-pinned; an id nobody
+  // knows is NotFound, pinned or not.
+  const std::string busier =
+      last_job["shard-0"] > last_job["shard-1"] ? "shard-0" : "shard-1";
+  Json unique = Json::Object();
+  unique.Set("job", last_job[busier]);
+  Json found = Call(router, 203, "job_status", unique);
+  ASSERT_TRUE(found.GetBool("ok", false)) << found.Dump();
+  EXPECT_EQ(found.GetInt("id", -1), 203);
+  EXPECT_EQ(found.Get("result").GetInt("job", -1), last_job[busier]);
+  Json nobody = Json::Object();
+  nobody.Set("job", int64_t{999});
+  Json missing = Call(router, 204, "job_status", nobody);
+  EXPECT_EQ(missing.Get("error").GetString("code", ""), "NotFound")
+      << missing.Dump();
+  nobody.Set("shard", busier);
+  Json missing_pinned = Call(router, 205, "cancel", nobody);
+  EXPECT_EQ(missing_pinned.Get("error").GetString("code", ""), "NotFound")
+      << missing_pinned.Dump();
+
+  router.Stop();
+}
+
 TEST(ClusterRouterTest, SigkillFailoverPromotesReplicaWithoutLosingAcks) {
   ClusterRouter::Options opt = BaseOptions(TestDir("router_failover"));
   opt.shards = 1;

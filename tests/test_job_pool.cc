@@ -221,19 +221,13 @@ TEST_F(JobPoolTest, SameKeyJobsSerializeOnTheirCheckpointIdentity) {
   auto b = manager.Submit(EvalConfig("shared-key"));
   ASSERT_TRUE(a.ok() && b.ok());
 
-  // While A is live, B must stay out of kRunning.
-  std::string a_state = "queued";
-  for (int i = 0; i < 8000 && !IsTerminal(a_state); ++i) {
-    a_state = StateOf(manager, *a);
-    if (a_state == "running") {
-      EXPECT_NE(StateOf(manager, *b), "running")
-          << "same-key jobs overlapped";
-    }
-    std::this_thread::sleep_for(1ms);
-  }
-  EXPECT_EQ(a_state, "done");
+  EXPECT_EQ(AwaitTerminal(manager, *a), "done");
   EXPECT_EQ(AwaitTerminal(manager, *b), "done");
   EXPECT_EQ(manager.stats().completed, 2u);
+  // peak_running moves under the manager's lock on every start, so any
+  // overlap of the two same-key jobs shows here, whichever ran first (the
+  // two free workers race for them).
+  EXPECT_EQ(manager.stats().peak_running, 1u) << "same-key jobs overlapped";
   manager.Shutdown();
 }
 

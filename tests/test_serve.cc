@@ -76,6 +76,33 @@ Json MustParse(const std::string& s) {
 // Protocol / envelope behaviour
 // ---------------------------------------------------------------------------
 
+TEST(ServeEnvelopeTest, ParseResponseRoundTripsEveryErrorCode) {
+  // Every failure code survives MakeErrorResponse -> wire -> ParseResponse.
+  for (int c = 1; c < kNumStatusCodes; ++c) {
+    const Status sent(static_cast<StatusCode>(c), "why " + std::to_string(c));
+    auto got = ParseResponse(MakeErrorResponse(7, sent).Dump());
+    ASSERT_FALSE(got.ok()) << ErrorCodeToken(sent.code());
+    EXPECT_EQ(got.status().code(), sent.code()) << ErrorCodeToken(sent.code());
+    EXPECT_EQ(got.status().message(), sent.message());
+  }
+  // Success unwraps to the result payload.
+  Json result = Json::Object();
+  result.Set("pong", true);
+  auto ok = ParseResponse(MakeOkResponse(7, result).Dump());
+  ASSERT_TRUE(ok.ok());
+  EXPECT_TRUE(ok->GetBool("pong", false));
+  // A code this build does not know, or a failed reply claiming "Ok", is
+  // Internal with the message kept; a non-JSON line is a parse error.
+  for (const char* code : {"SomeFutureCode", "Ok"}) {
+    auto odd = ParseResponse(std::string(R"({"ok":false,"error":{"code":")") +
+                             code + R"(","message":"m"}})");
+    ASSERT_FALSE(odd.ok()) << code;
+    EXPECT_EQ(odd.status().code(), StatusCode::kInternal) << code;
+    EXPECT_EQ(odd.status().message(), "m");
+  }
+  EXPECT_FALSE(ParseResponse("not json").ok());
+}
+
 TEST_F(ServeTest, MalformedJsonIsAnErrorResponseNotACrash) {
   Json resp = MustParse(server_->HandleLine("this is not json{{{"));
   EXPECT_FALSE(resp.GetBool("ok", true));
