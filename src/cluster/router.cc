@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <initializer_list>
 #include <limits>
@@ -36,6 +37,18 @@ std::string StampResult(
   for (const auto& [key, value] : fields) result.Set(key, value);
   resp->Set("result", std::move(result));
   return resp->Dump();
+}
+
+/// The request's "deadline_ms" budget, which bounds the router's retries of
+/// a forward. Infinite when the field is absent or not a positive finite
+/// number (the worker rejects a malformed one itself).
+easytime::Deadline RequestDeadline(const serve::Request& req) {
+  const easytime::Json& ms = req.params.Get("deadline_ms");
+  if (!ms.is_number() || !std::isfinite(ms.AsDouble()) ||
+      ms.AsDouble() <= 0.0) {
+    return easytime::Deadline();
+  }
+  return easytime::Deadline::AfterMillis(ms.AsDouble());
 }
 }  // namespace
 
@@ -288,10 +301,13 @@ std::string ClusterRouter::ForwardRead(Shard& shard, const serve::Request& req,
     // Retries dial fresh: the pooled socket that just failed may have idle
     // siblings from the same dead worker life.
     bool fresh = false;
-    auto reply = serve::RetryCall(options_.retry, [&] {
-      return Exchange(shard, shard.primary_port.load(), line,
-                      std::exchange(fresh, true));
-    });
+    auto reply = serve::RetryCall(
+        options_.retry,
+        [&] {
+          return Exchange(shard, shard.primary_port.load(), line,
+                          std::exchange(fresh, true));
+        },
+        RequestDeadline(req));
     shard.outstanding.fetch_sub(1, std::memory_order_relaxed);
     if (reply.ok()) {
       shard.breaker->RecordSuccess();
@@ -361,7 +377,8 @@ std::string ClusterRouter::ForwardAtMostOnce(Shard& shard,
           return unwrapped.status();
         }
         return r;
-      });
+      },
+      RequestDeadline(req));
   return reply.ok() ? *reply : UnavailableReply(req.id, reply.status());
 }
 
@@ -470,8 +487,14 @@ std::string ClusterRouter::FanOutRecommend(const serve::Request& req) {
   std::map<std::string, Tally> tallies;
   size_t responding = 0;
   bool degraded = false;
+  // The shards rank every method: a "k" cut per shard would average a
+  // method just outside one shard's top k over fewer shards.
+  easytime::Json full = easytime::Json::Object();
+  for (const std::string& key : req.params.keys()) {
+    if (key != "k") full.Set(key, req.params.Get(key));
+  }
   for (auto& [shard, rec, from_replica] :
-       AskEveryShard("recommend", req.params, true)) {
+       AskEveryShard("recommend", full, true)) {
     if (!rec.ok() || from_replica) degraded = true;
     if (!rec.ok()) continue;
     ++responding;

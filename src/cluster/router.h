@@ -13,6 +13,8 @@
 ///    jobs) uses bounded-load consistent hashing over a request key, so a
 ///    hot shard sheds overflow to its ring successors.
 ///  - recommend / stats / flush_cache fan out to every shard and merge.
+///    recommend asks each shard for its full ranking, averages the scores
+///    and only then cuts to the request's "k".
 ///  - append and evaluate/backtest job submits are forwarded AT MOST ONCE:
 ///    connect-level failures (no request byte sent) and the worker's own
 ///    clean Unavailable rejections retry under the jittered backoff policy,
@@ -31,7 +33,8 @@
 ///
 /// Every router→worker call is one Exchange (one attempt over one of at most
 /// 8 pooled idle connections per shard, or a fresh dial); retrying lives in
-/// one serve::RetryCall per forward.
+/// one serve::RetryCall per forward, bounded by the request's "deadline_ms"
+/// when it has one: no backoff is slept that would outlive the budget.
 ///
 /// Failure handling: a health thread pings workers (feeding per-shard
 /// circuit breakers), detects primary death, asks the shard's replica to

@@ -1,16 +1,19 @@
 #include "serve/job_manager.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <system_error>
 
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "eval/backtest.h"
+#include "pipeline/runner.h"
 #include "serve/request.h"
+#include "store/record_store.h"
 
 namespace easytime::serve {
 
@@ -21,25 +24,111 @@ namespace {
 /// on when the removal itself was lost to a crash.
 constexpr char kTerminalKey[] = "__terminal__";
 
-/// Snapshot state for a checkpoint store: {"records": [RunRecord...]}.
-std::string EncodeCheckpointState(
-    const std::map<std::string, easytime::Json>& records) {
-  easytime::Json state = easytime::Json::Object();
-  easytime::Json arr = easytime::Json::Array();
-  for (const auto& [key, rec] : records) arr.Append(rec);
-  state.Set("records", std::move(arr));
-  return state.Dump();
+/// A checkpoint store compacts after this many appended records.
+constexpr uint64_t kCompactEvery = 64;
+
+/// True for the WAL payload Checkpoint::MarkDone appends.
+bool IsTerminalMarker(const std::string& payload) {
+  auto doc = easytime::Json::Parse(payload);
+  return doc.ok() && doc->Has(kTerminalKey);
 }
 
-/// Snapshot state for a backtest checkpoint: {"origins": [OriginEval...]}.
-std::string EncodeBacktestState(
-    const std::map<size_t, easytime::Json>& origins) {
-  easytime::Json state = easytime::Json::Object();
-  easytime::Json arr = easytime::Json::Array();
-  for (const auto& [index, rec] : origins) arr.Append(rec);
-  state.Set("origins", std::move(arr));
-  return state.Dump();
-}
+/// \brief One job's checkpoint store, shared by both job types. Records are
+/// JSON docs under a per-type key (the (dataset, method) pair of a run
+/// record, the ladder index of a backtest origin). Each append is synced;
+/// every kCompactEvery appends the store compacts to the snapshot
+/// {"<field>": [doc...]} in key order.
+template <typename Key>
+class Checkpoint {
+ public:
+  /// Recovers the snapshot and WAL tail of the store at \p path (created
+  /// when absent). Each recovered doc goes through \p recover, which returns
+  /// its key, or nullopt to drop it so the record re-runs. Returns nullptr
+  /// when \p path is empty (checkpointing off) or the store cannot be
+  /// opened; the job then runs without one.
+  static std::unique_ptr<Checkpoint> Open(
+      uint64_t job_id, const std::string& path, std::string field,
+      const std::function<std::optional<Key>(const easytime::Json&)>&
+          recover) {
+    if (path.empty()) return nullptr;
+    store::RecordStoreRecovery recovery;
+    auto opened = store::RecordStore::Open(path, store::RecordStoreOptions{},
+                                           &recovery);
+    if (!opened.ok()) {
+      EASYTIME_LOG(Warning) << "job " << job_id
+                            << ": cannot open checkpoint store " << path
+                            << " (" << opened.status().ToString()
+                            << "); running without one";
+      return nullptr;
+    }
+    std::unique_ptr<Checkpoint> ckpt(
+        new Checkpoint(std::move(*opened), std::move(field)));
+    auto absorb = [&](const easytime::Json& doc) {
+      if (std::optional<Key> key = recover(doc)) ckpt->docs_[*key] = doc;
+    };
+    if (recovery.has_snapshot) {
+      auto snap = easytime::Json::Parse(recovery.snapshot);
+      if (snap.ok()) {
+        for (const auto& doc : snap->Get(ckpt->field_).items()) absorb(doc);
+      }
+    }
+    for (const auto& [seq, payload] : recovery.tail) {
+      (void)seq;
+      auto doc = easytime::Json::Parse(payload);
+      if (doc.ok() && !doc->Has(kTerminalKey)) absorb(*doc);
+    }
+    if (!ckpt->docs_.empty()) {
+      EASYTIME_LOG(Info) << "job " << job_id << " resuming from "
+                         << ckpt->docs_.size() << " checkpointed records ("
+                         << path << ")";
+    }
+    return ckpt;
+  }
+
+  /// Appends \p doc under \p key (safe from concurrent pipeline threads).
+  void Append(Key key, easytime::Json doc) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto seq = store_->Append(doc.Dump());
+    if (!seq.ok()) {
+      EASYTIME_LOG(Warning) << "checkpoint append failed: "
+                            << seq.status().ToString();
+      return;
+    }
+    docs_[std::move(key)] = std::move(doc);
+    (void)store_->Sync();
+    if (store_->appends_since_compaction() >= kCompactEvery) {
+      easytime::Json state = easytime::Json::Object();
+      easytime::Json arr = easytime::Json::Array();
+      for (const auto& [k, d] : docs_) arr.Append(d);
+      state.Set(field_, std::move(arr));
+      auto st = store_->Compact(state.Dump());
+      if (!st.ok()) {
+        EASYTIME_LOG(Warning) << "checkpoint compaction failed: "
+                              << st.ToString();
+      }
+    }
+  }
+
+  /// Persists the terminal status, before the finished job removes the
+  /// store: if the removal is lost to a crash, the startup sweep keys on it.
+  void MarkDone() {
+    std::lock_guard<std::mutex> lock(mu_);
+    easytime::Json marker = easytime::Json::Object();
+    marker.Set(kTerminalKey, "done");
+    (void)store_->Append(marker.Dump());
+    (void)store_->Sync();
+  }
+
+ private:
+  Checkpoint(std::unique_ptr<store::RecordStore> store, std::string field)
+      : store_(std::move(store)), field_(std::move(field)) {}
+
+  std::mutex mu_;  ///< serializes appends, compactions and the marker
+  std::unique_ptr<store::RecordStore> store_;
+  const std::string field_;
+  /// Every checkpointed doc (recovered + this run's): the snapshot state.
+  std::map<Key, easytime::Json> docs_;
+};
 
 }  // namespace
 
@@ -55,14 +144,9 @@ const char* JobStateName(JobState s) {
 }
 
 JobManager::JobManager(core::EasyTime* system, Options options)
-    : system_(system),
-      options_(std::move(options)),
-      pending_(options_.queue_capacity) {
+    : system_(system), options_(std::move(options)) {
   if (options_.concurrency == 0) options_.concurrency = 1;
 }
-
-JobManager::JobManager(core::EasyTime* system, size_t queue_capacity)
-    : JobManager(system, Options{queue_capacity, "", 1, 1, 0}) {}
 
 JobManager::~JobManager() { Shutdown(); }
 
@@ -78,16 +162,18 @@ void JobManager::Start() {
 }
 
 void JobManager::Shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_.store(true);
-  }
-  pending_.Close();  // workers drain the queue (cancelling queued jobs)
   std::vector<std::thread> workers;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    shutdown_ = true;
+    for (uint64_t id : queued_) {
+      jobs_[id]->state = JobState::kCancelled;
+      ++stats_.cancelled;
+    }
+    queued_.clear();
     workers.swap(workers_);
   }
+  cv_.notify_all();
   for (auto& w : workers) {
     if (w.joinable()) w.join();
   }
@@ -131,98 +217,6 @@ std::string JobManager::CheckpointPath(const std::string& job_key) const {
   return options_.checkpoint_dir + "/" + safe + ".ckpt";
 }
 
-easytime::Result<std::unique_ptr<store::RecordStore>>
-JobManager::OpenCheckpoint(
-    const std::string& path,
-    std::map<std::string, pipeline::RunRecord>* completed,
-    size_t* loaded) const {
-  namespace fs = std::filesystem;
-  *loaded = 0;
-  auto absorb = [completed](const easytime::Json& doc) {
-    auto rec = pipeline::RunRecord::FromJson(doc);
-    if (!rec.ok()) return;
-    // Only trust successful records; anything else re-runs on resume.
-    if (!rec->status.ok()) return;
-    (*completed)[pipeline::PairKey(rec->dataset, rec->method)] =
-        std::move(*rec);
-  };
-
-  // Pre-store checkpoints were a line-JSON file at this very path; absorb
-  // its records and clear the way for the store directory.
-  std::error_code ec;
-  bool migrated = false;
-  if (fs::is_regular_file(path, ec)) {
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      auto doc = easytime::Json::Parse(line);
-      if (!doc.ok()) continue;  // torn tail write from a crash — skip
-      absorb(*doc);
-    }
-    fs::remove(path, ec);
-    migrated = true;
-  }
-
-  store::RecordStoreOptions store_options;
-  store::RecordStoreRecovery recovery;
-  EASYTIME_ASSIGN_OR_RETURN(
-      std::unique_ptr<store::RecordStore> ckpt,
-      store::RecordStore::Open(path, store_options, &recovery));
-  if (recovery.has_snapshot) {
-    auto snap = easytime::Json::Parse(recovery.snapshot);
-    if (snap.ok()) {
-      for (const auto& rec : snap->Get("records").items()) absorb(rec);
-    }
-  }
-  for (const auto& [seq, payload] : recovery.tail) {
-    (void)seq;
-    auto doc = easytime::Json::Parse(payload);
-    if (doc.ok() && !doc->Has(kTerminalKey)) absorb(*doc);
-  }
-  if (migrated && !completed->empty()) {
-    // Re-persist the migrated records in the new format right away, so the
-    // legacy data survives even if this run checkpoints nothing further.
-    std::map<std::string, easytime::Json> records;
-    for (const auto& [key, rec] : *completed) records[key] = rec.ToJson();
-    EASYTIME_RETURN_IF_ERROR(ckpt->Compact(EncodeCheckpointState(records)));
-  }
-  *loaded = completed->size();
-  return ckpt;
-}
-
-easytime::Result<std::unique_ptr<store::RecordStore>>
-JobManager::OpenBacktestCheckpoint(
-    const std::string& path, std::map<size_t, eval::OriginEval>* completed,
-    size_t* loaded) const {
-  *loaded = 0;
-  auto absorb = [completed](const easytime::Json& doc) {
-    auto rec = eval::OriginEval::FromJson(doc);
-    if (!rec.ok()) return;
-    const size_t index = rec->index;
-    (*completed)[index] = std::move(*rec);
-  };
-
-  store::RecordStoreOptions store_options;
-  store::RecordStoreRecovery recovery;
-  EASYTIME_ASSIGN_OR_RETURN(
-      std::unique_ptr<store::RecordStore> ckpt,
-      store::RecordStore::Open(path, store_options, &recovery));
-  if (recovery.has_snapshot) {
-    auto snap = easytime::Json::Parse(recovery.snapshot);
-    if (snap.ok()) {
-      for (const auto& rec : snap->Get("origins").items()) absorb(rec);
-    }
-  }
-  for (const auto& [seq, payload] : recovery.tail) {
-    (void)seq;
-    auto doc = easytime::Json::Parse(payload);
-    if (doc.ok() && !doc->Has(kTerminalKey)) absorb(*doc);
-  }
-  *loaded = completed->size();
-  return ckpt;
-}
-
 void JobManager::SweepOrphanedCheckpointsLocked() {
   namespace fs = std::filesystem;
   std::error_code ec;
@@ -236,15 +230,9 @@ void JobManager::SweepOrphanedCheckpointsLocked() {
                                          store::RecordStoreOptions{},
                                          &recovery);
     if (!ckpt.ok()) continue;
-    bool terminal = false;
-    for (const auto& [seq, payload] : recovery.tail) {
-      (void)seq;
-      auto doc = easytime::Json::Parse(payload);
-      if (doc.ok() && doc->Has(kTerminalKey)) {
-        terminal = true;
-        break;
-      }
-    }
+    const bool terminal = std::any_of(
+        recovery.tail.begin(), recovery.tail.end(),
+        [](const auto& record) { return IsTerminalMarker(record.second); });
     if (!terminal) continue;
     ckpt->reset();  // close the store's fds before deleting it
     std::error_code rm_ec;
@@ -260,24 +248,25 @@ void JobManager::SweepOrphanedCheckpointsLocked() {
 easytime::Result<uint64_t> JobManager::Submit(easytime::Json config) {
   EASYTIME_FAULT_POINT("serve.job");
   std::lock_guard<std::mutex> lock(mu_);
-  if (shutdown_.load()) {
+  if (shutdown_) {
     ++stats_.rejected;
     return Status::Unavailable("evaluation lane is shut down");
   }
-  auto job = std::make_unique<Job>();
-  job->id = next_id_;
-  job->job_key = JobKey(config);
-  job->config = std::move(config);
-  const uint64_t id = job->id;
-  if (!pending_.TryPush(id)) {
+  if (queued_.size() >= options_.queue_capacity) {
     ++stats_.rejected;
     return Status::Unavailable(
         "evaluation queue is full (" +
-        std::to_string(pending_.capacity()) + " jobs); retry later");
+        std::to_string(options_.queue_capacity) + " jobs); retry later");
   }
-  ++next_id_;
+  auto job = std::make_unique<Job>();
+  const uint64_t id = next_id_++;
+  job->id = id;
+  job->job_key = JobKey(config);
+  job->config = std::move(config);
   jobs_[id] = std::move(job);
+  queued_.push_back(id);
   ++stats_.submitted;
+  cv_.notify_one();
   return id;
 }
 
@@ -311,9 +300,10 @@ easytime::Result<easytime::Json> JobManager::Cancel(uint64_t job_id) {
     return Status::NotFound("no such job: " + std::to_string(job_id));
   }
   Job& job = *it->second;
-  job.cancel->store(true);
+  job.cancel.store(true);
   if (job.state == JobState::kQueued) {
-    // A worker sees the state and skips it when the id surfaces.
+    queued_.erase(std::remove(queued_.begin(), queued_.end(), job_id),
+                  queued_.end());
     job.state = JobState::kCancelled;
     ++stats_.cancelled;
   }
@@ -325,330 +315,186 @@ JobManager::Stats JobManager::stats() const {
   return stats_;
 }
 
-void JobManager::RunJob(Job* job,
-                        const std::shared_ptr<std::atomic<bool>>& cancel) {
-  const std::string type = job->config.GetString("type", "evaluate");
-  if (type == "backtest") {
-    RunBacktestJob(job, cancel);
-    return;
-  }
-  RunEvaluateJob(job, cancel);
+size_t JobManager::queue_depth() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return queued_.size();
 }
 
-void JobManager::RunEvaluateJob(
-    Job* job, const std::shared_ptr<std::atomic<bool>>& cancel) {
-  pipeline::RunHooks hooks;
-  hooks.cancelled = [cancel]() { return cancel->load(); };
-  hooks.progress = [job](size_t done, size_t total) {
+template <typename Hooks>
+void JobManager::WireCommonHooks(Job* job, Hooks* hooks) const {
+  hooks->cancelled = [job]() { return job->cancel.load(); };
+  hooks->progress = [job](size_t done, size_t total) {
     job->done.store(done, std::memory_order_relaxed);
     job->total.store(total, std::memory_order_relaxed);
   };
   // Split the machine across the pool: with N workers each job's pipeline
   // gets ~cores/N threads instead of a full-width pool per job.
-  hooks.max_threads = PerJobThreadBudget();
-  double deadline_ms = job->config.GetDouble("deadline_ms", 0.0);
+  hooks->max_threads = PerJobThreadBudget();
+  const double deadline_ms = job->config.GetDouble("deadline_ms", 0.0);
   if (deadline_ms > 0.0) {
-    hooks.deadline = easytime::Deadline::AfterMillis(deadline_ms);
+    hooks->deadline = easytime::Deadline::AfterMillis(deadline_ms);
   }
+}
 
-  const std::string ckpt_path = CheckpointPath(job->job_key);
-  std::map<std::string, pipeline::RunRecord> completed;
-  size_t resumed = 0;
-  std::mutex ckpt_mu;
-  std::unique_ptr<store::RecordStore> ckpt;
-  /// All checkpointed records (resumed + this run's), keyed by pair — the
-  /// snapshot state a compaction writes. Guarded by ckpt_mu; `completed`
-  /// itself stays immutable once handed to the pipeline via hooks.
-  std::map<std::string, easytime::Json> ckpt_records;
-  size_t unsynced = 0;
-  if (!ckpt_path.empty()) {
-    auto ckpt_or = OpenCheckpoint(ckpt_path, &completed, &resumed);
-    if (ckpt_or.ok()) {
-      ckpt = std::move(*ckpt_or);
-    } else {
-      EASYTIME_LOG(Warning) << "job " << job->id
-                            << ": cannot open checkpoint store " << ckpt_path
-                            << " (" << ckpt_or.status().ToString()
-                            << "); running without one";
-    }
-    if (resumed > 0) {
-      hooks.completed = &completed;
-      EASYTIME_LOG(Info) << "job " << job->id << " resuming from " << resumed
-                         << " checkpointed pairs (" << ckpt_path << ")";
-      std::lock_guard<std::mutex> lock(mu_);
-      stats_.resumed_records += resumed;
-    }
-    if (ckpt) {
-      for (const auto& [key, rec] : completed) {
-        ckpt_records[key] = rec.ToJson();
-      }
-      hooks.on_record = [this, &ckpt_mu, &ckpt, &ckpt_records,
-                         &unsynced](const pipeline::RunRecord& rec) {
-        if (!rec.status.ok()) return;  // failures re-run on resume
-        std::lock_guard<std::mutex> lock(ckpt_mu);
-        easytime::Json doc = rec.ToJson();
-        auto seq = ckpt->Append(doc.Dump());
-        if (!seq.ok()) {
-          EASYTIME_LOG(Warning) << "checkpoint append failed: "
-                                << seq.status().ToString();
-          return;
-        }
-        ckpt_records[pipeline::PairKey(rec.dataset, rec.method)] =
-            std::move(doc);
-        if (++unsynced >= options_.checkpoint_every) {
-          (void)ckpt->Sync();
-          unsynced = 0;
-        }
-        if (options_.compact_every > 0 &&
-            ckpt->appends_since_compaction() >= options_.compact_every) {
-          auto st = ckpt->Compact(EncodeCheckpointState(ckpt_records));
-          if (!st.ok()) {
-            EASYTIME_LOG(Warning) << "checkpoint compaction failed: "
-                                  << st.ToString();
-          }
-        }
-      };
-    }
-  }
-
-  auto report = system_->OneClickEvaluate(job->config, hooks);
-  if (ckpt && report.ok()) {
-    // Persist the terminal status before removing the checkpoint: if the
-    // removal is lost to a crash, the startup sweep keys on this marker.
-    std::lock_guard<std::mutex> lock(ckpt_mu);
-    easytime::Json marker = easytime::Json::Object();
-    marker.Set(kTerminalKey, "done");
-    (void)ckpt->Append(marker.Dump());
-    (void)ckpt->Sync();
-  }
-  ckpt.reset();  // close the store's fds before any removal
-
+void JobManager::CountResumed(size_t records) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (report.ok()) {
-    size_t ok_records = report->Successful().size();
-    easytime::Json summary = easytime::Json::Object();
-    summary.Set("records", static_cast<int64_t>(report->records.size()));
-    summary.Set("ok", static_cast<int64_t>(ok_records));
-    summary.Set("wall_seconds", report->wall_seconds);
-    if (resumed > 0) {
-      summary.Set("resumed", static_cast<int64_t>(resumed));
-    }
-    job->result = std::move(summary);
+  stats_.resumed_records += records;
+}
+
+void JobManager::Finish(Job* job, const Status& status,
+                        easytime::Json result) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (status.ok()) {
+    job->result = std::move(result);
     job->state = JobState::kDone;
     ++stats_.completed;
-    // The job is terminal and its results live in the knowledge base now;
-    // the checkpoint has served its purpose.
+    // The job is terminal and its results are reported; the checkpoint has
+    // served its purpose.
+    const std::string ckpt_path = CheckpointPath(job->job_key);
     if (!ckpt_path.empty()) {
       std::error_code ec;
       std::filesystem::remove_all(ckpt_path, ec);
     }
-  } else if (report.status().IsCancelled()) {
+  } else if (status.IsCancelled()) {
     job->state = JobState::kCancelled;
     ++stats_.cancelled;
   } else {
-    job->error = report.status();
+    job->error = status;
     job->state = JobState::kFailed;
     ++stats_.failed;
-    EASYTIME_LOG(Warning) << "evaluation job " << job->id
-                          << " failed: " << report.status().ToString();
+    EASYTIME_LOG(Warning) << job->config.GetString("type", "evaluate")
+                          << " job " << job->id
+                          << " failed: " << status.ToString();
   }
 }
 
-void JobManager::RunBacktestJob(
-    Job* job, const std::shared_ptr<std::atomic<bool>>& cancel) {
-  auto finish_failed = [&](const Status& error) {
-    std::lock_guard<std::mutex> lock(mu_);
-    job->error = error;
-    job->state = JobState::kFailed;
-    ++stats_.failed;
-    EASYTIME_LOG(Warning) << "backtest job " << job->id
-                          << " failed: " << error.ToString();
-  };
+void JobManager::RunEvaluateJob(Job* job) {
+  pipeline::RunHooks hooks;
+  WireCommonHooks(job, &hooks);
+  std::map<std::string, pipeline::RunRecord> completed;
+  auto ckpt = Checkpoint<std::string>::Open(
+      job->id, CheckpointPath(job->job_key), "records",
+      [&completed](const easytime::Json& doc) -> std::optional<std::string> {
+        auto rec = pipeline::RunRecord::FromJson(doc);
+        // Only trust successful records; anything else re-runs on resume.
+        if (!rec.ok() || !rec->status.ok()) return std::nullopt;
+        std::string key = pipeline::PairKey(rec->dataset, rec->method);
+        completed[key] = std::move(*rec);
+        return key;
+      });
+  const size_t resumed = completed.size();
+  if (resumed > 0) {
+    hooks.completed = &completed;
+    CountResumed(resumed);
+  }
+  if (ckpt) {
+    hooks.on_record = [&ckpt](const pipeline::RunRecord& rec) {
+      if (!rec.status.ok()) return;  // failures re-run on resume
+      ckpt->Append(pipeline::PairKey(rec.dataset, rec.method), rec.ToJson());
+    };
+  }
 
+  auto report = system_->OneClickEvaluate(job->config, hooks);
+  if (ckpt && report.ok()) ckpt->MarkDone();
+  ckpt.reset();  // close the store's fds before Finish removes it
+  easytime::Json summary;
+  if (report.ok()) {
+    summary = easytime::Json::Object();
+    summary.Set("records", static_cast<int64_t>(report->records.size()));
+    summary.Set("ok", static_cast<int64_t>(report->Successful().size()));
+    summary.Set("wall_seconds", report->wall_seconds);
+    if (resumed > 0) summary.Set("resumed", static_cast<int64_t>(resumed));
+  }
+  Finish(job, report.status(), std::move(summary));
+}
+
+void JobManager::RunBacktestJob(Job* job) {
   const std::string dataset = job->config.GetString("dataset", "");
   if (dataset.empty()) {
-    finish_failed(
-        Status::InvalidArgument("backtest requires a \"dataset\" name"));
+    Finish(job,
+           Status::InvalidArgument("backtest requires a \"dataset\" name"));
     return;
   }
   auto config_or = eval::BacktestConfig::FromJson(job->config);
   if (!config_or.ok()) {
-    finish_failed(config_or.status());
+    Finish(job, config_or.status());
     return;
   }
   // Snapshot under the facade's shared lock: streaming appends may be
   // landing concurrently, and the backtest must see one consistent prefix.
   auto series_or = system_->SeriesSnapshot(dataset);
   if (!series_or.ok()) {
-    finish_failed(series_or.status());
+    Finish(job, series_or.status());
     return;
   }
 
   eval::BacktestHooks hooks;
-  hooks.cancelled = [cancel]() { return cancel->load(); };
-  hooks.progress = [job](size_t done, size_t total) {
-    job->done.store(done, std::memory_order_relaxed);
-    job->total.store(total, std::memory_order_relaxed);
-  };
-  hooks.max_threads = PerJobThreadBudget();
-  double deadline_ms = job->config.GetDouble("deadline_ms", 0.0);
-  if (deadline_ms > 0.0) {
-    hooks.deadline = easytime::Deadline::AfterMillis(deadline_ms);
-  }
-
-  const std::string ckpt_path = CheckpointPath(job->job_key);
+  WireCommonHooks(job, &hooks);
   std::map<size_t, eval::OriginEval> completed;
-  size_t resumed = 0;
-  std::mutex ckpt_mu;
-  std::unique_ptr<store::RecordStore> ckpt;
-  /// All checkpointed origins (resumed + this run's), keyed by ladder
-  /// index — the snapshot state a compaction writes. Guarded by ckpt_mu.
-  std::map<size_t, easytime::Json> ckpt_records;
-  size_t unsynced = 0;
-  if (!ckpt_path.empty()) {
-    auto ckpt_or = OpenBacktestCheckpoint(ckpt_path, &completed, &resumed);
-    if (ckpt_or.ok()) {
-      ckpt = std::move(*ckpt_or);
-    } else {
-      EASYTIME_LOG(Warning) << "job " << job->id
-                            << ": cannot open checkpoint store " << ckpt_path
-                            << " (" << ckpt_or.status().ToString()
-                            << "); running without one";
-    }
-    if (resumed > 0) {
-      hooks.completed = &completed;
-      EASYTIME_LOG(Info) << "job " << job->id << " resuming from " << resumed
-                         << " checkpointed origins (" << ckpt_path << ")";
-      std::lock_guard<std::mutex> lock(mu_);
-      stats_.resumed_records += resumed;
-    }
-    if (ckpt) {
-      for (const auto& [index, rec] : completed) {
-        ckpt_records[index] = rec.ToJson();
-      }
-      hooks.on_origin = [this, &ckpt_mu, &ckpt, &ckpt_records,
-                         &unsynced](const eval::OriginEval& rec) {
-        std::lock_guard<std::mutex> lock(ckpt_mu);
-        easytime::Json doc = rec.ToJson();
-        auto seq = ckpt->Append(doc.Dump());
-        if (!seq.ok()) {
-          EASYTIME_LOG(Warning) << "checkpoint append failed: "
-                                << seq.status().ToString();
-          return;
-        }
-        ckpt_records[rec.index] = std::move(doc);
-        if (++unsynced >= options_.checkpoint_every) {
-          (void)ckpt->Sync();
-          unsynced = 0;
-        }
-        if (options_.compact_every > 0 &&
-            ckpt->appends_since_compaction() >= options_.compact_every) {
-          auto st = ckpt->Compact(EncodeBacktestState(ckpt_records));
-          if (!st.ok()) {
-            EASYTIME_LOG(Warning) << "checkpoint compaction failed: "
-                                  << st.ToString();
-          }
-        }
-      };
-    }
+  auto ckpt = Checkpoint<size_t>::Open(
+      job->id, CheckpointPath(job->job_key), "origins",
+      [&completed](const easytime::Json& doc) -> std::optional<size_t> {
+        auto rec = eval::OriginEval::FromJson(doc);
+        if (!rec.ok()) return std::nullopt;
+        const size_t index = rec->index;
+        completed[index] = std::move(*rec);
+        return index;
+      });
+  if (!completed.empty()) {
+    hooks.completed = &completed;
+    CountResumed(completed.size());
+  }
+  if (ckpt) {
+    hooks.on_origin = [&ckpt](const eval::OriginEval& rec) {
+      ckpt->Append(rec.index, rec.ToJson());
+    };
   }
 
   auto report = eval::RunBacktest(series_or->values(),
                                   series_or->period_hint(), *config_or, hooks);
-  if (ckpt && report.ok()) {
-    std::lock_guard<std::mutex> lock(ckpt_mu);
-    easytime::Json marker = easytime::Json::Object();
-    marker.Set(kTerminalKey, "done");
-    (void)ckpt->Append(marker.Dump());
-    (void)ckpt->Sync();
-  }
-  ckpt.reset();  // close the store's fds before any removal
-
-  std::lock_guard<std::mutex> lock(mu_);
+  if (ckpt && report.ok()) ckpt->MarkDone();
+  ckpt.reset();  // close the store's fds before Finish removes it
+  easytime::Json result;
   if (report.ok()) {
-    easytime::Json result = report->ToJson();
+    result = report->ToJson();
     result.Set("dataset", dataset);
-    job->result = std::move(result);
-    job->state = JobState::kDone;
-    ++stats_.completed;
-    if (!ckpt_path.empty()) {
-      std::error_code ec;
-      std::filesystem::remove_all(ckpt_path, ec);
-    }
-  } else if (report.status().IsCancelled()) {
-    job->state = JobState::kCancelled;
-    ++stats_.cancelled;
-  } else {
-    job->error = report.status();
-    job->state = JobState::kFailed;
-    ++stats_.failed;
-    EASYTIME_LOG(Warning) << "backtest job " << job->id
-                          << " failed: " << report.status().ToString();
   }
+  Finish(job, report.status(), std::move(result));
 }
 
-std::optional<uint64_t> JobManager::PopWaitingLocked(const std::string& key) {
-  auto it = waiting_.find(key);
-  if (it == waiting_.end()) return std::nullopt;
-  uint64_t id = it->second.front();
-  it->second.pop_front();
-  if (it->second.empty()) waiting_.erase(it);
-  return id;
-}
-
-void JobManager::ProcessJob(uint64_t id) {
-  std::optional<uint64_t> cur = id;
-  while (cur) {
-    Job* job = nullptr;
-    std::shared_ptr<std::atomic<bool>> cancel;
-    std::string key;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = jobs_.find(*cur);
-      if (it == jobs_.end()) return;  // ids are never erased; defensive
-      Job& j = *it->second;
-      key = j.job_key;
-      bool run = false;
-      if (j.state == JobState::kQueued) {
-        if (shutdown_.load()) {
-          // Draining: don't start new work, just mark it cancelled.
-          j.state = JobState::kCancelled;
-          ++stats_.cancelled;
-        } else if (active_keys_.count(key) > 0) {
-          // Same checkpoint identity is already running: park behind it.
-          // The worker that finishes the active job picks this one up, so
-          // two jobs never interleave writes to one checkpoint file.
-          waiting_[key].push_back(*cur);
-          return;
-        } else {
-          active_keys_.insert(key);
-          j.state = JobState::kRunning;
-          ++num_running_;
-          stats_.peak_running =
-              std::max<uint64_t>(stats_.peak_running, num_running_);
-          job = &j;
-          cancel = j.cancel;
-          run = true;
-        }
-      }
-      if (!run) {  // cancelled while queued/parked, or draining
-        cur = PopWaitingLocked(key);
-        continue;
-      }
-    }
-    RunJob(job, cancel);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      active_keys_.erase(key);
-      --num_running_;
-      cur = PopWaitingLocked(key);
-    }
+JobManager::Job* JobManager::TakeRunnableLocked() {
+  for (auto it = queued_.begin(); it != queued_.end(); ++it) {
+    Job& job = *jobs_.at(*it);
+    if (active_keys_.count(job.job_key) > 0) continue;
+    queued_.erase(it);
+    active_keys_.insert(job.job_key);
+    job.state = JobState::kRunning;
+    ++num_running_;
+    stats_.peak_running = std::max<uint64_t>(stats_.peak_running, num_running_);
+    return &job;
   }
+  return nullptr;
 }
 
 void JobManager::WorkerLoop() {
-  while (auto id = pending_.Pop()) {
-    ProcessJob(*id);
+  std::unique_lock<std::mutex> lock(mu_);
+  while (true) {
+    Job* job = TakeRunnableLocked();
+    if (job == nullptr) {
+      if (shutdown_) return;
+      cv_.wait(lock);
+      continue;
+    }
+    lock.unlock();
+    if (job->config.GetString("type", "evaluate") == "backtest") {
+      RunBacktestJob(job);
+    } else {
+      RunEvaluateJob(job);
+    }
+    lock.lock();
+    active_keys_.erase(job->job_key);
+    --num_running_;
+    cv_.notify_all();  // the key's next queued job may start now
   }
 }
 

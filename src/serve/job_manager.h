@@ -4,11 +4,17 @@
 /// \brief The async lane: long-running jobs submitted via the "evaluate"
 /// endpoint (OneClickEvaluate suites) and the "backtest" endpoint
 /// (rolling-origin backtests, eval/backtest.h) — the job config's "type"
-/// field picks the runner. Jobs queue into a bounded FIFO (admission
-/// control), run on a pool of worker threads (Options::concurrency, PR 4 —
-/// previously a single worker), report progress, and can be cancelled while
-/// queued or mid-run (the pipeline polls the cancellation flag between
+/// field picks the runner. Jobs wait in one bounded queue (admission
+/// control: Options::queue_capacity covers every job admitted but not yet
+/// started), run on a pool of worker threads (Options::concurrency), report
+/// progress, and can be cancelled while queued (the job leaves the queue at
+/// once) or mid-run (the pipeline polls the cancellation flag between
 /// (method, dataset) pairs; the backtest between origins).
+///
+/// Scheduling: a free worker takes the oldest queued job whose job_key is
+/// not running. Two jobs with the same job_key share a checkpoint store, so
+/// they never run concurrently and start in submit order; jobs on other
+/// keys pass them meanwhile.
 ///
 /// Thread budgeting: each running job caps its pipeline at
 /// Options::thread_budget concurrently evaluating threads, counting the
@@ -18,45 +24,34 @@
 ///
 /// Crash safety: with a checkpoint directory configured, each job_key owns
 /// a crash-safe record store at `<dir>/<job_key>.ckpt/` (storage engine,
-/// DESIGN.md §9). A worker appends each successfully evaluated
-/// (method, dataset) record — or, for backtest jobs, each finished
-/// forecast origin — to its WAL and periodically compacts
-/// (snapshot + covered-segment deletion, Options::compact_every) so very
-/// large suites don't grow an unbounded log. A job resubmitted with the
-/// same "job_key" — after a cancel, a crash, or on a fresh server pointed
-/// at the same directory — recovers snapshot + WAL tail (torn tails are
-/// truncated to the valid prefix), splices the records into the run, and
-/// only evaluates the remainder. Failed pairs are deliberately not
-/// checkpointed, so a resume retries them. Pre-store line-JSON checkpoint
-/// files are migrated transparently on first open. When a job completes, a
-/// terminal marker is appended and the checkpoint removed; Start() sweeps
-/// orphaned checkpoints whose persisted status is terminal (a crash
-/// between marker and removal). Two admitted jobs with the same job_key
-/// never run concurrently (they share a checkpoint store): the one a worker
-/// picks up second parks until the first reaches a terminal state. Which of
-/// two queued same-key jobs runs first is not fixed by submit order (workers
-/// race for them); jobs parked behind a running one start in parking order.
+/// DESIGN.md §9). A worker appends and syncs each successfully evaluated
+/// (method, dataset) record — or, for backtest jobs, each finished forecast
+/// origin — and compacts every 64 records (snapshot + covered-segment
+/// deletion) so very large suites don't grow an unbounded log. A job
+/// resubmitted with the same "job_key" — after a cancel, a crash, or on a
+/// fresh server pointed at the same directory — recovers snapshot + WAL
+/// tail (torn tails are truncated to the valid prefix), splices the records
+/// into the run, and only evaluates the remainder. Failed pairs are
+/// deliberately not checkpointed, so a resume retries them. When a job
+/// completes, a terminal marker is appended and the checkpoint removed;
+/// Start() sweeps orphaned checkpoints whose persisted status is terminal
+/// (a crash between marker and removal).
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/bounded_queue.h"
 #include "common/json.h"
 #include "common/result.h"
 #include "core/easytime.h"
-#include "eval/backtest.h"
-#include "pipeline/runner.h"
-#include "store/record_store.h"
 
 namespace easytime::serve {
 
@@ -70,17 +65,13 @@ const char* JobStateName(JobState s);
 class JobManager {
  public:
   struct Options {
-    size_t queue_capacity = 8;   ///< max queued-but-not-started jobs
+    size_t queue_capacity = 8;   ///< max jobs admitted but not yet started
     std::string checkpoint_dir;  ///< "" disables checkpointing
-    size_t checkpoint_every = 1; ///< flush after this many new records
     size_t concurrency = 1;      ///< worker threads (jobs run at once)
     /// Per-job pipeline thread cap. 0 splits the machine evenly:
     /// max(1, cores / concurrency), where "cores" honors the
     /// EASYTIME_NUM_THREADS override.
     size_t thread_budget = 0;
-    /// Compact a job's checkpoint store (snapshot + delete covered WAL
-    /// segments) after this many appended records; 0 disables compaction.
-    size_t compact_every = 64;
   };
 
   struct Stats {
@@ -96,7 +87,6 @@ class JobManager {
 
   /// \param system the facade evaluations run against (not owned)
   JobManager(core::EasyTime* system, Options options);
-  JobManager(core::EasyTime* system, size_t queue_capacity);
   ~JobManager();
 
   /// Starts the worker pool (idempotent).
@@ -123,7 +113,8 @@ class JobManager {
   easytime::Result<easytime::Json> Cancel(uint64_t job_id);
 
   Stats stats() const;
-  size_t queue_depth() const { return pending_.size(); }
+  /// Jobs admitted but not yet started.
+  size_t queue_depth() const;
 
   /// Jobs currently in kRunning (approximate for readers).
   size_t running_jobs() const;
@@ -146,8 +137,7 @@ class JobManager {
     easytime::Json config;
     std::string job_key;
     JobState state = JobState::kQueued;
-    std::shared_ptr<std::atomic<bool>> cancel =
-        std::make_shared<std::atomic<bool>>(false);
+    std::atomic<bool> cancel{false};
     std::atomic<size_t> done{0};
     std::atomic<size_t> total{0};
     easytime::Json result;  ///< summary, set when state == kDone
@@ -155,35 +145,26 @@ class JobManager {
   };
 
   void WorkerLoop();
-  /// Runs \p id, then any jobs parked behind it on the same job_key.
-  void ProcessJob(uint64_t id);
-  void RunJob(Job* job, const std::shared_ptr<std::atomic<bool>>& cancel);
+  /// Removes the oldest queued job whose key is not running from the queue
+  /// and marks it running; nullptr when there is none (caller holds mu_).
+  Job* TakeRunnableLocked();
   /// The "evaluate" runner (OneClickEvaluate + RunRecord checkpoints).
-  void RunEvaluateJob(Job* job,
-                      const std::shared_ptr<std::atomic<bool>>& cancel);
+  void RunEvaluateJob(Job* job);
   /// The "backtest" runner: rolling-origin backtest over one stored
   /// dataset, streaming each finished OriginEval into the checkpoint store
   /// (keyed by ladder index) so a killed job resumes mid-ladder.
-  void RunBacktestJob(Job* job,
-                      const std::shared_ptr<std::atomic<bool>>& cancel);
+  void RunBacktestJob(Job* job);
+  /// Sets the hooks both runners share: cancellation, progress, the per-job
+  /// thread budget and the config's "deadline_ms".
+  template <typename Hooks>
+  void WireCommonHooks(Job* job, Hooks* hooks) const;
+  /// Adds \p records spliced in from a checkpoint to the stats.
+  void CountResumed(size_t records);
+  /// Records \p job's terminal state from its run's \p status: done with
+  /// \p result (removing its checkpoint), cancelled, or failed.
+  void Finish(Job* job, const Status& status,
+              easytime::Json result = easytime::Json());
   easytime::Json JobJsonLocked(const Job& job) const;
-  /// Next job parked behind \p key, if any (caller holds mu_).
-  std::optional<uint64_t> PopWaitingLocked(const std::string& key);
-
-  /// \brief Opens (recovering or creating) the checkpoint store at \p path
-  /// and fills \p completed with the recovered records. A pre-store
-  /// line-JSON checkpoint file at the same path is migrated into the new
-  /// format first.
-  easytime::Result<std::unique_ptr<store::RecordStore>> OpenCheckpoint(
-      const std::string& path,
-      std::map<std::string, pipeline::RunRecord>* completed,
-      size_t* loaded) const;
-
-  /// Backtest counterpart of OpenCheckpoint: records are OriginEval JSON
-  /// keyed by ladder index; snapshots hold {"origins": [...]}.
-  easytime::Result<std::unique_ptr<store::RecordStore>> OpenBacktestCheckpoint(
-      const std::string& path, std::map<size_t, eval::OriginEval>* completed,
-      size_t* loaded) const;
 
   /// Removes checkpoint stores whose persisted status is terminal — a
   /// completed job crashed between its terminal marker and the checkpoint
@@ -192,19 +173,18 @@ class JobManager {
 
   core::EasyTime* system_;
   Options options_;
-  BoundedQueue<uint64_t> pending_;
-  mutable std::mutex mu_;  ///< guards jobs_, next_id_, stats_, state fields
+  mutable std::mutex mu_;  ///< guards every field below and Job::state
+  /// Signalled when a job is queued, a running job ends, or on Shutdown.
+  std::condition_variable cv_;
+  std::deque<uint64_t> queued_;  ///< admitted, not started; oldest first
   std::map<uint64_t, std::unique_ptr<Job>> jobs_;
   uint64_t next_id_ = 1;
   Stats stats_;
   size_t num_running_ = 0;
-  /// Keys with a job in kRunning; a popped job whose key is active parks in
-  /// waiting_ and is resumed by the worker that finishes the active job.
-  std::set<std::string> active_keys_;
-  std::map<std::string, std::deque<uint64_t>> waiting_;
+  std::set<std::string> active_keys_;  ///< keys with a job in kRunning
   std::vector<std::thread> workers_;
   bool started_ = false;
-  std::atomic<bool> shutdown_{false};
+  bool shutdown_ = false;
 };
 
 }  // namespace easytime::serve

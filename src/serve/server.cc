@@ -31,7 +31,6 @@ ForecastServer::ForecastServer(core::EasyTime* system, Options options)
                                   options.cache_ttl_seconds}),
       jobs_(system, JobManager::Options{options.evaluate_queue_capacity,
                                         options.checkpoint_dir,
-                                        /*checkpoint_every=*/1,
                                         options.evaluate_concurrency}) {}
 
 ForecastServer::ForecastServer(core::EasyTime* system)

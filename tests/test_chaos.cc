@@ -7,6 +7,7 @@
 // pairs on restart.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -275,7 +276,8 @@ TEST_F(ChaosTest, TcpClientsRetryThroughConnectionFaults) {
 // must splice in the completed pairs instead of re-evaluating them.
 TEST_F(ChaosTest, KilledJobResumesFromCheckpointWithoutReevaluating) {
   const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / "easytime_chaos_ckpt")
+      (std::filesystem::path(::testing::TempDir()) /
+       ("easytime_chaos_ckpt_" + std::to_string(::getpid())))
           .string();
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(std::filesystem::create_directories(dir));

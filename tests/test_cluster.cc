@@ -550,11 +550,13 @@ TEST(ClusterRouterTest, CollidingJobIdsNeedTheShardPin) {
   Json again = Call(router, 22, "flush_cache", Json::Object());
   EXPECT_EQ(again.Get("result").GetInt("flushed", -1), 0) << again.Dump();
 
-  // recommend's "k" cuts the merged ranking, best score first.
+  // recommend's "k" cuts the merged ranking after the shards' scores are
+  // averaged: the k=1 reply is exactly the head of the full ranking.
   Json rec_params = Json::Object();
   rec_params.Set("dataset", "traffic_u0");
   Json all = Call(router, 23, "recommend", rec_params);
   ASSERT_TRUE(all.GetBool("ok", false)) << all.Dump();
+  EXPECT_EQ(all.Get("result").GetInt("shards_merged", -1), 2);
   const auto& ranking = all.Get("result").Get("recommendations").items();
   ASSERT_GE(ranking.size(), 2u);
   EXPECT_GE(ranking[0].GetDouble("score", 0.0),
@@ -564,7 +566,7 @@ TEST(ClusterRouterTest, CollidingJobIdsNeedTheShardPin) {
   ASSERT_TRUE(top.GetBool("ok", false)) << top.Dump();
   const auto& cut = top.Get("result").Get("recommendations").items();
   ASSERT_EQ(cut.size(), 1u);
-  EXPECT_EQ(cut[0].GetString("method", ""), ranking[0].GetString("method", ""));
+  EXPECT_EQ(cut[0].Dump(), ranking[0].Dump());
 
   // Submits are fungible work: vary the horizon until both shards have
   // acked a job and one of them holds more jobs than the other.
@@ -639,6 +641,47 @@ TEST(ClusterRouterTest, CollidingJobIdsNeedTheShardPin) {
   EXPECT_EQ(missing_pinned.Get("error").GetString("code", ""), "NotFound")
       << missing_pinned.Dump();
 
+  router.Stop();
+}
+
+// A forward retries no longer than the request's "deadline_ms": against a
+// shard with no live primary and no replica, a request with a small budget
+// is answered before the router's first (long) backoff would end.
+TEST(ClusterRouterTest, ForwardsStopRetryingAtTheRequestDeadline) {
+  ClusterRouter::Options opt = BaseOptions(TestDir("router_deadline"));
+  opt.shards = 1;
+  opt.replicate = false;
+  opt.retry.max_attempts = 3;
+  opt.retry.base_delay_ms = 4000.0;  // jittered: the first backoff >= 2 s
+  opt.retry.max_delay_ms = 8000.0;
+  ClusterRouter router(opt);
+  auto started = router.Start();
+  ASSERT_TRUE(started.ok()) << started.ToString();
+  ASSERT_TRUE(router.KillShardPrimary("shard-0", SIGKILL).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  Json forecast = Json::Object();
+  forecast.Set("dataset", "traffic_u0");
+  forecast.Set("method", "naive");
+  forecast.Set("horizon", int64_t{3});
+  forecast.Set("deadline_ms", 100.0);
+  Json append = AppendParams("traffic_u0", {1.0});
+  append.Set("deadline_ms", 100.0);
+  int64_t id = 1;
+  for (const auto& [endpoint, params] :
+       {std::pair<const char*, Json>{"forecast", forecast},
+        std::pair<const char*, Json>{"append", append}}) {
+    const auto t0 = std::chrono::steady_clock::now();
+    Json reply = Call(router, id++, endpoint, params);
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    EXPECT_FALSE(reply.GetBool("ok", true)) << endpoint << ": " << reply.Dump();
+    EXPECT_EQ(reply.Get("error").GetString("code", ""), "Unavailable")
+        << endpoint << ": " << reply.Dump();
+    EXPECT_LT(ms, 1500.0) << endpoint << " waited out a backoff past its "
+                          << "100 ms deadline";
+  }
   router.Stop();
 }
 

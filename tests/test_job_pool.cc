@@ -1,20 +1,23 @@
-// JobManager pool semantics (PR 4): several workers drain the evaluate
-// queue, same-key jobs stay serialized (they share a checkpoint file), each
-// running job's pipeline is clamped to its thread budget, and the
-// cancel/deadline/checkpoint-resume contract from the single-worker era
-// holds under concurrency. The soak test pushes more jobs than the pool has
-// workers through a mixed cancel/deadline/success schedule and insists
-// every one of them reaches a terminal state.
+// JobManager pool semantics: several workers drain the evaluate queue,
+// same-key jobs stay serialized (they share a checkpoint store) and count
+// against the queue's capacity while they wait, each running job's pipeline
+// is clamped to its thread budget, Shutdown cancels what is still queued,
+// and the cancel/deadline/checkpoint-resume contract holds under
+// concurrency. The soak test pushes more jobs than the pool has workers
+// through a mixed cancel/deadline/success schedule and insists every one of
+// them reaches a terminal state.
 //
 // Delay faults on "pipeline.pair" stretch job runtimes so overlap and
 // cancellation windows are observable even on a single-core container; no
 // assertion here depends on an upper wall-clock bound.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,6 +72,18 @@ Json EvalConfig(const std::string& job_key) {
 std::string StateOf(const JobManager& manager, uint64_t id) {
   auto s = manager.StatusJson(id);
   return s.ok() ? s->GetString("state", "?") : "?";
+}
+
+/// A fresh checkpoint directory under the temp dir, suffixed with the pid
+/// so concurrent copies of a test do not share it.
+std::string FreshCheckpointDir(const std::string& name) {
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) /
+       (name + "_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  EXPECT_TRUE(std::filesystem::create_directories(dir));
+  return dir;
 }
 
 bool IsTerminal(const std::string& state) {
@@ -231,6 +246,157 @@ TEST_F(JobPoolTest, SameKeyJobsSerializeOnTheirCheckpointIdentity) {
   manager.Shutdown();
 }
 
+// Jobs waiting behind a running job on their key still wait in the queue:
+// they count against queue_capacity and queue_depth, the submits beyond it
+// are rejected, and the waiting jobs start in submit order.
+TEST_F(JobPoolTest, SameKeySubmitsBeyondCapacityAreRejectedWhileTheKeyRuns) {
+  ArmPairDelay(30.0);
+  JobManager::Options opt;
+  opt.queue_capacity = 2;
+  opt.concurrency = 2;
+  JobManager manager(system_, opt);
+  manager.Start();
+
+  auto running = manager.Submit(EvalConfig("busy-key"));
+  ASSERT_TRUE(running.ok()) << running.status().ToString();
+  for (int i = 0; i < 4000 && StateOf(manager, *running) == "queued"; ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(StateOf(manager, *running), "running");
+
+  // The idle worker cannot start any of these while busy-key runs.
+  std::vector<uint64_t> accepted;
+  size_t rejected = 0;
+  for (int i = 0; i < 10; ++i) {
+    auto id = manager.Submit(EvalConfig("busy-key"));
+    if (id.ok()) {
+      accepted.push_back(*id);
+    } else {
+      EXPECT_TRUE(id.status().IsUnavailable()) << id.status().ToString();
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(accepted.size(), 2u);
+  EXPECT_EQ(rejected, 8u);
+  EXPECT_EQ(manager.queue_depth(), 2u);
+  EXPECT_EQ(manager.stats().rejected, 8u);
+  EXPECT_EQ(manager.running_jobs(), 1u);
+  ASSERT_EQ(accepted.size(), 2u);
+
+  // Once the key frees, the earlier waiting job starts first: the later one
+  // never leaves the queue while the earlier is still in it (the later
+  // state is read first, and no job returns to "queued").
+  ASSERT_TRUE(manager.Cancel(*running).ok());
+  std::string earlier = "queued";
+  for (int i = 0; i < 4000 && earlier == "queued"; ++i) {
+    const std::string later = StateOf(manager, accepted[1]);
+    earlier = StateOf(manager, accepted[0]);
+    if (earlier == "queued") {
+      EXPECT_EQ(later, "queued") << "the later same-key job started first";
+      std::this_thread::sleep_for(1ms);
+    }
+  }
+  EXPECT_NE(earlier, "queued");
+
+  for (uint64_t id : accepted) ASSERT_TRUE(manager.Cancel(id).ok());
+  EXPECT_EQ(AwaitTerminal(manager, *running), "cancelled");
+  for (uint64_t id : accepted) EXPECT_TRUE(IsTerminal(AwaitTerminal(manager, id)));
+  EXPECT_EQ(manager.queue_depth(), 0u);
+  EXPECT_EQ(manager.stats().peak_running, 1u);
+  manager.Shutdown();
+}
+
+// Workers blocked on an empty queue wake up and exit on Shutdown (it joins
+// them), and the shut-down lane rejects new work.
+TEST_F(JobPoolTest, ShutdownWakesIdleWorkersAndRejectsLaterSubmits) {
+  JobManager::Options opt;
+  opt.concurrency = 3;
+  JobManager manager(system_, opt);
+  manager.Start();
+  std::this_thread::sleep_for(20ms);  // let every worker block on the queue
+  manager.Shutdown();
+
+  auto late = manager.Submit(EvalConfig("after-shutdown"));
+  EXPECT_TRUE(late.status().IsUnavailable()) << late.status().ToString();
+  EXPECT_EQ(manager.stats().rejected, 1u);
+  EXPECT_EQ(manager.stats().submitted, 0u);
+}
+
+// Shutdown lets the running job finish and cancels every job still queued.
+TEST_F(JobPoolTest, ShutdownCancelsQueuedJobsWhileTheRunningOneFinishes) {
+  ArmPairDelay(10.0);
+  JobManager::Options opt;
+  opt.queue_capacity = 4;
+  opt.concurrency = 1;
+  JobManager manager(system_, opt);
+  manager.Start();
+
+  auto a = manager.Submit(EvalConfig("drain-a"));
+  auto b = manager.Submit(EvalConfig("drain-b"));
+  auto c = manager.Submit(EvalConfig("drain-c"));
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+  for (int i = 0; i < 4000 && StateOf(manager, *a) == "queued"; ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(StateOf(manager, *a), "running");
+
+  manager.Shutdown();  // returns once the running job has finished
+  EXPECT_EQ(StateOf(manager, *a), "done");
+  EXPECT_EQ(StateOf(manager, *b), "cancelled");
+  EXPECT_EQ(StateOf(manager, *c), "cancelled");
+  auto stats = manager.stats();
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.cancelled, 2u);
+  EXPECT_EQ(manager.queue_depth(), 0u);
+}
+
+// Producers keep submitting while the lane shuts down: every submit is
+// either rejected Unavailable or admitted, and once Shutdown has returned
+// every admitted job is terminal.
+TEST_F(JobPoolTest, SubmitsRacingShutdownAreRejectedOrReachATerminalState) {
+  JobManager::Options opt;
+  opt.queue_capacity = 4;
+  opt.concurrency = 2;
+  JobManager manager(system_, opt);
+  manager.Start();
+
+  std::mutex mu;
+  std::vector<uint64_t> accepted;
+  std::atomic<size_t> other_errors{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < 3; ++p) {
+    producers.emplace_back([&, p]() {
+      const Json config = EvalConfig("race-" + std::to_string(p));
+      while (!stop.load()) {
+        auto id = manager.Submit(config);
+        if (id.ok()) {
+          std::lock_guard<std::mutex> lock(mu);
+          accepted.push_back(*id);
+        } else if (!id.status().IsUnavailable()) {
+          other_errors.fetch_add(1);
+        }
+      }
+    });
+  }
+  std::this_thread::sleep_for(20ms);
+  manager.Shutdown();
+  stop.store(true);
+  for (auto& t : producers) t.join();
+
+  EXPECT_EQ(other_errors.load(), 0u);
+  EXPECT_FALSE(accepted.empty());
+  for (uint64_t id : accepted) {
+    EXPECT_TRUE(IsTerminal(StateOf(manager, id)))
+        << "job " << id << " left in state " << StateOf(manager, id);
+  }
+  auto stats = manager.stats();
+  EXPECT_EQ(stats.submitted, accepted.size());
+  EXPECT_EQ(stats.completed + stats.failed + stats.cancelled,
+            stats.submitted);
+  EXPECT_EQ(manager.queue_depth(), 0u);
+}
+
 // --- thread budget ----------------------------------------------------------
 
 std::atomic<int> g_probe_inflight{0};
@@ -329,11 +495,7 @@ TEST_F(JobPoolTest, ThreadBudgetCapsPipelineParallelismPerJob) {
 // Checkpoint-resume still splices correctly when the cancelled job and its
 // resumed successor share the pool with unrelated traffic.
 TEST_F(JobPoolTest, CheckpointResumeSplicesUnderConcurrentPool) {
-  const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / "easytime_pool_ckpt")
-          .string();
-  std::filesystem::remove_all(dir);
-  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  const std::string dir = FreshCheckpointDir("easytime_pool_ckpt");
 
   auto config = Json::Parse(R"({
     "methods": ["naive", "drift", "ses", "theta"],
@@ -396,14 +558,68 @@ TEST_F(JobPoolTest, CheckpointResumeSplicesUnderConcurrentPool) {
   std::filesystem::remove_all(dir);
 }
 
+// A checkpoint that was compacted resumes from its snapshot ({"records":
+// [...]}) and its WAL tail together.
+TEST_F(JobPoolTest, ResumesFromACompactedCheckpoint) {
+  const std::string dir = FreshCheckpointDir("easytime_pool_compacted");
+  auto config = Json::Parse(R"({
+    "methods": ["naive", "drift", "ses"],
+    "evaluation": {"strategy": "fixed", "horizon": 8, "metrics": ["mae"]},
+    "num_threads": 1,
+    "job_key": "pool-compacted"
+  })");
+  ASSERT_TRUE(config.ok());
+
+  // Records exactly as a run checkpoints them.
+  auto reference = system_->OneClickEvaluate(*config);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  std::vector<Json> records;
+  for (const auto& rec : reference->records) {
+    if (rec.status.ok()) records.push_back(rec.ToJson());
+  }
+  ASSERT_GE(records.size(), 3u);
+
+  JobManager::Options opt;
+  opt.checkpoint_dir = dir;
+  JobManager manager(system_, opt);
+  const std::string ckpt_path = manager.CheckpointPath("pool-compacted");
+  {
+    auto store = store::RecordStore::Open(ckpt_path,
+                                          store::RecordStoreOptions{}, nullptr);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->Append(records[0].Dump()).ok());
+    ASSERT_TRUE((*store)->Append(records[1].Dump()).ok());
+    Json snapshot = Json::Object();
+    Json arr = Json::Array();
+    arr.Append(records[0]);
+    arr.Append(records[1]);
+    snapshot.Set("records", std::move(arr));
+    ASSERT_TRUE((*store)->Compact(snapshot.Dump()).ok());
+    ASSERT_TRUE((*store)->Append(records[2].Dump()).ok());
+    ASSERT_TRUE((*store)->Sync().ok());
+  }
+
+  manager.Start();
+  auto job = manager.Submit(*config);
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  ASSERT_EQ(AwaitTerminal(manager, *job), "done");
+  auto s = manager.StatusJson(*job);
+  ASSERT_TRUE(s.ok());
+  const Json& summary = s->Get("result");
+  EXPECT_EQ(summary.GetInt("resumed", -1), 3)
+      << "two snapshot records and one WAL record must be spliced in";
+  EXPECT_EQ(summary.GetInt("records", -1),
+            static_cast<int64_t>(reference->records.size()));
+  EXPECT_EQ(manager.stats().resumed_records, 3u);
+  EXPECT_FALSE(std::filesystem::exists(ckpt_path));
+  manager.Shutdown();
+  std::filesystem::remove_all(dir);
+}
+
 // A job that crashed between appending its terminal marker and removing its
 // checkpoint leaves an orphan behind; Start() must sweep exactly those.
 TEST_F(JobPoolTest, StartSweepsTerminalOrphanCheckpointsOnly) {
-  const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / "easytime_pool_sweep")
-          .string();
-  std::filesystem::remove_all(dir);
-  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  const std::string dir = FreshCheckpointDir("easytime_pool_sweep");
 
   JobManager::Options opt;
   opt.queue_capacity = 4;

@@ -838,5 +838,74 @@ TEST_F(BacktestJobTest, ResumesFromCheckpointedOrigins) {
   fs::remove_all(ckpt_dir);
 }
 
+// A compacted backtest checkpoint resumes from its snapshot ({"origins":
+// [...]}) and its WAL tail together.
+TEST_F(BacktestJobTest, ResumesFromACompactedCheckpoint) {
+  const std::string ckpt_dir = TestDir("bt_compacted");
+  const std::string name = FirstDataset();
+
+  Json config = BacktestParams(name);
+  config.Set("type", "backtest");
+  config.Set("job_key", "bt-compacted");
+
+  auto bt_config = eval::BacktestConfig::FromJson(config);
+  ASSERT_TRUE(bt_config.ok()) << bt_config.status().ToString();
+  auto snap = system_->SeriesSnapshot(name);
+  ASSERT_TRUE(snap.ok());
+  eval::BacktestHooks seq;
+  seq.max_threads = 1;
+  auto reference =
+      eval::RunBacktest(snap->values(), snap->period_hint(), *bt_config, seq);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_EQ(reference->origins.size(), 4u);
+
+  JobManager::Options jm_opt;
+  jm_opt.checkpoint_dir = ckpt_dir;
+  JobManager jobs(system_, jm_opt);
+  const std::string ckpt_path = jobs.CheckpointPath("bt-compacted");
+  ASSERT_FALSE(ckpt_path.empty());
+  {
+    auto store = store::RecordStore::Open(
+        ckpt_path, store::RecordStoreOptions{}, nullptr);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    Json origins = Json::Array();
+    for (size_t i : {0, 1}) {
+      Json doc = reference->origins[i].ToJson();
+      ASSERT_TRUE((*store)->Append(doc.Dump()).ok());
+      origins.Append(std::move(doc));
+    }
+    Json snapshot = Json::Object();
+    snapshot.Set("origins", std::move(origins));
+    ASSERT_TRUE((*store)->Compact(snapshot.Dump()).ok());
+    ASSERT_TRUE((*store)->Append(reference->origins[3].ToJson().Dump()).ok());
+    ASSERT_TRUE((*store)->Sync().ok());
+  }
+
+  jobs.Start();
+  auto job_id = jobs.Submit(config);
+  ASSERT_TRUE(job_id.ok()) << job_id.status().ToString();
+  Json status = Json::Object();
+  for (int i = 0; i < 600; ++i) {
+    auto s = jobs.StatusJson(*job_id);
+    ASSERT_TRUE(s.ok());
+    status = std::move(*s);
+    std::string state = status.GetString("state", "");
+    if (state == "done" || state == "failed" || state == "cancelled") break;
+    std::this_thread::sleep_for(20ms);
+  }
+  ASSERT_EQ(status.GetString("state", ""), "done") << status.Dump();
+
+  Json result = status.Get("result");
+  EXPECT_EQ(result.GetInt("resumed", -1), 3)
+      << "origins 0 and 1 (snapshot) and 3 (WAL) must be spliced in";
+  EXPECT_EQ(jobs.stats().resumed_records, 3u);
+  EXPECT_NEAR(result.Get("aggregate").GetDouble("mase", -1.0),
+              reference->aggregate.at("mase"), 1e-9);
+  EXPECT_FALSE(fs::exists(ckpt_path));
+
+  jobs.Shutdown();
+  fs::remove_all(ckpt_dir);
+}
+
 }  // namespace
 }  // namespace easytime::serve
