@@ -1,13 +1,16 @@
-// Storage-engine benchmark (DESIGN.md §9): measures the three numbers the
-// store exists for and emits them as JSON (BENCH_store.json via
+// Storage-engine benchmark (DESIGN.md §9): measures the numbers the store
+// exists for and emits them as JSON (BENCH_store.json via
 // bench/run_store.sh):
 //
-//   1. append       — WAL append throughput, buffered vs fsync-per-append
-//   2. group_commit — durable appends/sec with N concurrent appenders sharing
-//                     one coalesced fsync per batch, vs the single-appender
-//                     fsync-per-append baseline
-//   3. recovery     — reopen (replay) time as the record count grows
-//   4. compaction   — on-disk bytes before vs after a snapshot retires the log
+//   1. bulk_write     — buffered appends closed by one Sync() (the dataset
+//                       cache's path), records/sec
+//   2. durable_append — appends/sec under sync_every_append with 1 appender
+//                       vs N concurrent appenders sharing group-commit fsyncs
+//   3. recovery       — reopen (replay) time as the record count grows
+//   4. compaction     — on-disk bytes before vs after a snapshot retires the
+//                       log
+//
+// Throughputs are the median and spread of 5 trials.
 //
 //   ./build/bench/bench_store [output.json]
 
@@ -18,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/json.h"
 #include "common/stopwatch.h"
 #include "store/record_store.h"
@@ -52,13 +56,14 @@ void Die(const Status& status) {
   std::exit(1);
 }
 
-// ---- 1. append throughput -------------------------------------------------
+// ---- 1. bulk write ---------------------------------------------------------
 
-double AppendThroughput(size_t n, bool sync_every_append) {
+/// Buffered appends closed by one Sync() — the dataset-cache path.
+/// Returns records per second.
+double BulkWriteThroughput(size_t n) {
   fs::remove_all(kDir);
-  store::RecordStoreOptions opt;
-  opt.sync_every_append = sync_every_append;
-  auto rs = store::RecordStore::Open(kDir, opt, nullptr);
+  auto rs = store::RecordStore::Open(kDir, store::RecordStoreOptions{},
+                                     nullptr);
   if (!rs.ok()) Die(rs.status());
   Stopwatch watch;
   for (size_t i = 0; i < n; ++i) {
@@ -71,26 +76,20 @@ double AppendThroughput(size_t n, bool sync_every_append) {
   return seconds > 0.0 ? static_cast<double>(n) / seconds : 0.0;
 }
 
-// ---- 2. group-commit durable append throughput -----------------------------
+// ---- 2. durable appends: 1 appender vs N ----------------------------------
 
-struct GroupCommitNumbers {
+struct DurableNumbers {
   double records_per_sec = 0.0;
   double mean_batch_records = 0.0;
-  uint64_t batches = 0;
 };
 
-GroupCommitNumbers GroupCommitThroughput(size_t appenders,
-                                         size_t appends_per_thread) {
+/// \p appenders threads each make \p appends_per_thread durable appends
+/// (sync_every_append): concurrent appenders share fsyncs.
+DurableNumbers DurableThroughput(size_t appenders,
+                                 size_t appends_per_thread) {
   fs::remove_all(kDir);
   store::RecordStoreOptions opt;
   opt.sync_every_append = true;
-  opt.group_commit = true;
-  // With N synchronous appenders at most N records can ever be pending, so
-  // target exactly one full round per fsync: the committer waits (bounded)
-  // until every in-flight appender has written, then pays one fsync for all
-  // of them. The deadline only matters when appenders stall mid-round.
-  opt.group_commit_max_batch = appenders;
-  opt.group_commit_max_delay_us = 1000;
   auto rs = store::RecordStore::Open(kDir, opt, nullptr);
   if (!rs.ok()) Die(rs.status());
 
@@ -108,13 +107,12 @@ GroupCommitNumbers GroupCommitThroughput(size_t appenders,
   }
   for (auto& th : threads) th.join();
   double seconds = watch.ElapsedSeconds();
-  if (failures.load() != 0) Die(Status::IOError("group-commit append failed"));
+  if (failures.load() != 0) Die(Status::IOError("durable append failed"));
 
-  GroupCommitNumbers out;
+  DurableNumbers out;
   const auto stats = (*rs)->group_commit_stats();
   const double n = static_cast<double>(appenders * appends_per_thread);
   out.records_per_sec = seconds > 0.0 ? n / seconds : 0.0;
-  out.batches = stats.batches;
   out.mean_batch_records =
       stats.batches > 0
           ? static_cast<double>(stats.records) / static_cast<double>(stats.batches)
@@ -206,35 +204,47 @@ CompactionNumbers CompactionRatio(size_t n) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  constexpr size_t kAppendN = 20000;
-  const double buffered_rps = AppendThroughput(kAppendN, false);
-  const double synced_rps = AppendThroughput(2000, true);
-
+  constexpr int kTrials = 5;
   Json out = Json::Object();
-  Json append_json = Json::Object();
-  append_json.Set("payload_bytes", static_cast<int64_t>(120));
-  append_json.Set("threads", static_cast<int64_t>(1));
-  append_json.Set("buffered_records_per_sec", buffered_rps);
-  append_json.Set("buffered_mb_per_sec", buffered_rps * 120.0 / 1e6);
-  append_json.Set("fsync_records_per_sec", synced_rps);
-  out.Set("append", std::move(append_json));
+  benchutil::SetBuildInfo(&out);
 
-  // Durable appends/sec with concurrent appenders sharing one fsync per
-  // batch; speedup is vs the fsync-per-append single-appender baseline above.
-  Json group_json = Json::Array();
-  for (size_t appenders : {size_t{8}, size_t{16}, size_t{32}}) {
-    const GroupCommitNumbers gc = GroupCommitThroughput(appenders, 250);
+  constexpr size_t kBulkN = 20000;
+  std::vector<double> bulk_rps;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    bulk_rps.push_back(BulkWriteThroughput(kBulkN));
+  }
+  Json bulk_json = Json::Object();
+  bulk_json.Set("payload_bytes", static_cast<int64_t>(120));
+  bulk_json.Set("records", static_cast<int64_t>(kBulkN));
+  bulk_json.Set("threads", static_cast<int64_t>(1));
+  bulk_json.Set("records_per_sec", benchutil::TrialSummary(bulk_rps));
+  out.Set("bulk_write", std::move(bulk_json));
+
+  // Durable appends/sec with 1 appender vs N sharing fsyncs; the speedup is
+  // of the medians against the 1-appender median.
+  Json durable_json = Json::Array();
+  double single_median = 0.0;
+  for (size_t appenders : {size_t{1}, size_t{8}, size_t{32}}) {
+    const size_t per_thread = appenders == 1 ? 500 : 250;
+    std::vector<double> rps, batch;
+    for (int trial = 0; trial < kTrials; ++trial) {
+      const DurableNumbers d = DurableThroughput(appenders, per_thread);
+      rps.push_back(d.records_per_sec);
+      batch.push_back(d.mean_batch_records);
+    }
     Json point = Json::Object();
     point.Set("threads", static_cast<int64_t>(appenders));
-    point.Set("records", static_cast<int64_t>(appenders * 250));
-    point.Set("records_per_sec", gc.records_per_sec);
-    point.Set("fsync_batches", static_cast<int64_t>(gc.batches));
-    point.Set("mean_batch_records", gc.mean_batch_records);
-    point.Set("speedup_vs_fsync_per_append",
-              synced_rps > 0.0 ? gc.records_per_sec / synced_rps : 0.0);
-    group_json.Append(std::move(point));
+    point.Set("records", static_cast<int64_t>(appenders * per_thread));
+    Json rps_json = benchutil::TrialSummary(rps);
+    const double median = rps_json.GetDouble("median", 0.0);
+    if (appenders == 1) single_median = median;
+    point.Set("records_per_sec", std::move(rps_json));
+    point.Set("mean_batch_records", benchutil::TrialSummary(batch));
+    point.Set("speedup_vs_1_appender",
+              single_median > 0.0 ? median / single_median : 0.0);
+    durable_json.Append(std::move(point));
   }
-  out.Set("group_commit", std::move(group_json));
+  out.Set("durable_append", std::move(durable_json));
 
   Json recovery_json = Json::Array();
   for (size_t n : {size_t{1000}, size_t{10000}, size_t{50000}}) {

@@ -2,10 +2,13 @@
 
 /// \file bench_util.h
 /// \brief Shared setup for the benchmark harnesses: the candidate method
-/// set, suite construction, and knowledge seeding.
+/// set, suite construction, knowledge seeding, and trial summaries.
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "eval/evaluator.h"
@@ -64,6 +67,29 @@ inline double EvalMae(const std::string& method, const tsdata::Dataset& ds,
   eval::Evaluator evaluator(SeedProtocol(horizon));
   auto res = evaluator.EvaluateDataset(method, Json::Object(), ds);
   return res.ok() ? res->metrics.at("mae") : 1e300;
+}
+
+/// Median and spread (min, max) of repeated trials of one number.
+inline Json TrialSummary(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  Json j = Json::Object();
+  j.Set("trials", static_cast<int64_t>(samples.size()));
+  if (samples.empty()) return j;
+  const size_t n = samples.size();
+  j.Set("median", n % 2 ? samples[n / 2]
+                        : (samples[n / 2 - 1] + samples[n / 2]) / 2.0);
+  j.Set("min", samples.front());
+  j.Set("max", samples.back());
+  return j;
+}
+
+/// Records the core count and build type next to a bench's numbers.
+inline void SetBuildInfo(Json* out) {
+  out->Set("nproc",
+           static_cast<int64_t>(std::thread::hardware_concurrency()));
+#ifdef EASYTIME_BUILD_TYPE
+  out->Set("build_type", EASYTIME_BUILD_TYPE);
+#endif
 }
 
 }  // namespace easytime::benchutil

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs the streaming + backtest benchmark and writes BENCH_backtest.json at
-# the repo root: durable append throughput (buffered / fsync-per-append /
-# group-commit across concurrent appenders) and rolling-origin backtest
+# the repo root: durable append throughput (1 appender vs 8 sharing
+# group-commit fsyncs, medians of 5 trials) and rolling-origin backtest
 # throughput (origins/sec at 1 thread vs N, with the bit-identical
 # cross-check the backtest job type advertises).
 #

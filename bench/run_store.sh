@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Runs the storage-engine benchmark and writes BENCH_store.json at the repo
-# root: WAL append throughput (buffered vs fsync-per-append), group-commit
-# durable throughput with 8 and 16 concurrent appenders, recovery time as
-# the record count grows, and the on-disk compaction ratio.
+# root: bulk-write throughput (buffered appends closed by one Sync), durable
+# append throughput with 1, 8 and 32 appenders sharing group-commit fsyncs
+# (medians and spread of 5 trials), recovery time as the record count
+# grows, and the on-disk compaction ratio.
 #
 # Usage: bench/run_store.sh [build_dir]   (default: build)
 set -euo pipefail

@@ -133,7 +133,6 @@ easytime::Status ShardWorker::BringUp(const std::string& store_dir,
                             PresetOptions(config_.preset));
   if (!store_dir.empty()) {
     opt.store_dir = store_dir;
-    opt.store_sync_every_append = true;  // acks must mean durable
   }
   EASYTIME_ASSIGN_OR_RETURN(std::unique_ptr<core::EasyTime> system,
                             core::EasyTime::Create(opt));

@@ -74,7 +74,6 @@ easytime::Result<std::unique_ptr<EasyTime>> EasyTime::Create(
   if (!options.store_dir.empty()) {
     tsdata::AppendLogOptions log_options;
     log_options.dir = options.store_dir + "/appends";
-    log_options.sync_every_append = options.store_sync_every_append;
     log_options.compact_every = options.append_compact_every;
     EASYTIME_ASSIGN_OR_RETURN(
         system->append_log_,
@@ -89,7 +88,6 @@ easytime::Result<std::unique_ptr<EasyTime>> EasyTime::Create(
     knowledge::KnowledgeStore::Options store_options;
     store_options.dir = options.store_dir;
     store_options.compact_every = options.store_compact_every;
-    store_options.sync_every_append = options.store_sync_every_append;
     EASYTIME_ASSIGN_OR_RETURN(
         system->store_,
         knowledge::KnowledgeStore::Open(store_options, &system->kb_,

@@ -66,13 +66,12 @@ class EasyTime {
     /// the pipeline run and snapshotted; a populated one restores the
     /// knowledge base (snapshot + WAL tail) and SKIPS the seeding
     /// evaluation, and every committed evaluation report is appended to the
-    /// WAL durably. Empty = in-memory only (the historical behavior).
+    /// WAL durably (acked means fsync'd; concurrent appends share fsyncs).
+    /// Empty = in-memory only (the historical behavior).
     std::string store_dir;
     /// Compact the store (snapshot + delete covered WAL segments) after
     /// this many appended reports; 0 disables automatic compaction.
     size_t store_compact_every = 32;
-    /// fsync every store append (strongest durability; slower commits).
-    bool store_sync_every_append = true;
     /// Compact the streaming append log after this many appended batches;
     /// 0 disables automatic compaction.
     size_t append_compact_every = 256;

@@ -166,9 +166,9 @@ easytime::Result<std::unique_ptr<KnowledgeStore>> KnowledgeStore::Open(
         "KnowledgeStore::Open requires a knowledge base");
   }
   store::RecordStoreOptions store_options;
-  store_options.segment_bytes = options.segment_bytes;
-  store_options.sync_every_append = options.sync_every_append;
-  store_options.keep_snapshots = options.keep_snapshots;
+  // Every append is durable before it returns: AddReport durability is the
+  // point of the store.
+  store_options.sync_every_append = true;
 
   OpenInfo local;
   OpenInfo* oi = info ? info : &local;

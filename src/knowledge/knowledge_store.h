@@ -8,6 +8,7 @@
 /// evaluation). Open() recovers snapshot + tail and seeds the KnowledgeBase
 /// through its single-version-bump Restore(), so a server restarted against
 /// a populated store answers queries without re-running any evaluation.
+/// Every append is durable before AppendResults returns.
 
 #include <cstdint>
 #include <memory>
@@ -42,10 +43,6 @@ class KnowledgeStore {
     /// Compact (snapshot + delete covered WAL segments) after this many WAL
     /// appends; 0 disables automatic compaction.
     size_t compact_every = 32;
-    /// fsync each append — AddReport durability is the point of the store.
-    bool sync_every_append = true;
-    size_t segment_bytes = 1 << 20;
-    size_t keep_snapshots = 2;
   };
 
   /// What Open() found on disk.
@@ -75,7 +72,6 @@ class KnowledgeStore {
   uint64_t last_seq() const { return store_->last_seq(); }
   uint64_t snapshot_seq() const { return store_->snapshot_seq(); }
   const std::string& dir() const { return store_->dir(); }
-  store::RecordStore* record_store() { return store_.get(); }
 
  private:
   KnowledgeStore(Options options, std::unique_ptr<store::RecordStore> store);

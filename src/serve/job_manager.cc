@@ -51,9 +51,10 @@ class Checkpoint {
       const std::function<std::optional<Key>(const easytime::Json&)>&
           recover) {
     if (path.empty()) return nullptr;
+    store::RecordStoreOptions options;
+    options.sync_every_append = true;  // each record is durable when appended
     store::RecordStoreRecovery recovery;
-    auto opened = store::RecordStore::Open(path, store::RecordStoreOptions{},
-                                           &recovery);
+    auto opened = store::RecordStore::Open(path, options, &recovery);
     if (!opened.ok()) {
       EASYTIME_LOG(Warning) << "job " << job_id
                             << ": cannot open checkpoint store " << path
@@ -92,11 +93,13 @@ class Checkpoint {
     if (!seq.ok()) {
       EASYTIME_LOG(Warning) << "checkpoint append failed: "
                             << seq.status().ToString();
+      // A failed fsync leaves the record in the log but not in docs_, so a
+      // snapshot of docs_ would drop it: stop compacting until reopen.
+      compact_ = false;
       return;
     }
     docs_[std::move(key)] = std::move(doc);
-    (void)store_->Sync();
-    if (store_->appends_since_compaction() >= kCompactEvery) {
+    if (compact_ && store_->appends_since_compaction() >= kCompactEvery) {
       easytime::Json state = easytime::Json::Object();
       easytime::Json arr = easytime::Json::Array();
       for (const auto& [k, d] : docs_) arr.Append(d);
@@ -116,7 +119,6 @@ class Checkpoint {
     easytime::Json marker = easytime::Json::Object();
     marker.Set(kTerminalKey, "done");
     (void)store_->Append(marker.Dump());
-    (void)store_->Sync();
   }
 
  private:
@@ -128,6 +130,7 @@ class Checkpoint {
   const std::string field_;
   /// Every checkpointed doc (recovered + this run's): the snapshot state.
   std::map<Key, easytime::Json> docs_;
+  bool compact_ = true;  ///< false once an append failed (see Append)
 };
 
 }  // namespace

@@ -54,9 +54,6 @@ easytime::Result<std::unique_ptr<RecordStore>> RecordStore::Open(
   WalOptions wal_options;
   wal_options.segment_bytes = options.segment_bytes;
   wal_options.sync_every_append = options.sync_every_append;
-  wal_options.group_commit = options.group_commit;
-  wal_options.group_commit_max_batch = options.group_commit_max_batch;
-  wal_options.group_commit_max_delay_us = options.group_commit_max_delay_us;
   WalRecoveryStats stats;
   auto wal_or = Wal::Open(
       dir, wal_options, rec->snapshot_seq,

@@ -10,6 +10,11 @@
 /// keep_snapshots images, then delete WAL segments fully covered by the
 /// OLDEST retained snapshot — never the newest — so a snapshot that later
 /// turns out corrupt can still be rebuilt from the previous image + WAL.
+///
+/// Durability: with sync_every_append each Append returns once its record
+/// is durable, concurrent appenders sharing group-commit fsyncs; without
+/// it, a buffered run of appends is closed by one Sync(). A failed
+/// segment-close fsync fails every later Sync() until the store is reopened.
 
 #include <atomic>
 #include <cstdint>
@@ -29,13 +34,10 @@ namespace easytime::store {
 struct RecordStoreOptions {
   /// Rotate WAL segments at this size.
   size_t segment_bytes = 1 << 20;
-  /// fsync the WAL after every append (otherwise callers batch with Sync()).
+  /// Make every append durable before it returns; concurrent appenders
+  /// share fsyncs (WalOptions::sync_every_append). Off, callers close a
+  /// buffered run of appends with one Sync().
   bool sync_every_append = false;
-  /// Coalesce concurrent durable appends into one fsync per batch (see
-  /// WalOptions::group_commit); only meaningful with sync_every_append.
-  bool group_commit = false;
-  size_t group_commit_max_batch = 64;
-  uint32_t group_commit_max_delay_us = 0;
   /// Snapshot images retained by Compact(); must be >= 1. With the default 2,
   /// WAL segments are only deleted once a second snapshot exists, so a
   /// corrupt newest snapshot never loses data.
@@ -70,7 +72,8 @@ class RecordStore {
   /// Appends one record to the WAL, returning its sequence number.
   easytime::Result<uint64_t> Append(std::string_view payload);
 
-  /// Durability point: fsync the active WAL segment.
+  /// Durability point: every record appended so far is durable when this
+  /// returns ok (Wal::Sync).
   easytime::Status Sync();
 
   /// \brief Writes \p state as a snapshot covering everything appended so

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -270,14 +269,6 @@ Wal::Wal(std::string dir, WalOptions options)
     : dir_(std::move(dir)), options_(options) {}
 
 Wal::~Wal() {
-  if (committer_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      committer_stop_ = true;
-    }
-    commit_cv_.notify_all();
-    committer_.join();  // drains any pending batch before exiting
-  }
   std::lock_guard<std::mutex> lock(mu_);
   CloseActiveLocked();
 }
@@ -310,10 +301,7 @@ easytime::Result<std::unique_ptr<Wal>> Wal::Open(
   WalRecoveryStats local;
   EASYTIME_RETURN_IF_ERROR(
       wal->Recover(after_seq, replay, stats ? stats : &local));
-  if (options.group_commit && options.sync_every_append) {
-    wal->durable_seq_ = wal->last_seq_;  // recovery leaves nothing pending
-    wal->committer_ = std::thread(&Wal::CommitterLoop, wal.get());
-  }
+  wal->durable_seq_ = wal->last_seq_;  // nothing pending after recovery
   return wal;
 }
 
@@ -340,50 +328,41 @@ easytime::Status Wal::Recover(uint64_t after_seq, const ReplayFn& replay,
     if (!content_or.ok()) return content_or.status();
     const std::string& content = *content_or;
 
-    bool header_ok = content.size() >= kHeaderBytes &&
-                     std::memcmp(content.data(), kMagic, 8) == 0 &&
-                     GetU64(content.data() + 8) == seg.start_seq;
-    if (header_ok && anchored && seg.start_seq != expect) {
-      // A hole in the chain (e.g. a manually deleted segment): records past
-      // it cannot be applied to any recoverable state.
-      header_ok = false;
-    }
-    if (!header_ok) {
+    // A hole in the chain (e.g. a manually deleted segment) or a bad header:
+    // records past it cannot be applied to any recoverable state.
+    const auto drop_segment = [&] {
       stats->bytes_dropped += content.size();
       ++stats->segments_dropped;
       fs::remove(seg.path, ec);
       chain_broken = true;
+    };
+    if (anchored && seg.start_seq != expect) {
+      drop_segment();
       continue;
     }
-
-    size_t off = kHeaderBytes;
-    size_t valid_end = off;
-    uint64_t rec_expect = seg.start_seq;
-    while (off + kFrameBytes <= content.size()) {
-      const char* p = content.data() + off;
-      uint32_t len = GetU32(p);
-      uint32_t crc = GetU32(p + 4);
-      uint64_t seq = GetU64(p + 8);
-      if (len > kMaxPayload || off + kFrameBytes + len > content.size()) break;
-      std::string_view payload(p + kFrameBytes, len);
-      if (RecordCrc(seq, payload) != crc) break;
-      if (seq != rec_expect) break;
-      if (seq > after_seq) {
-        if (!replay_started && seq != after_seq + 1) {
-          // The first record above the recovered snapshot does not continue
-          // it; the remainder is unreachable state.
-          break;
-        }
-        replay_started = true;
-        if (replay) replay(seq, std::string(payload));
-        ++stats->records_replayed;
-      } else {
-        ++stats->records_skipped;
-      }
-      rec_expect = seq + 1;
-      off += kFrameBytes + len;
-      valid_end = off;
+    // The first record above the recovered snapshot must continue it. The
+    // chain is contiguous, so only a segment's first record can break that:
+    // a segment starting past after_seq + 1 before replay began holds
+    // unreachable state and is cut back to its header.
+    const bool unreachable = !replay_started && seg.start_seq > after_seq + 1;
+    auto info = ValidateWalSegmentImage(
+        content, SegmentName(seg.start_seq),
+        [&](uint64_t seq, std::string_view payload) {
+          if (unreachable) return;
+          if (seq > after_seq) {
+            replay_started = true;
+            if (replay) replay(seq, std::string(payload));
+            ++stats->records_replayed;
+          } else {
+            ++stats->records_skipped;
+          }
+        });
+    if (!info.ok()) {
+      drop_segment();
+      continue;
     }
+    const size_t valid_end =
+        unreachable ? kHeaderBytes : static_cast<size_t>(info->valid_bytes);
     if (valid_end < content.size()) {
       stats->bytes_dropped += content.size() - valid_end;
       fs::resize_file(seg.path, valid_end, ec);
@@ -393,7 +372,7 @@ easytime::Status Wal::Recover(uint64_t after_seq, const ReplayFn& replay,
       }
       chain_broken = true;  // later segments belong to the dropped suffix
     }
-    expect = rec_expect;
+    expect = unreachable ? seg.start_seq : info->last_seq + 1;
     anchored = true;
     surviving.push_back(seg);
   }
@@ -463,124 +442,85 @@ easytime::Result<uint64_t> Wal::Append(std::string_view payload) {
   }
   active_bytes_ += frame.size();
   last_seq_ = seq;
+  lock.unlock();
   if (options_.sync_every_append) {
-    if (GroupCommitActive()) {
-      // Hand durability to the committer and block until a batch fsync (or a
-      // failure) covers this record. The log mutex is dropped BEFORE parking
-      // on the ack cv, so concurrent appenders write their records in the
-      // meantime — that is the batch the next fsync acknowledges — and the
-      // post-fsync wakeup never serializes behind writers of that batch.
-      lock.unlock();
-      commit_cv_.notify_one();
-      std::unique_lock<std::mutex> ack(ack_mu_);
-      ack_cv_.wait(ack, [&] {
-        return durable_seq_.load(std::memory_order_acquire) >= seq ||
-               failed_seq_.load(std::memory_order_acquire) >= seq;
-      });
-      // Failure wins over durability: when a segment-close fsync failed, the
-      // committer's later fsync of the NEW segment advances durable_seq_ past
-      // records living in the FAILED one, so durable_seq_ >= seq alone must
-      // never ack a record the failure watermark also covers.
-      if (failed_seq_.load(std::memory_order_acquire) >= seq) {
-        return commit_status_.ok()
-                   ? easytime::Status::IOError("wal group commit failed")
-                   : commit_status_;
-      }
-      return seq;
-    }
-    EASYTIME_RETURN_IF_ERROR(SyncLocked());
+    // Fault point "store.append_written": lets tests hold a written record
+    // back from Sync while another caller's fsync covers it.
+    EASYTIME_FAULT_POINT("store.append_written");
+    EASYTIME_RETURN_IF_ERROR(SyncThrough(seq, /*retry_failed=*/false));
   }
   return seq;
 }
 
-void Wal::CommitterLoop() {
-  const auto acked = [&] {
-    return std::max(durable_seq_.load(std::memory_order_relaxed),
-                    failed_seq_.load(std::memory_order_relaxed));
-  };
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    commit_cv_.wait(lock, [&] {
-      return committer_stop_ || last_seq_ > acked();
-    });
-    if (last_seq_ <= acked()) {
-      if (committer_stop_) return;
-      continue;  // spurious / already covered
-    }
-    if (options_.group_commit_max_delay_us > 0 && !committer_stop_) {
-      // Size-or-deadline: give the batch a bounded chance to fill before
-      // paying the fsync (mirrors the serve micro-batcher).
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::microseconds(options_.group_commit_max_delay_us);
-      commit_cv_.wait_until(lock, deadline, [&] {
-        return committer_stop_ ||
-               last_seq_ - acked() >= options_.group_commit_max_batch;
-      });
-    }
-    const uint64_t base = acked();
-    const uint64_t target = last_seq_;
-    // fsync a dup of the active fd OUTSIDE the mutex: appenders keep writing
-    // (forming the next batch) while this batch commits. Records <= target
-    // in earlier, rotated segments were fsync'd by CloseActiveLocked.
-    const bool had_fd = fd_ >= 0;
-    const int dupfd = had_fd ? ::dup(fd_) : -1;
-    lock.unlock();
-    easytime::Status st = [&]() -> easytime::Status {
-      EASYTIME_FAULT_POINT("store.fsync");
-      if (had_fd && dupfd < 0) {
-        return easytime::Status::IOError("wal group commit: dup failed");
-      }
-      if (dupfd >= 0 && ::fsync(dupfd) != 0) {
-        return easytime::Status::IOError(std::string("wal fsync failed: ") +
-                                         std::strerror(errno));
-      }
-      return easytime::Status::OK();
-    }();
-    if (dupfd >= 0) ::close(dupfd);
-    {
-      // Publish under ack_mu_ only — the log mutex stays free for the next
-      // batch's writers while this batch's waiters drain. A poisoned log
-      // fails the batch even when this fsync succeeded: the chain behind
-      // these records may be torn, so recovery could drop them regardless.
-      std::lock_guard<std::mutex> ack(ack_mu_);
-      if (st.ok() && !commit_poisoned_) {
-        if (durable_seq_.load(std::memory_order_relaxed) < target) {
-          durable_seq_.store(target, std::memory_order_release);
-        }
-        ++gc_stats_.batches;
-        gc_stats_.records += target - base;
-      } else {
-        if (failed_seq_.load(std::memory_order_relaxed) < target) {
-          failed_seq_.store(target, std::memory_order_release);
-        }
-        if (!st.ok()) commit_status_ = st;  // else keep the poison's cause
-      }
-    }
-    ack_cv_.notify_all();
-    lock.lock();
-  }
-}
-
-easytime::Status Wal::SyncLocked() {
-  EASYTIME_FAULT_POINT("store.fsync");
-  if (fd_ < 0) return easytime::Status::OK();
-  if (::fsync(fd_) != 0) {
-    return easytime::Status::IOError(std::string("wal fsync failed: ") +
-                                     std::strerror(errno));
-  }
-  return easytime::Status::OK();
-}
-
 easytime::Status Wal::Sync() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return SyncLocked();
+  return SyncThrough(last_seq(), /*retry_failed=*/true);
+}
+
+easytime::Status Wal::SyncThrough(uint64_t seq, bool retry_failed) {
+  std::unique_lock<std::mutex> ack(ack_mu_);
+  const uint64_t failures_before = failures_;
+  for (;;) {
+    // Failure wins over durability: a later fsync may advance durable_seq_
+    // past records an earlier failed fsync covered, and a poisoned log has
+    // no durable records past the failed segment. A failed fsync with
+    // failed_seq_ >= seq read last_seq_ after seq was written, so it covered
+    // seq: Append's record is judged from its write on. Only an explicit
+    // Sync() may retry records whose fsync failed before the call.
+    const bool seq_failed =
+        failed_seq_ >= seq && (!retry_failed || failures_ != failures_before);
+    if (poisoned_ || seq_failed) return commit_status_;
+    if (durable_seq_ >= seq) return easytime::Status::OK();
+    if (!syncing_) break;
+    ack_cv_.wait(ack);  // an fsync is running: it may cover seq
+  }
+  // Lead: one fsync acknowledges every record written so far. It runs on a
+  // dup of the active fd OUTSIDE both mutexes, so appenders keep writing the
+  // next batch meanwhile. Records <= target in earlier, rotated segments
+  // were fsync'd by CloseActiveLocked (or poisoned the log).
+  syncing_ = true;
+  ack.unlock();
+  uint64_t target;
+  int dupfd;
+  bool had_fd;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    target = last_seq_;
+    had_fd = fd_ >= 0;
+    dupfd = had_fd ? ::dup(fd_) : -1;
+  }
+  easytime::Status st = [&]() -> easytime::Status {
+    EASYTIME_FAULT_POINT("store.fsync");
+    if (had_fd && dupfd < 0) {
+      return easytime::Status::IOError("wal fsync: dup failed");
+    }
+    if (dupfd >= 0 && ::fsync(dupfd) != 0) {
+      return easytime::Status::IOError(std::string("wal fsync failed: ") +
+                                       std::strerror(errno));
+    }
+    return easytime::Status::OK();
+  }();
+  if (dupfd >= 0) ::close(dupfd);
+  ack.lock();
+  syncing_ = false;
+  if (st.ok() && !poisoned_) {
+    ++gc_stats_.batches;
+    gc_stats_.records += target - durable_seq_;
+    durable_seq_ = target;
+  } else {
+    ++failures_;
+    failed_seq_ = std::max(failed_seq_, target);
+    if (!st.ok()) commit_status_ = st;  // else keep the poison's cause
+    st = commit_status_;
+  }
+  ack.unlock();
+  ack_cv_.notify_all();
+  return st;
 }
 
 void Wal::CloseActiveLocked() {
   if (fd_ < 0) return;
   // Fault point "store.segment_close_fsync": lets tests fail exactly the
-  // rotation-close fsync while the committer's batch fsyncs keep succeeding.
+  // rotation-close fsync while Sync()'s fsyncs keep succeeding.
   easytime::Status close_st = easytime::Status::OK();
   if (::easytime::FaultRegistry::AnyArmed()) {
     close_st = ::easytime::FaultRegistry::Global().Check(
@@ -594,25 +534,10 @@ void Wal::CloseActiveLocked() {
   if (!close_st.ok()) {
     EASYTIME_LOG(Warning) << "wal: fsync on segment close failed: "
                           << close_st.ToString();
-    if (GroupCommitActive()) {
-      // Waiters whose records sit in this segment must not be acked as
-      // durable by a later batch fsync of the NEXT segment — and neither may
-      // any LATER record: if this segment's tail is torn on disk, recovery
-      // truncates it and drops every subsequent segment as an unreachable
-      // suffix. Poison the committer so all batches fail until reopen.
-      // Lock order is always mu_ -> ack_mu_ (never the reverse), so taking
-      // ack_mu_ here under mu_ cannot deadlock with the committer or with
-      // waiters.
-      {
-        std::lock_guard<std::mutex> ack(ack_mu_);
-        commit_poisoned_ = true;
-        if (failed_seq_.load(std::memory_order_relaxed) < last_seq_) {
-          failed_seq_.store(last_seq_, std::memory_order_release);
-        }
-        commit_status_ = close_st;
-      }
-      ack_cv_.notify_all();
-    }
+    // Lock order is mu_ -> ack_mu_, so this cannot deadlock with Sync().
+    std::lock_guard<std::mutex> ack(ack_mu_);
+    poisoned_ = true;
+    commit_status_ = close_st;
   }
   ::close(fd_);
   fd_ = -1;

@@ -15,8 +15,13 @@
 /// Sequence numbers increase by exactly 1 across the whole chain; a gap, a
 /// checksum mismatch, or a short frame ends recovery at that point (the file
 /// is truncated to the valid prefix and later segments are deleted).
+///
+/// Durability has one path, Sync(), and the log starts no thread. Callers
+/// group-commit their own writes: the first caller whose records are not yet
+/// durable leads one fsync covering every record written so far, and callers
+/// arriving while it runs wait for it. With sync_every_append, Append ends
+/// in that Sync() (DESIGN.md §10).
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -24,7 +29,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/result.h"
@@ -35,28 +39,16 @@ namespace easytime::store {
 struct WalOptions {
   /// Rotate to a fresh segment once the active one reaches this many bytes.
   size_t segment_bytes = 1 << 20;
-  /// fsync after every append (strongest durability; otherwise callers batch
-  /// durability points with Sync()).
+  /// Make every append durable before it returns (Append ends with Sync()).
+  /// Off, callers write a buffered run of records and close it with one
+  /// Sync() — the bulk-write path.
   bool sync_every_append = false;
-  /// Group commit: coalesce concurrent durable appends into one fsync. Only
-  /// meaningful with sync_every_append. Appenders write their record under
-  /// the log mutex as usual, then block until the committer thread's next
-  /// batch fsync covers their sequence number, so every Append still returns
-  /// only once its record is durable — but one fsync now acknowledges every
-  /// record written while the previous fsync was in flight.
-  bool group_commit = false;
-  /// Batch size at which the committer stops waiting for more appenders.
-  size_t group_commit_max_batch = 64;
-  /// Extra time the committer may wait for a batch to fill once at least one
-  /// record is pending (0 = commit whatever accumulated while the previous
-  /// fsync ran — natural batching, lowest latency).
-  uint32_t group_commit_max_delay_us = 0;
 };
 
 /// Observed group-commit activity (for tests and benchmarks).
 struct WalGroupCommitStats {
-  uint64_t batches = 0;  ///< fsync batches issued by the committer
-  uint64_t records = 0;  ///< records acknowledged by those batches
+  uint64_t batches = 0;  ///< successful durability fsyncs
+  uint64_t records = 0;  ///< records acknowledged by those fsyncs
 };
 
 /// What recovery found and repaired while opening a log.
@@ -137,10 +129,20 @@ class Wal {
 
   /// \brief Appends one record, returning its sequence number. Fault point
   /// "store.append"; a failed write truncates the segment back so the log
-  /// never exposes a half-written record to a later append.
+  /// never exposes a half-written record to a later append. With
+  /// sync_every_append the record is durable when this returns ok, and any
+  /// failed fsync that covered it fails the call, even one that finished
+  /// before this call reached Sync (fault point "store.append_written" sits
+  /// between the write and the Sync).
   easytime::Result<uint64_t> Append(std::string_view payload);
 
-  /// Durability point: fsync the active segment ("store.fsync" fault point).
+  /// \brief Durability point: makes every record appended before the call
+  /// durable. The one fsync path of the log (fault point "store.fsync").
+  /// Group commit: when an fsync is already running the caller waits for
+  /// it; otherwise the caller leads one fsync of the active segment that
+  /// acknowledges every record written so far, including other callers'.
+  /// Records an fsync failed before the call are fsync'd again. A failed
+  /// segment-close fsync fails every later call until reopen.
   easytime::Status Sync();
 
   /// \brief Deletes the longest prefix of segments whose records all have
@@ -155,7 +157,7 @@ class Wal {
   /// Segment files currently on disk, in chain order (for tests/compaction).
   std::vector<std::string> SegmentPaths() const;
 
-  /// Group-commit counters (zeros when group commit is off).
+  /// Group-commit counters: durability fsyncs and the records they acked.
   WalGroupCommitStats group_commit_stats() const;
 
  private:
@@ -171,14 +173,10 @@ class Wal {
                            WalRecoveryStats* stats);
 
   easytime::Status OpenFreshSegmentLocked();
-  easytime::Status SyncLocked();
   void CloseActiveLocked();
-
-  /// Committer thread body (group commit): waits for pending records, then
-  /// fsyncs OUTSIDE the log mutex on a dup'd fd so the next batch forms
-  /// while the current one commits, then acks waiters through durable_seq_.
-  void CommitterLoop();
-  bool GroupCommitActive() const { return committer_.joinable(); }
+  /// Sync() for the records up to \p seq; \p retry_failed is true for
+  /// Sync() and false for Append (see both for the failure rule).
+  easytime::Status SyncThrough(uint64_t seq, bool retry_failed);
 
   const std::string dir_;
   const WalOptions options_;
@@ -189,28 +187,23 @@ class Wal {
   uint64_t active_bytes_ = 0;
   uint64_t last_seq_ = 0;
 
-  // Group-commit state. The committer's pending-work wait runs under mu_
-  // (it reads last_seq_), but acks live on their own mutex: appenders waiting
-  // for durability park on ack_mu_/ack_cv_, so the post-fsync wakeup herd
-  // never contends with appenders writing the NEXT batch under mu_. The
-  // watermarks are atomics because the committer publishes them without mu_
-  // and both wait predicates read them.
-  std::condition_variable commit_cv_;  ///< wakes the committer (paired w/ mu_)
-  std::thread committer_;
-  bool committer_stop_ = false;  ///< guarded by mu_
-  std::atomic<uint64_t> durable_seq_{0};  ///< records <= this are fsync'd
-  std::atomic<uint64_t> failed_seq_{0};   ///< records <= this failed a commit
+  // Durability state. It lives on its own mutex so callers waiting for an
+  // fsync never contend with appenders writing the next batch under mu_.
+  // Lock order is mu_ -> ack_mu_, never the reverse.
   mutable std::mutex ack_mu_;
-  std::condition_variable ack_cv_;  ///< paired with ack_mu_
-  easytime::Status commit_status_ = easytime::Status::OK();  ///< ack_mu_
-  WalGroupCommitStats gc_stats_;                             ///< ack_mu_
-  /// Sticky fail-stop (guarded by ack_mu_): set when a segment-close fsync
-  /// fails under group commit. The closed segment's tail may be torn, and
-  /// recovery truncates a torn tail and then DROPS every later segment as an
-  /// unreachable suffix — so records appended after the failure cannot be
-  /// guaranteed durable either, no matter how their own fsync goes. Once set,
-  /// every batch is acked as failed until the log is reopened.
-  bool commit_poisoned_ = false;
+  std::condition_variable ack_cv_;  ///< signalled when an fsync finishes
+  bool syncing_ = false;            ///< a leader's fsync is in flight
+  uint64_t durable_seq_ = 0;        ///< records <= this are fsync'd
+  uint64_t failed_seq_ = 0;         ///< highest record of a failed fsync
+  uint64_t failures_ = 0;           ///< failed fsyncs so far
+  easytime::Status commit_status_ = easytime::Status::OK();  ///< last failure
+  WalGroupCommitStats gc_stats_;
+  /// Sticky fail-stop: set when a segment-close fsync fails. The closed
+  /// segment's tail may be torn, and recovery truncates a torn tail and then
+  /// DROPS every later segment as an unreachable suffix — so no record
+  /// appended after the failure can be acked durable, however its own fsync
+  /// goes. Every Sync() fails until the log is reopened.
+  bool poisoned_ = false;
 };
 
 }  // namespace easytime::store

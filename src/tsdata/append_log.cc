@@ -116,10 +116,7 @@ easytime::Result<std::unique_ptr<AppendLog>> AppendLog::Open(
     return Status::InvalidArgument("append log needs a repository");
   }
   store::RecordStoreOptions store_options;
-  store_options.segment_bytes = options.segment_bytes;
-  store_options.sync_every_append = options.sync_every_append;
-  store_options.group_commit = options.group_commit;
-  store_options.group_commit_max_batch = options.group_commit_max_batch;
+  store_options.sync_every_append = true;  // acks mean durable
   store::RecordStoreRecovery recovery;
   EASYTIME_ASSIGN_OR_RETURN(
       auto record_store,

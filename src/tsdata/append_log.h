@@ -13,8 +13,9 @@
 /// Ordering contract: appends to ONE dataset must be serialized by the
 /// caller (the core facade holds a per-dataset append mutex), which makes
 /// WAL order equal start-offset order per dataset. Appends to DIFFERENT
-/// datasets may run concurrently — with group commit enabled they share
-/// fsyncs, which is where the streaming throughput comes from.
+/// datasets may run concurrently — every append is durable before it is
+/// acknowledged, and concurrent appenders share one fsync per group commit
+/// (Wal::Sync), which is where the streaming throughput comes from.
 
 #include <map>
 #include <memory>
@@ -44,15 +45,9 @@ struct AppendRecord {
 /// Tuning for one log instance.
 struct AppendLogOptions {
   std::string dir;
-  /// fsync before acknowledging (ack-after-durable); group commit coalesces
-  /// concurrent appenders into one fsync per batch.
-  bool sync_every_append = true;
-  bool group_commit = true;
-  size_t group_commit_max_batch = 64;
   /// Compact (snapshot cumulative tails + drop covered WAL segments) after
   /// this many appends; 0 disables automatic compaction.
   size_t compact_every = 256;
-  size_t segment_bytes = 1 << 20;
 };
 
 /// \brief The append log. Open() replays recovered state onto a repository;
@@ -72,16 +67,14 @@ class AppendLog {
       const AppendLogOptions& options, Repository* repo,
       ReplayStats* stats = nullptr);
 
-  /// \brief Durably appends one record; returns after the record is on disk
-  /// (under the default sync_every_append). Safe to call concurrently for
-  /// different datasets; same-dataset calls must be externally serialized
-  /// in start order (see the ordering contract above).
+  /// \brief Durably appends one record; returns after the record is on
+  /// disk. Safe to call concurrently for different datasets; same-dataset
+  /// calls must be externally serialized in start order (see the ordering
+  /// contract above).
   easytime::Status Append(const AppendRecord& record);
 
-  /// Records appended since Open (not counting replayed ones).
-  uint64_t appends() const { return store_->last_seq(); }
-
-  /// Group-commit fsync counters of the underlying WAL.
+  /// Group-commit counters of the underlying WAL: fsyncs and the appends
+  /// they acknowledged.
   store::WalGroupCommitStats group_commit_stats() const {
     return store_->group_commit_stats();
   }

@@ -704,9 +704,6 @@ TEST(StoreGroupCommitTest, ConcurrentAppendersAllDurableAndCoalesced) {
   const std::string dir = TestDir("group_commit");
   RecordStoreOptions opt;
   opt.sync_every_append = true;
-  opt.group_commit = true;
-  opt.group_commit_max_batch = 16;
-  opt.group_commit_max_delay_us = 2000;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 25;
   {
@@ -746,7 +743,6 @@ TEST(StoreGroupCommitTest, SingleAppenderStillGetsDurability) {
   const std::string dir = TestDir("group_commit_single");
   RecordStoreOptions opt;
   opt.sync_every_append = true;
-  opt.group_commit = true;
   {
     auto rs = RecordStore::Open(dir, opt, nullptr);
     ASSERT_TRUE(rs.ok());
@@ -768,7 +764,6 @@ TEST_F(StoreFaultTest, GroupCommitFsyncFaultFailsTheWaitingAppend) {
   const std::string dir = TestDir("group_commit_fault");
   RecordStoreOptions opt;
   opt.sync_every_append = true;
-  opt.group_commit = true;
   auto rs = RecordStore::Open(dir, opt, nullptr);
   ASSERT_TRUE(rs.ok());
   ASSERT_TRUE((*rs)->Append("before").ok());
@@ -786,8 +781,8 @@ TEST_F(StoreFaultTest, GroupCommitFsyncFaultFailsTheWaitingAppend) {
   fs::remove_all(dir);
 }
 
-// The REVIEW scenario: rotation's segment-close fsync fails while the
-// committer's own batch fsyncs (of the NEW segment) keep succeeding. No
+// Rotation's segment-close fsync fails while Sync()'s own fsyncs (of the
+// NEW segment) keep succeeding. No
 // record written after the failure may be acked durable — the failed
 // segment's tail can be torn on disk, and recovery would then drop every
 // later segment as an unreachable suffix.
@@ -795,14 +790,13 @@ TEST_F(StoreFaultTest, RotationCloseFsyncFailurePoisonsGroupCommitAcks) {
   const std::string dir = TestDir("group_commit_rotate_fault");
   RecordStoreOptions opt;
   opt.sync_every_append = true;
-  opt.group_commit = true;
   opt.segment_bytes = 256;  // one biggish record fills a segment
   {
     auto rs = RecordStore::Open(dir, opt, nullptr);
     ASSERT_TRUE(rs.ok());
     ASSERT_TRUE((*rs)->Append(std::string(300, 'a')).ok());
 
-    // Only the close fsync fails; the committer's "store.fsync" stays live.
+    // Only the close fsync fails; Sync()'s "store.fsync" stays live.
     FaultSpec spec;
     spec.kind = FaultKind::kError;
     spec.code = StatusCode::kIOError;
@@ -828,6 +822,103 @@ TEST_F(StoreFaultTest, RotationCloseFsyncFailurePoisonsGroupCommitAcks) {
   fs::remove_all(dir);
 }
 
+// The fail-stop rule holds on both durability paths: the buffered one
+// (Append, then Sync) that the dataset cache uses, and sync_every_append.
+TEST_F(StoreFaultTest, SegmentCloseFsyncFailureFailsLaterSyncsOnEveryPath) {
+  for (const bool sync_every_append : {false, true}) {
+    SCOPED_TRACE(sync_every_append ? "sync_every_append" : "buffered");
+    const std::string dir = TestDir("close_fsync_fail_stop");
+    RecordStoreOptions opt;
+    opt.sync_every_append = sync_every_append;
+    opt.segment_bytes = 256;
+    // The durability call of each path: Append alone, or Append then Sync.
+    const auto append_durably = [&](RecordStore* rs, const std::string& p) {
+      auto seq = rs->Append(p);
+      if (!seq.ok() || sync_every_append) return seq.status();
+      return rs->Sync();
+    };
+    {
+      auto rs = RecordStore::Open(dir, opt, nullptr);
+      ASSERT_TRUE(rs.ok());
+      ASSERT_TRUE(append_durably(rs->get(), std::string(300, 'a')).ok());
+
+      FaultSpec spec;
+      spec.kind = FaultKind::kError;
+      spec.code = StatusCode::kIOError;
+      ASSERT_TRUE(
+          FaultRegistry::Global().Arm("store.segment_close_fsync", spec).ok());
+      easytime::Status st = append_durably(rs->get(), "behind-a-torn-segment");
+      ASSERT_FALSE(st.ok()) << "a record behind a possibly-torn segment must "
+                               "not be reported durable";
+      EXPECT_EQ(st.code(), StatusCode::kIOError);
+
+      FaultRegistry::Global().DisarmAll();
+      st = append_durably(rs->get(), "still-poisoned");
+      EXPECT_EQ(st.code(), StatusCode::kIOError);
+      EXPECT_EQ((*rs)->Sync().code(), StatusCode::kIOError);
+    }
+    RecordStoreRecovery rec;
+    auto rs = RecordStore::Open(dir, opt, &rec);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    ASSERT_GE(rec.tail.size(), 1u);
+    EXPECT_EQ(rec.tail[0].second, std::string(300, 'a'));
+    EXPECT_TRUE(append_durably(rs->get(), "after-reopen").ok());
+    rs->reset();
+    fs::remove_all(dir);
+  }
+}
+
+// A durable append is judged against every fsync that covered its record,
+// including one that failed before the appender reached Sync: a retry fsync
+// after a failure proves nothing about pages the failed one dropped.
+TEST_F(StoreFaultTest, FsyncFailureBeforeAppendReachesSyncFailsTheAppend) {
+  const std::string dir = TestDir("fsync_fail_before_append_sync");
+  RecordStoreOptions opt;
+  opt.sync_every_append = true;
+  auto rs = RecordStore::Open(dir, opt, nullptr);
+  ASSERT_TRUE(rs.ok());
+  ASSERT_TRUE((*rs)->Append("before").ok());
+
+  // Hold the next appender between its write and its Sync.
+  FaultSpec hold;
+  hold.kind = FaultKind::kDelay;
+  hold.delay_ms = 1000;
+  hold.max_triggers = 1;
+  ASSERT_TRUE(
+      FaultRegistry::Global().Arm("store.append_written", hold).ok());
+  std::atomic<bool> appended{false};
+  easytime::Status append_st;
+  std::thread appender([&] {
+    append_st = (*rs)->Append("covered-by-a-failed-fsync").status();
+    appended = true;
+  });
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (FaultRegistry::Global().PointStats("store.append_written").triggers ==
+             0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ((*rs)->last_seq(), 2u) << "the held record must be written";
+
+  // Another caller's fsync covers the held record and fails.
+  FaultSpec fail;
+  fail.kind = FaultKind::kError;
+  fail.code = StatusCode::kIOError;
+  fail.max_triggers = 1;
+  ASSERT_TRUE(FaultRegistry::Global().Arm("store.fsync", fail).ok());
+  EXPECT_EQ((*rs)->Sync().code(), StatusCode::kIOError);
+  EXPECT_FALSE(appended.load()) << "the failure must land while the record "
+                                   "is held back from Sync";
+
+  appender.join();
+  EXPECT_EQ(append_st.code(), StatusCode::kIOError)
+      << "a record a failed fsync covered must never be acked durable";
+  FaultRegistry::Global().DisarmAll();
+  EXPECT_TRUE((*rs)->Append("after").ok());
+  rs->reset();
+  fs::remove_all(dir);
+}
+
 TEST(StoreKillTest, KillMidGroupCommitNeverLosesAnAckedRecord) {
   const std::string dir = TestDir("kill_group_commit");
   // Shared ack table: the child flips acked[seq] only AFTER Append returned,
@@ -844,7 +935,6 @@ TEST(StoreKillTest, KillMidGroupCommitNeverLosesAnAckedRecord) {
   if (pid == 0) {
     RecordStoreOptions opt;
     opt.sync_every_append = true;
-    opt.group_commit = true;
     opt.segment_bytes = 4096;  // exercise rotation under group commit too
     auto rs = RecordStore::Open(dir, opt, nullptr);
     if (!rs.ok()) _exit(1);

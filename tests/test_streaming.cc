@@ -552,7 +552,6 @@ TEST(StreamingDurabilityTest, KillMidAppendKeepsAcknowledgedBatchesOnly) {
     tsdata::Repository repo = make_repo();
     tsdata::AppendLogOptions opt;
     opt.dir = dir;
-    opt.sync_every_append = true;
     opt.compact_every = 8;  // exercise compaction under fire too
     auto log = tsdata::AppendLog::Open(opt, &repo, nullptr);
     if (!log.ok()) _exit(1);
@@ -635,7 +634,6 @@ TEST(StreamingCompactionStressTest, ConcurrentAppendersReplayEveryAckedPointOnce
 
   tsdata::AppendLogOptions opt;
   opt.dir = dir;
-  opt.sync_every_append = false;
   opt.compact_every = 3;
   std::vector<size_t> acked(kDatasets, kBase);  // acknowledged length
   for (int round = 0; round <= kRounds; ++round) {
