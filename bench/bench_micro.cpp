@@ -7,11 +7,13 @@
 #include <cmath>
 
 #include "common/fault.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "ensemble/ts2vec.h"
 #include "eval/metrics.h"
 #include "nn/gru.h"
 #include "nn/matrix.h"
+#include "serve/request.h"
 #include "serve/retry.h"
 #include "tsdata/characteristics.h"
 #include "tsdata/generator.h"
@@ -325,6 +327,54 @@ void BM_RetryCallFirstTrySuccess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RetryCallFirstTrySuccess);
+
+// DemoSeries shifted to the level of an uploaded series and rounded to
+// \p decimals; 17 keeps full precision.
+std::vector<double> UploadLikeValues(size_t n, int decimals) {
+  std::vector<double> values = DemoSeries(n);
+  const double scale = std::pow(10.0, decimals);
+  for (double& v : values) {
+    v += 50.0;
+    if (decimals < 17) v = std::round(v * scale) / scale;
+  }
+  return values;
+}
+
+// Every number a reply, cache key or stored record carries goes through
+// AppendJsonNumber; /17 is a full-precision double (forecasts, metrics),
+// /4 a 4-decimal upload value.
+void BM_JsonFormatNumber(benchmark::State& state) {
+  const std::vector<double> values =
+      UploadLikeValues(1024, static_cast<int>(state.range(0)));
+  std::string out;
+  size_t i = 0;
+  for (auto _ : state) {
+    out.clear();
+    AppendJsonNumber(values[i++ & 1023], &out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_JsonFormatNumber)->Arg(17)->Arg(4);
+
+// The cache key of a forecast on an uploaded series (the Upload-Dataset
+// path): every miss builds one, and its cost is mostly the numbers.
+void BM_CanonicalKeyInline(benchmark::State& state) {
+  Json params = Json::Object();
+  Json values = Json::Array();
+  for (double v : UploadLikeValues(static_cast<size_t>(state.range(0)), 4)) {
+    values.Append(v);
+  }
+  params.Set("values", std::move(values));
+  params.Set("method", "theta");
+  params.Set("horizon", 24);
+  for (auto _ : state) {
+    std::string key = serve::CanonicalKey("forecast", params);
+    benchmark::DoNotOptimize(key.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_CanonicalKeyInline)->Arg(300);
 
 }  // namespace
 

@@ -18,6 +18,9 @@ fi
 # min_time well above the 0.5s default: the training-epoch benchmarks run
 # tens of ms per iteration, and on a busy 1-core CI box the default window
 # is few enough iterations that tier-vs-tier ratios wobble run to run.
+# Five repetitions per benchmark, reported as aggregates only (mean, median,
+# stddev, cv), so each number comes with its run-to-run spread.
 "$bin" --benchmark_format=json --benchmark_out="$repo_root/BENCH_micro.json" \
-  --benchmark_out_format=json --benchmark_min_time=2.0
+  --benchmark_out_format=json --benchmark_min_time=2.0 \
+  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
 echo "wrote $repo_root/BENCH_micro.json"

@@ -1,9 +1,12 @@
 #include "common/json.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace easytime {
 
@@ -55,9 +58,7 @@ std::string Json::GetString(const std::string& key,
   return v.is_string() ? v.AsString() : fallback;
 }
 
-namespace {
-
-void EscapeString(const std::string& s, std::string* out) {
+void AppendJsonString(const std::string& s, std::string* out) {
   *out += '"';
   for (char c : s) {
     switch (c) {
@@ -79,26 +80,84 @@ void EscapeString(const std::string& s, std::string* out) {
   *out += '"';
 }
 
-std::string FormatNumber(double v) {
-  if (std::isnan(v) || std::isinf(v)) return "null";
-  if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  // Shortest representation that round-trips exactly: most values fit in 12
-  // significant digits (keeping output identical to the historical format);
-  // the rest widen until strtod gives the same bits back, so persisted
-  // metrics reload without drift (DESIGN.md §9).
+namespace {
+
+// The historical format: the first of %.12g … %.17g that strtod reads back
+// as v. Kept for the two kinds of double whose shortest round-trip digits
+// can differ from what this loop prints: exact powers of two, whose rounding
+// interval is lopsided (the gap below is half the gap above), and
+// subnormals, which can hold fewer bits than 12 digits resolve, so %.12g
+// rounds them to digits the shortest form does not have.
+void AppendNumberByProbe(double v, std::string* out) {
   char buf[64];
   for (int precision = 12; precision <= 17; ++precision) {
     std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
     if (std::strtod(buf, nullptr) == v) break;
   }
-  return buf;
+  *out += buf;
 }
 
 }  // namespace
+
+void AppendJsonNumber(double v, std::string* out) {
+  if (std::isnan(v) || std::isinf(v)) {
+    *out += "null";
+    return;
+  }
+  char buf[32];
+  if (v == std::floor(v) && std::fabs(v) < 1e15) {
+    char* end = std::to_chars(buf, buf + sizeof(buf),
+                              static_cast<long long>(v)).ptr;
+    out->append(buf, end);
+    return;
+  }
+  int exp2 = 0;
+  if (std::fabs(v) < std::numeric_limits<double>::min() ||
+      std::fabs(std::frexp(v, &exp2)) == 0.5) {
+    AppendNumberByProbe(v, out);
+    return;
+  }
+  // Shortest digits that round-trip exactly, laid out as %.Pg would with
+  // P = max(12, digit count): the first precision from 12 up that strtod
+  // reads back as v is P, and %.Pg prints those digits. So the bytes are the
+  // historical format's (most values fit in 12 significant digits), and
+  // persisted metrics reload without drift (DESIGN.md §9).
+  char* end =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::scientific)
+          .ptr;
+  const bool negative = buf[0] == '-';
+  const char* e = std::find(buf, end, 'e');
+  char digits[20];
+  int num_digits = 0;
+  for (const char* p = buf + negative; p < e; ++p) {
+    if (*p != '.') digits[num_digits++] = *p;
+  }
+  int exp10 = 0;
+  std::from_chars(e + (e[1] == '+' ? 2 : 1), end, exp10);
+  if (exp10 < -4 || exp10 >= std::max(12, num_digits)) {
+    // %g's scientific branch with trailing zeros dropped: to_chars already
+    // prints it that way, two-digit exponent included.
+    out->append(buf, end);
+    return;
+  }
+  if (negative) *out += '-';
+  if (exp10 < 0) {
+    *out += "0.";
+    out->append(static_cast<size_t>(-exp10 - 1), '0');
+    out->append(digits, static_cast<size_t>(num_digits));
+    return;
+  }
+  // num_digits >= int_digits: fixed layout needs exp10 < max(12, num_digits),
+  // and an exp10 from num_digits to 11 would make v an integer below 1e12,
+  // which took the integer branch above.
+  const int int_digits = exp10 + 1;
+  out->append(digits, static_cast<size_t>(int_digits));
+  if (num_digits > int_digits) {
+    *out += '.';
+    out->append(digits + int_digits,
+                static_cast<size_t>(num_digits - int_digits));
+  }
+}
 
 void Json::DumpTo(std::string* out, int indent, int depth) const {
   auto newline = [&](int d) {
@@ -110,8 +169,8 @@ void Json::DumpTo(std::string* out, int indent, int depth) const {
   switch (type_) {
     case Type::kNull: *out += "null"; break;
     case Type::kBool: *out += bool_ ? "true" : "false"; break;
-    case Type::kNumber: *out += FormatNumber(num_); break;
-    case Type::kString: EscapeString(str_, out); break;
+    case Type::kNumber: AppendJsonNumber(num_, out); break;
+    case Type::kString: AppendJsonString(str_, out); break;
     case Type::kArray: {
       *out += '[';
       for (size_t i = 0; i < arr_.size(); ++i) {
@@ -128,7 +187,7 @@ void Json::DumpTo(std::string* out, int indent, int depth) const {
       for (size_t i = 0; i < keys_.size(); ++i) {
         if (i) *out += ',';
         newline(depth + 1);
-        EscapeString(keys_[i], out);
+        AppendJsonString(keys_[i], out);
         *out += indent > 0 ? ": " : ":";
         obj_.at(keys_[i]).DumpTo(out, indent, depth + 1);
       }

@@ -97,4 +97,12 @@ class Json {
   std::map<std::string, Json> obj_;
 };
 
+/// \brief Appends \p v as Json(v).Dump() would: integers below 1e15 without
+/// a decimal point, NaN and infinities as null, anything else in %g form at
+/// the lowest precision from 12 up that reads back as exactly \p v.
+void AppendJsonNumber(double v, std::string* out);
+
+/// Appends \p s as a quoted, escaped JSON string, as Json(s).Dump() would.
+void AppendJsonString(const std::string& s, std::string* out);
+
 }  // namespace easytime

@@ -67,16 +67,24 @@ void CanonicalDump(const easytime::Json& node, std::string* out) {
       for (const auto& key : keys) {
         if (!first) out->push_back(',');
         first = false;
-        *out += easytime::Json(key).Dump();
+        easytime::AppendJsonString(key, out);
         out->push_back(':');
         CanonicalDump(node.Get(key), out);
       }
       out->push_back('}');
       return;
     }
-    default:
-      // Scalars already serialize deterministically.
-      *out += node.Dump();
+    case easytime::Json::Type::kNumber:
+      easytime::AppendJsonNumber(node.AsDouble(), out);
+      return;
+    case easytime::Json::Type::kString:
+      easytime::AppendJsonString(node.AsString(), out);
+      return;
+    case easytime::Json::Type::kBool:
+      *out += node.AsBool() ? "true" : "false";
+      return;
+    case easytime::Json::Type::kNull:
+      *out += "null";
       return;
   }
 }
@@ -161,14 +169,14 @@ std::string SpliceOkResponseLine(int64_t id, const std::string& result_bytes,
   line += '{';
   if (id >= 0) {
     line += "\"id\":";
-    line += easytime::Json(id).Dump();
+    easytime::AppendJsonNumber(static_cast<double>(id), &line);
     line += ',';
   }
   line += "\"ok\":true,\"result\":";
   line += result_bytes;
   line += cached ? ",\"cached\":true,\"seconds\":"
                  : ",\"cached\":false,\"seconds\":";
-  line += easytime::Json(seconds).Dump();
+  easytime::AppendJsonNumber(seconds, &line);
   line += '}';
   return line;
 }
