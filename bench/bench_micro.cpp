@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/fault.h"
 #include "common/json.h"
@@ -375,6 +376,49 @@ void BM_CanonicalKeyInline(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_CanonicalKeyInline)->Arg(300);
+
+// A forecast request line on an uploaded series of range(0) 4-decimal
+// values, as a client sends it on the cold path.
+std::string UploadRequestLine(size_t n) {
+  Json values = Json::Array();
+  for (double v : UploadLikeValues(n, 4)) values.Append(v);
+  Json params = Json::Object();
+  params.Set("values", std::move(values));
+  params.Set("method", "theta");
+  params.Set("horizon", 24);
+  Json req = Json::Object();
+  req.Set("id", 7);
+  req.Set("endpoint", "forecast");
+  req.Set("params", std::move(params));
+  return req.Dump();
+}
+
+// The text-to-tree half of every request: mostly numbers in place and one
+// node per value.
+void BM_JsonParseRequest(benchmark::State& state) {
+  const std::string line =
+      UploadRequestLine(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    auto doc = Json::Parse(line);
+    benchmark::DoNotOptimize(doc.ok());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(line.size()));
+}
+BENCHMARK(BM_JsonParseRequest)->Arg(300);
+
+// Json::Parse plus the request envelope: "params" is moved out, not copied.
+void BM_ParseRequest(benchmark::State& state) {
+  const std::string line =
+      UploadRequestLine(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    auto req = serve::ParseRequest(line, 0);
+    benchmark::DoNotOptimize(req.ok());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(line.size()));
+}
+BENCHMARK(BM_ParseRequest)->Arg(300);
 
 }  // namespace
 

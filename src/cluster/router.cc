@@ -33,7 +33,7 @@ std::string StampResult(
       !resp->Get("result").is_object()) {
     return reply;
   }
-  easytime::Json result = resp->Get("result");
+  easytime::Json result = resp->Take("result");
   for (const auto& [key, value] : fields) result.Set(key, value);
   resp->Set("result", std::move(result));
   return resp->Dump();

@@ -6,7 +6,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <system_error>
 
 namespace easytime {
 
@@ -22,19 +24,43 @@ Json Json::Object() {
   return j;
 }
 
+Json::Json(const Json& other)
+    : type_(other.type_),
+      bool_(other.bool_),
+      num_(other.num_),
+      str_(other.str_),
+      box_(other.box_ ? std::make_unique<Box>(*other.box_) : nullptr) {}
+
+Json& Json::operator=(const Json& other) {
+  if (this != &other) *this = Json(other);
+  return *this;
+}
+
 bool Json::Has(const std::string& key) const {
-  return obj_.find(key) != obj_.end();
+  return box_ && box_->obj.find(key) != box_->obj.end();
 }
 
 const Json& Json::Get(const std::string& key) const {
   static const Json kNullNode;
-  auto it = obj_.find(key);
-  return it == obj_.end() ? kNullNode : it->second;
+  if (!box_) return kNullNode;
+  auto it = box_->obj.find(key);
+  return it == box_->obj.end() ? kNullNode : it->second;
 }
 
 void Json::Set(const std::string& key, Json v) {
-  if (obj_.find(key) == obj_.end()) keys_.push_back(key);
-  obj_[key] = std::move(v);
+  Box& box = MutableBox();
+  auto [it, inserted] = box.obj.try_emplace(key);
+  if (inserted) box.keys.push_back(key);
+  it->second = std::move(v);
+}
+
+Json Json::Take(const std::string& key) {
+  if (!box_) return Json();
+  auto it = box_->obj.find(key);
+  if (it == box_->obj.end()) return Json();
+  Json out = std::move(it->second);
+  it->second = Json();
+  return out;
 }
 
 double Json::GetDouble(const std::string& key, double fallback) const {
@@ -172,26 +198,28 @@ void Json::DumpTo(std::string* out, int indent, int depth) const {
     case Type::kNumber: AppendJsonNumber(num_, out); break;
     case Type::kString: AppendJsonString(str_, out); break;
     case Type::kArray: {
+      const std::vector<Json>& arr = items();
       *out += '[';
-      for (size_t i = 0; i < arr_.size(); ++i) {
+      for (size_t i = 0; i < arr.size(); ++i) {
         if (i) *out += ',';
         newline(depth + 1);
-        arr_[i].DumpTo(out, indent, depth + 1);
+        arr[i].DumpTo(out, indent, depth + 1);
       }
-      if (!arr_.empty()) newline(depth);
+      if (!arr.empty()) newline(depth);
       *out += ']';
       break;
     }
     case Type::kObject: {
+      const std::vector<std::string>& object_keys = keys();
       *out += '{';
-      for (size_t i = 0; i < keys_.size(); ++i) {
+      for (size_t i = 0; i < object_keys.size(); ++i) {
         if (i) *out += ',';
         newline(depth + 1);
-        AppendJsonString(keys_[i], out);
+        AppendJsonString(object_keys[i], out);
         *out += indent > 0 ? ": " : ":";
-        obj_.at(keys_[i]).DumpTo(out, indent, depth + 1);
+        box_->obj.at(object_keys[i]).DumpTo(out, indent, depth + 1);
       }
-      if (!keys_.empty()) newline(depth);
+      if (!object_keys.empty()) newline(depth);
       *out += '}';
       break;
     }
@@ -206,187 +234,246 @@ std::string Json::Dump(int indent) const {
 
 namespace {
 
+bool IsNumberChar(char c) {
+  return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+         c == '+' || c == '-';
+}
+
+// For a decimal token from_chars found out of range: whether it is too
+// small (underflow) rather than too large. Out of range means a magnitude
+// below 10^-323 or above 10^308, so the sign of the leading significant
+// digit's power of ten, exponent included, tells the two apart.
+bool Underflows(const char* p, const char* end) {
+  if (*p == '-') ++p;
+  const char* int_end = p;
+  while (int_end < end && *int_end >= '0' && *int_end <= '9') ++int_end;
+  int64_t lead = -1;  // an all-zero mantissa reads 0, which is in range
+  const char* d = p;
+  while (d < int_end && *d == '0') ++d;
+  if (d < int_end) {
+    lead = int_end - d - 1;
+  } else if (int_end < end && *int_end == '.') {
+    for (d = int_end + 1; d < end && *d >= '0' && *d <= '9'; ++d) {
+      if (*d != '0') {
+        lead = int_end - d;
+        break;
+      }
+    }
+  }
+  const char* e = std::find_if(p, end, [](char c) { return c == 'e' || c == 'E'; });
+  int64_t exp10 = 0;
+  if (e < end) {
+    ++e;
+    const bool negative = *e == '-';
+    if (*e == '-' || *e == '+') ++e;
+    for (; e < end; ++e) {  // saturate: the token length bounds `lead`
+      exp10 = std::min<int64_t>(exp10 * 10 + (*e - '0'), int64_t{1} << 40);
+    }
+    if (negative) exp10 = -exp10;
+  }
+  return lead + exp10 < 0;
+}
+
+}  // namespace
+
+// Parses straight into the destination node: a number is read from the text
+// in place, and an array element or object member is built where it lives,
+// so no node is moved through a return value.
 class JsonParser {
  public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
+  explicit JsonParser(const std::string& text)
+      : begin_(text.data()), p_(begin_), end_(begin_ + text.size()) {}
 
-  Result<Json> Parse() {
+  Status Parse(Json* out) {
     SkipWhitespace();
-    EASYTIME_ASSIGN_OR_RETURN(Json v, ParseValue());
+    if (!ParseValue(out)) return error_;
     SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Err("trailing characters after JSON document");
+    if (p_ != end_) {
+      Fail("trailing characters after JSON document");
+      return error_;
     }
-    return v;
+    return Status::OK();
   }
 
  private:
-  Status Err(const std::string& msg) const {
-    return Status::ParseError(msg + " at offset " + std::to_string(pos_));
+  bool Fail(const char* msg) {
+    error_ = Status::ParseError(std::string(msg) + " at offset " +
+                                std::to_string(p_ - begin_));
+    return false;
   }
 
   void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
+    while (p_ < end_ && std::isspace(static_cast<unsigned char>(*p_))) ++p_;
   }
 
   bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
+    if (p_ < end_ && *p_ == c) {
+      ++p_;
       return true;
     }
     return false;
   }
 
-  Result<Json> ParseValue() {
-    if (pos_ >= text_.size()) return Err("unexpected end of input");
-    char c = text_[pos_];
-    switch (c) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
-      case '"': {
-        EASYTIME_ASSIGN_OR_RETURN(std::string s, ParseString());
-        return Json(std::move(s));
-      }
+  bool Literal(const char* word, size_t len) {
+    if (static_cast<size_t>(end_ - p_) < len ||
+        std::memcmp(p_, word, len) != 0) {
+      return Fail("invalid literal");
+    }
+    p_ += len;
+    return true;
+  }
+
+  bool ParseValue(Json* out) {
+    if (p_ >= end_) return Fail("unexpected end of input");
+    switch (*p_) {
+      case '{': return ParseObject(out);
+      case '[': return ParseArray(out);
+      case '"':
+        out->type_ = Json::Type::kString;
+        return ParseString(&out->str_);
       case 't':
-        if (text_.compare(pos_, 4, "true") == 0) {
-          pos_ += 4;
-          return Json(true);
-        }
-        return Err("invalid literal");
+        out->type_ = Json::Type::kBool;
+        out->bool_ = true;
+        return Literal("true", 4);
       case 'f':
-        if (text_.compare(pos_, 5, "false") == 0) {
-          pos_ += 5;
-          return Json(false);
-        }
-        return Err("invalid literal");
+        out->type_ = Json::Type::kBool;
+        return Literal("false", 5);
       case 'n':
-        if (text_.compare(pos_, 4, "null") == 0) {
-          pos_ += 4;
-          return Json(nullptr);
-        }
-        return Err("invalid literal");
+        return Literal("null", 4);
       default:
-        return ParseNumber();
+        return ParseNumber(out);
     }
   }
 
-  Result<Json> ParseNumber() {
-    size_t start = pos_;
-    if (Consume('-')) {}
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
+  // Accepts exactly what strtod accepts over the same token in the C
+  // locale, whatever LC_NUMERIC is: a leading '+', ".5", "1." and "01"
+  // pass; underflow reads as a signed zero; overflow is rejected, since no
+  // JSON number denotes infinity (and it would dump as null).
+  bool ParseNumber(Json* out) {
+    const char* start = p_;
+    while (p_ < end_ && IsNumberChar(*p_)) ++p_;
+    if (p_ == start) return Fail("invalid number");
+    const char* first = start;
+    if (*first == '+') {
+      ++first;  // from_chars takes no '+', and a second sign is invalid
+      if (first < p_ && *first == '-') return Fail("invalid number");
     }
-    if (pos_ == start) return Err("invalid number");
-    std::string num = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    double v = std::strtod(num.c_str(), &end);
-    if (end != num.c_str() + num.size()) return Err("invalid number");
-    // Overflow comes back as +-inf, which no JSON number denotes (and which
-    // would dump as null); underflow to 0 or a subnormal is accepted.
-    if (std::isinf(v)) return Err("number out of range");
-    return Json(v);
+    double v = 0.0;
+    auto [ptr, ec] = std::from_chars(first, p_, v);
+    if (ptr != p_ || ec == std::errc::invalid_argument) {
+      return Fail("invalid number");
+    }
+    if (ec == std::errc::result_out_of_range) {
+      if (!Underflows(first, p_)) return Fail("number out of range");
+      v = *first == '-' ? -0.0 : 0.0;
+    }
+    out->type_ = Json::Type::kNumber;
+    out->num_ = v;
+    return true;
   }
 
-  Result<std::string> ParseString() {
-    if (!Consume('"')) return Err("expected '\"'");
-    std::string out;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return Err("bad escape");
-        char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return Err("bad \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return Err("bad \\u escape digit");
-            }
-            // UTF-8 encode (BMP only; surrogate pairs not combined).
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
+  bool ParseString(std::string* out) {
+    if (!Consume('"')) return Fail("expected '\"'");
+    while (p_ < end_) {
+      const char* run = p_;
+      while (p_ < end_ && *p_ != '"' && *p_ != '\\') ++p_;
+      out->append(run, p_);
+      if (p_ == end_) break;
+      if (*p_++ == '"') return true;
+      if (p_ >= end_) return Fail("bad escape");
+      char e = *p_++;
+      switch (e) {
+        case '"': *out += '"'; break;
+        case '\\': *out += '\\'; break;
+        case '/': *out += '/'; break;
+        case 'b': *out += '\b'; break;
+        case 'f': *out += '\f'; break;
+        case 'n': *out += '\n'; break;
+        case 'r': *out += '\r'; break;
+        case 't': *out += '\t'; break;
+        case 'u': {
+          if (end_ - p_ < 4) return Fail("bad \\u escape");
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            char h = *p_++;
+            code <<= 4;
+            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+            else return Fail("bad \\u escape digit");
           }
-          default:
-            return Err("unknown escape");
+          // UTF-8 encode (BMP only; surrogate pairs not combined).
+          if (code < 0x80) {
+            *out += static_cast<char>(code);
+          } else if (code < 0x800) {
+            *out += static_cast<char>(0xC0 | (code >> 6));
+            *out += static_cast<char>(0x80 | (code & 0x3F));
+          } else {
+            *out += static_cast<char>(0xE0 | (code >> 12));
+            *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            *out += static_cast<char>(0x80 | (code & 0x3F));
+          }
+          break;
         }
-      } else {
-        out += c;
+        default:
+          return Fail("unknown escape");
       }
     }
-    return Err("unterminated string");
+    return Fail("unterminated string");
   }
 
-  Result<Json> ParseArray() {
-    Consume('[');
-    Json arr = Json::Array();
+  bool ParseArray(Json* out) {
+    ++p_;  // '['
+    out->type_ = Json::Type::kArray;
     SkipWhitespace();
-    if (Consume(']')) return arr;
+    if (Consume(']')) return true;
+    std::vector<Json>& arr = out->MutableBox().arr;
     while (true) {
       SkipWhitespace();
-      EASYTIME_ASSIGN_OR_RETURN(Json v, ParseValue());
-      arr.Append(std::move(v));
+      if (!ParseValue(&arr.emplace_back())) return false;
       SkipWhitespace();
-      if (Consume(']')) return arr;
-      if (!Consume(',')) return Err("expected ',' or ']'");
+      if (Consume(']')) return true;
+      if (!Consume(',')) return Fail("expected ',' or ']'");
     }
   }
 
-  Result<Json> ParseObject() {
-    Consume('{');
-    Json obj = Json::Object();
+  bool ParseObject(Json* out) {
+    ++p_;  // '{'
+    out->type_ = Json::Type::kObject;
     SkipWhitespace();
-    if (Consume('}')) return obj;
+    if (Consume('}')) return true;
+    Json::Box& box = out->MutableBox();
     while (true) {
       SkipWhitespace();
-      EASYTIME_ASSIGN_OR_RETURN(std::string key, ParseString());
+      std::string key;
+      if (!ParseString(&key)) return false;
       SkipWhitespace();
-      if (!Consume(':')) return Err("expected ':'");
+      if (!Consume(':')) return Fail("expected ':'");
       SkipWhitespace();
-      EASYTIME_ASSIGN_OR_RETURN(Json v, ParseValue());
-      obj.Set(key, std::move(v));
+      auto [it, inserted] = box.obj.try_emplace(std::move(key));
+      if (inserted) {
+        box.keys.push_back(it->first);
+      } else {
+        it->second = Json();  // a repeated key: the last value wins
+      }
+      if (!ParseValue(&it->second)) return false;
       SkipWhitespace();
-      if (Consume('}')) return obj;
-      if (!Consume(',')) return Err("expected ',' or '}'");
+      if (Consume('}')) return true;
+      if (!Consume(',')) return Fail("expected ',' or '}'");
     }
   }
 
-  const std::string& text_;
-  size_t pos_ = 0;
+  const char* const begin_;
+  const char* p_;
+  const char* const end_;
+  Status error_;
 };
 
-}  // namespace
-
 Result<Json> Json::Parse(const std::string& text) {
-  return JsonParser(text).Parse();
+  Json doc;
+  Status status = JsonParser(text).Parse(&doc);
+  if (!status.ok()) return status;
+  return doc;
 }
 
 }  // namespace easytime

@@ -1,9 +1,10 @@
 #pragma once
 
 /// \file json.h
-/// \brief A small JSON value type + parser + serializer. Used for pipeline
-/// configuration files (the paper's "configuration file" the user edits) and
-/// the Q&A module's structured chart outputs.
+/// \brief A small JSON value type + parser + serializer. It is the wire
+/// format of every serve request and reply, the body of every stored record
+/// and checkpoint, the pipeline configuration file the user edits, and the
+/// Q&A module's structured chart outputs.
 
 #include <cstdint>
 #include <limits>
@@ -18,6 +19,10 @@ namespace easytime {
 
 /// \brief A JSON document node (null / bool / number / string / array /
 /// object). Objects preserve insertion order of keys.
+///
+/// Array and object storage sits behind one pointer that the first Append
+/// or Set allocates, so a scalar node allocates nothing and moves as a few
+/// words (requests carry hundreds of numbers). Copies are deep.
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -31,6 +36,12 @@ class Json {
       : type_(Type::kNumber), num_(static_cast<double>(n)) {}
   Json(std::string s) : type_(Type::kString), str_(std::move(s)) {}  // NOLINT
   Json(const char* s) : type_(Type::kString), str_(s) {}       // NOLINT
+
+  Json(const Json& other);
+  Json(Json&& other) noexcept;
+  Json& operator=(const Json& other);
+  Json& operator=(Json&& other) noexcept;
+  ~Json();
 
   /// Creates an empty array node.
   static Json Array();
@@ -58,19 +69,23 @@ class Json {
   const std::string& AsString() const { return str_; }
 
   /// Array access.
-  const std::vector<Json>& items() const { return arr_; }
-  void Append(Json v) { arr_.push_back(std::move(v)); }
+  const std::vector<Json>& items() const;
+  void Append(Json v);
   size_t size() const {
-    return is_array() ? arr_.size() : (is_object() ? keys_.size() : 0);
+    return is_array() ? items().size() : (is_object() ? keys().size() : 0);
   }
 
   /// Object access: ordered keys.
-  const std::vector<std::string>& keys() const { return keys_; }
+  const std::vector<std::string>& keys() const;
   bool Has(const std::string& key) const;
   /// Returns the member or a shared null node when absent.
   const Json& Get(const std::string& key) const;
   /// Inserts or overwrites a member.
   void Set(const std::string& key, Json v);
+  /// Moves the member out and leaves null in its place (the key keeps its
+  /// position); null when absent. Keeps a subtree of a document that is
+  /// about to be dropped or re-dumped without a deep copy.
+  Json Take(const std::string& key);
 
   /// Typed getters with defaults — the idiom for reading config files.
   double GetDouble(const std::string& key, double fallback) const;
@@ -86,16 +101,45 @@ class Json {
   static Result<Json> Parse(const std::string& text);
 
  private:
+  friend class JsonParser;
+  struct Box;
+
+  Box& MutableBox();
   void DumpTo(std::string* out, int indent, int depth) const;
 
   Type type_;
   bool bool_ = false;
   double num_ = 0.0;
   std::string str_;
-  std::vector<Json> arr_;
-  std::vector<std::string> keys_;
-  std::map<std::string, Json> obj_;
+  std::unique_ptr<Box> box_;  ///< array and object storage; null until used
 };
+
+struct Json::Box {
+  std::vector<Json> arr;
+  std::vector<std::string> keys;  ///< object keys in insertion order
+  std::map<std::string, Json> obj;
+};
+
+inline Json::Json(Json&& other) noexcept = default;
+inline Json& Json::operator=(Json&& other) noexcept = default;
+inline Json::~Json() = default;
+
+inline const std::vector<Json>& Json::items() const {
+  static const std::vector<Json> kNoItems;
+  return box_ ? box_->arr : kNoItems;
+}
+
+inline const std::vector<std::string>& Json::keys() const {
+  static const std::vector<std::string> kNoKeys;
+  return box_ ? box_->keys : kNoKeys;
+}
+
+inline Json::Box& Json::MutableBox() {
+  if (!box_) box_ = std::make_unique<Box>();
+  return *box_;
+}
+
+inline void Json::Append(Json v) { MutableBox().arr.push_back(std::move(v)); }
 
 /// \brief Appends \p v as Json(v).Dump() would: integers below 1e15 without
 /// a decimal point, NaN and infinities as null, anything else in %g form at

@@ -33,11 +33,10 @@ easytime::Result<Request> ParseRequest(const std::string& line,
         "request is missing the \"endpoint\" field");
   }
   if (doc.Has("params")) {
-    const easytime::Json& params = doc.Get("params");
-    if (!params.is_object()) {
+    req.params = doc.Take("params");
+    if (!req.params.is_object()) {
       return Status::InvalidArgument("request \"params\" must be an object");
     }
-    req.params = params;
   } else {
     req.params = easytime::Json::Object();
   }
@@ -149,7 +148,7 @@ easytime::Json MakeErrorResponse(int64_t id, const Status& status) {
 
 easytime::Result<easytime::Json> ParseResponse(const std::string& line) {
   EASYTIME_ASSIGN_OR_RETURN(easytime::Json resp, easytime::Json::Parse(line));
-  if (resp.GetBool("ok", false)) return resp.Get("result");
+  if (resp.GetBool("ok", false)) return resp.Take("result");
   const easytime::Json& err = resp.Get("error");
   const std::string code = err.GetString("code", "Internal");
   std::string message = err.GetString("message", "unknown serving error");
