@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -10,6 +9,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "serve/client.h"
+#include "store/file_io.h"
 #include "store/snapshot.h"
 #include "store/wal.h"
 
@@ -17,31 +17,6 @@ namespace easytime::cluster {
 
 namespace {
 namespace fs = std::filesystem;
-
-easytime::Result<std::string> ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::IOError("read failed: " + path);
-  return bytes;
-}
-
-easytime::Status CopyFileAtomic(const std::string& src,
-                                const std::string& dst) {
-  EASYTIME_ASSIGN_OR_RETURN(std::string bytes, ReadWholeFile(src));
-  const std::string tmp = dst + ".sync.tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IOError("cannot open " + tmp);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out.flush()) return Status::IOError("write failed: " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, dst, ec);
-  if (ec) return Status::IOError("rename " + tmp + " -> " + dst);
-  return Status::OK();
-}
 
 /// Ships sealed (or, for a final catch-up, all) segments under \p dir to
 /// \p endpoint, skipping files already recorded in \p shipped.
@@ -126,11 +101,14 @@ easytime::Result<CatchUpReport> SyncFrozenStoreDir(const std::string& src,
   // the WAL past it; older snapshots are dead weight.
   auto snapshots = store::ListSnapshots(src);
   if (!snapshots.empty()) {
+    // Durably: recovery from dst finds only WAL segments that start past
+    // the snapshot, so losing it to a crash would lose acknowledged data.
     const store::SnapshotInfo& snap = snapshots.back();
-    const std::string dst_path =
-        dst + "/" + fs::path(snap.path).filename().string();
-    if (!fs::exists(dst_path)) {
-      EASYTIME_RETURN_IF_ERROR(CopyFileAtomic(snap.path, dst_path));
+    const std::string file = fs::path(snap.path).filename().string();
+    if (!fs::exists(dst + "/" + file)) {
+      EASYTIME_ASSIGN_OR_RETURN(std::string bytes,
+                                store::ReadWholeFile(snap.path));
+      EASYTIME_RETURN_IF_ERROR(store::WriteFileDurably(dst, file, {bytes}));
       ++report.snapshots_copied;
     }
   }

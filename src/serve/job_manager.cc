@@ -27,7 +27,7 @@ constexpr char kTerminalKey[] = "__terminal__";
 /// A checkpoint store compacts after this many appended records.
 constexpr uint64_t kCompactEvery = 64;
 
-/// True for the WAL payload Checkpoint::MarkDone appends.
+/// True for the WAL payload Checkpoint::Conclude appends.
 bool IsTerminalMarker(const std::string& payload) {
   auto doc = easytime::Json::Parse(payload);
   return doc.ok() && doc->Has(kTerminalKey);
@@ -87,19 +87,19 @@ class Checkpoint {
   }
 
   /// Appends \p doc under \p key (safe from concurrent pipeline threads).
-  void Append(Key key, easytime::Json doc) {
+  /// Returns false once an append has failed: the caller stops the run, and
+  /// Conclude reports the first failure's error. A job whose records no
+  /// longer persist must not run on as if they did.
+  bool Append(Key key, easytime::Json doc) {
     std::lock_guard<std::mutex> lock(mu_);
+    if (!failed_.ok()) return false;
     auto seq = store_->Append(doc.Dump());
     if (!seq.ok()) {
-      EASYTIME_LOG(Warning) << "checkpoint append failed: "
-                            << seq.status().ToString();
-      // A failed fsync leaves the record in the log but not in docs_, so a
-      // snapshot of docs_ would drop it: stop compacting until reopen.
-      compact_ = false;
-      return;
+      failed_ = seq.status().WithContext("checkpoint append");
+      return false;
     }
     docs_[std::move(key)] = std::move(doc);
-    if (compact_ && store_->appends_since_compaction() >= kCompactEvery) {
+    if (store_->appends_since_compaction() >= kCompactEvery) {
       easytime::Json state = easytime::Json::Object();
       easytime::Json arr = easytime::Json::Array();
       for (const auto& [k, d] : docs_) arr.Append(d);
@@ -110,15 +110,22 @@ class Checkpoint {
                               << st.ToString();
       }
     }
+    return true;
   }
 
-  /// Persists the terminal status, before the finished job removes the
-  /// store: if the removal is lost to a crash, the startup sweep keys on it.
-  void MarkDone() {
+  /// Ends the checkpoint of a run that returned \p run. The first failed
+  /// append's error wins over \p run. A successful run persists its
+  /// terminal status before the finished job removes the store: if the
+  /// removal is lost to a crash, the startup sweep keys on it.
+  easytime::Status Conclude(easytime::Status run) {
     std::lock_guard<std::mutex> lock(mu_);
-    easytime::Json marker = easytime::Json::Object();
-    marker.Set(kTerminalKey, "done");
-    (void)store_->Append(marker.Dump());
+    if (!failed_.ok()) return failed_;
+    if (run.ok()) {
+      easytime::Json marker = easytime::Json::Object();
+      marker.Set(kTerminalKey, "done");
+      (void)store_->Append(marker.Dump());
+    }
+    return run;
   }
 
  private:
@@ -130,7 +137,7 @@ class Checkpoint {
   const std::string field_;
   /// Every checkpointed doc (recovered + this run's): the snapshot state.
   std::map<Key, easytime::Json> docs_;
-  bool compact_ = true;  ///< false once an append failed (see Append)
+  easytime::Status failed_ = easytime::Status::OK();  ///< first failed append
 };
 
 }  // namespace
@@ -391,14 +398,18 @@ void JobManager::RunEvaluateJob(Job* job) {
     CountResumed(resumed);
   }
   if (ckpt) {
-    hooks.on_record = [&ckpt](const pipeline::RunRecord& rec) {
+    hooks.on_record = [&ckpt, job](const pipeline::RunRecord& rec) {
       if (!rec.status.ok()) return;  // failures re-run on resume
-      ckpt->Append(pipeline::PairKey(rec.dataset, rec.method), rec.ToJson());
+      if (!ckpt->Append(pipeline::PairKey(rec.dataset, rec.method),
+                        rec.ToJson())) {
+        job->cancel.store(true);  // stops the run; Conclude has the error
+      }
     };
   }
 
   auto report = system_->OneClickEvaluate(job->config, hooks);
-  if (ckpt && report.ok()) ckpt->MarkDone();
+  const Status status =
+      ckpt ? ckpt->Conclude(report.status()) : report.status();
   ckpt.reset();  // close the store's fds before Finish removes it
   easytime::Json summary;
   if (report.ok()) {
@@ -408,7 +419,7 @@ void JobManager::RunEvaluateJob(Job* job) {
     summary.Set("wall_seconds", report->wall_seconds);
     if (resumed > 0) summary.Set("resumed", static_cast<int64_t>(resumed));
   }
-  Finish(job, report.status(), std::move(summary));
+  Finish(job, status, std::move(summary));
 }
 
 void JobManager::RunBacktestJob(Job* job) {
@@ -448,21 +459,24 @@ void JobManager::RunBacktestJob(Job* job) {
     CountResumed(completed.size());
   }
   if (ckpt) {
-    hooks.on_origin = [&ckpt](const eval::OriginEval& rec) {
-      ckpt->Append(rec.index, rec.ToJson());
+    hooks.on_origin = [&ckpt, job](const eval::OriginEval& rec) {
+      if (!ckpt->Append(rec.index, rec.ToJson())) {
+        job->cancel.store(true);  // stops the run; Conclude has the error
+      }
     };
   }
 
   auto report = eval::RunBacktest(series_or->values(),
                                   series_or->period_hint(), *config_or, hooks);
-  if (ckpt && report.ok()) ckpt->MarkDone();
+  const Status status =
+      ckpt ? ckpt->Conclude(report.status()) : report.status();
   ckpt.reset();  // close the store's fds before Finish removes it
   easytime::Json result;
   if (report.ok()) {
     result = report->ToJson();
     result.Set("dataset", dataset);
   }
-  Finish(job, report.status(), std::move(result));
+  Finish(job, status, std::move(result));
 }
 
 JobManager::Job* JobManager::TakeRunnableLocked() {

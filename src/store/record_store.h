@@ -13,8 +13,10 @@
 ///
 /// Durability: with sync_every_append each Append returns once its record
 /// is durable, concurrent appenders sharing group-commit fsyncs; without
-/// it, a buffered run of appends is closed by one Sync(). A failed
-/// segment-close fsync fails every later Sync() until the store is reopened.
+/// it, a buffered run of appends is closed by one Sync(). Failure: any
+/// failed WAL write or fsync poisons the store, and every later Append,
+/// Sync and Compact fails with that first error until the store is
+/// reopened (Wal). A refused append may still be recovered on reopen.
 
 #include <atomic>
 #include <cstdint>

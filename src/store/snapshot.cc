@@ -1,18 +1,13 @@
 #include "store/snapshot.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 
 #include "common/fault.h"
 #include "store/crc32.h"
+#include "store/file_io.h"
 
 namespace easytime::store {
 
@@ -22,69 +17,6 @@ namespace {
 
 constexpr char kMagic[8] = {'E', 'Z', 'T', 'S', 'N', 'A', 'P', '1'};
 constexpr size_t kHeaderBytes = 24;  // magic + u64 seq + u32 crc + u32 len
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-uint64_t GetU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-std::string SnapshotName(uint64_t seq) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "snap-%016llx.snap",
-                static_cast<unsigned long long>(seq));
-  return buf;
-}
-
-bool ParseSnapshotName(const std::string& name, uint64_t* seq) {
-  if (name.size() != 5 + 16 + 5 || name.compare(0, 5, "snap-") != 0 ||
-      name.compare(21, 5, ".snap") != 0) {
-    return false;
-  }
-  uint64_t v = 0;
-  for (size_t i = 5; i < 21; ++i) {
-    char c = name[i];
-    int d;
-    if (c >= '0' && c <= '9') d = c - '0';
-    else if (c >= 'a' && c <= 'f') d = c - 'a' + 10;
-    else return false;
-    v = (v << 4) | static_cast<uint64_t>(d);
-  }
-  *seq = v;
-  return true;
-}
-
-easytime::Status SyncDir(const std::string& dir) {
-  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    return easytime::Status::IOError("cannot open directory for fsync: " +
-                                     dir);
-  }
-  int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) {
-    return easytime::Status::IOError("directory fsync failed: " + dir);
-  }
-  return easytime::Status::OK();
-}
 
 }  // namespace
 
@@ -98,47 +30,8 @@ easytime::Status WriteSnapshot(const std::string& dir, uint64_t seq,
   PutU64(&header, seq);
   PutU32(&header, Crc32(state));
   PutU32(&header, static_cast<uint32_t>(state.size()));
-
-  const std::string final_path = dir + "/" + SnapshotName(seq);
-  const std::string tmp_path = final_path + ".tmp";
-  int fd = ::open(tmp_path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-  if (fd < 0) {
-    return easytime::Status::IOError("cannot create snapshot tmp " + tmp_path +
-                                     ": " + std::strerror(errno));
-  }
-  auto write_all = [fd](const char* data, size_t n) -> easytime::Status {
-    while (n > 0) {
-      ssize_t w = ::write(fd, data, n);
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        return easytime::Status::IOError(
-            std::string("snapshot write failed: ") + std::strerror(errno));
-      }
-      data += w;
-      n -= static_cast<size_t>(w);
-    }
-    return easytime::Status::OK();
-  };
-  easytime::Status st = write_all(header.data(), header.size());
-  if (st.ok()) st = write_all(state.data(), state.size());
-  if (st.ok() && ::fsync(fd) != 0) {
-    st = easytime::Status::IOError(std::string("snapshot fsync failed: ") +
-                                   std::strerror(errno));
-  }
-  ::close(fd);
-  if (!st.ok()) {
-    std::error_code ec;
-    fs::remove(tmp_path, ec);
-    return st;
-  }
-  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    easytime::Status rn = easytime::Status::IOError(
-        std::string("snapshot rename failed: ") + std::strerror(errno));
-    std::error_code ec;
-    fs::remove(tmp_path, ec);
-    return rn;
-  }
-  return SyncDir(dir);
+  return WriteFileDurably(dir, HexName("snap-", seq, ".snap"),
+                          {header, state});
 }
 
 std::vector<SnapshotInfo> ListSnapshots(const std::string& dir) {
@@ -147,7 +40,8 @@ std::vector<SnapshotInfo> ListSnapshots(const std::string& dir) {
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
     uint64_t seq = 0;
     if (entry.is_regular_file() &&
-        ParseSnapshotName(entry.path().filename().string(), &seq)) {
+        ParseHexName(entry.path().filename().string(), "snap-", ".snap",
+                     &seq)) {
       out.push_back(SnapshotInfo{seq, entry.path().string()});
     }
   }
@@ -162,13 +56,9 @@ easytime::Result<LoadedSnapshot> LoadLatestSnapshot(const std::string& dir) {
   std::vector<SnapshotInfo> snaps = ListSnapshots(dir);
   uint64_t corrupt_skipped = 0;
   for (auto it = snaps.rbegin(); it != snaps.rend(); ++it) {
-    std::ifstream in(it->path, std::ios::binary);
-    std::string content;
-    if (in) {
-      content.assign(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-    }
-    bool ok = !content.empty() && content.size() >= kHeaderBytes &&
+    auto read = ReadWholeFile(it->path);
+    const std::string content = read.ok() ? std::move(*read) : std::string();
+    bool ok = content.size() >= kHeaderBytes &&
               std::memcmp(content.data(), kMagic, 8) == 0 &&
               GetU64(content.data() + 8) == it->seq;
     if (ok) {

@@ -1,21 +1,19 @@
 #include "store/wal.h"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 #include <utility>
 
 #include "common/fault.h"
 #include "common/logging.h"
 #include "store/crc32.h"
+#include "store/file_io.h"
 
 namespace easytime::store {
 
@@ -28,30 +26,6 @@ constexpr size_t kHeaderBytes = 16;  // magic + u64 start_seq
 constexpr size_t kFrameBytes = 16;   // u32 len + u32 crc + u64 seq
 constexpr size_t kMaxPayload = size_t{1} << 28;  // sanity bound per record
 
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-uint64_t GetU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
 /// CRC of one record: the sequence number (little-endian) then the payload,
 /// so a frame whose seq was bit-flipped fails validation too.
 uint32_t RecordCrc(uint64_t seq, std::string_view payload) {
@@ -62,65 +36,11 @@ uint32_t RecordCrc(uint64_t seq, std::string_view payload) {
 }
 
 std::string SegmentName(uint64_t start_seq) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "wal-%016llx.log",
-                static_cast<unsigned long long>(start_seq));
-  return buf;
+  return HexName("wal-", start_seq, ".log");
 }
 
 bool ParseSegmentName(const std::string& name, uint64_t* start_seq) {
-  if (name.size() != 4 + 16 + 4 || name.compare(0, 4, "wal-") != 0 ||
-      name.compare(20, 4, ".log") != 0) {
-    return false;
-  }
-  uint64_t v = 0;
-  for (size_t i = 4; i < 20; ++i) {
-    char c = name[i];
-    int d;
-    if (c >= '0' && c <= '9') d = c - '0';
-    else if (c >= 'a' && c <= 'f') d = c - 'a' + 10;
-    else return false;
-    v = (v << 4) | static_cast<uint64_t>(d);
-  }
-  *start_seq = v;
-  return true;
-}
-
-easytime::Status WriteFully(int fd, const char* data, size_t n) {
-  while (n > 0) {
-    ssize_t w = ::write(fd, data, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return easytime::Status::IOError(std::string("wal write failed: ") +
-                                       std::strerror(errno));
-    }
-    data += w;
-    n -= static_cast<size_t>(w);
-  }
-  return easytime::Status::OK();
-}
-
-easytime::Status SyncDir(const std::string& dir) {
-  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    return easytime::Status::IOError("cannot open directory for fsync: " +
-                                     dir);
-  }
-  int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) {
-    return easytime::Status::IOError("directory fsync failed: " + dir);
-  }
-  return easytime::Status::OK();
-}
-
-easytime::Result<std::string> ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return easytime::Status::IOError("cannot read " + path);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  if (in.bad()) return easytime::Status::IOError("read failed: " + path);
-  return content;
+  return ParseHexName(name, "wal-", ".log", start_seq);
 }
 
 }  // namespace
@@ -237,28 +157,8 @@ easytime::Result<WalSegmentInfo> ImportWalSegment(const std::string& dir,
           std::to_string(have->valid_bytes));
     }
   }
-  const std::string tmp = dest + ".ship.tmp";
-  int fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-  if (fd < 0) {
-    return easytime::Status::IOError("cannot create " + tmp + ": " +
-                                     std::strerror(errno));
-  }
-  easytime::Status st =
-      WriteFully(fd, bytes.data(), static_cast<size_t>(info.valid_bytes));
-  if (st.ok() && ::fsync(fd) != 0) {
-    st = easytime::Status::IOError("fsync failed for " + tmp);
-  }
-  ::close(fd);
-  if (!st.ok()) {
-    fs::remove(tmp, ec);
-    return st;
-  }
-  fs::rename(tmp, dest, ec);
-  if (ec) {
-    return easytime::Status::IOError("cannot rename " + tmp + ": " +
-                                     ec.message());
-  }
-  EASYTIME_RETURN_IF_ERROR(SyncDir(dir));
+  EASYTIME_RETURN_IF_ERROR(WriteFileDurably(
+      dir, file, {bytes.substr(0, static_cast<size_t>(info.valid_bytes))}));
   info.path = dest;
   info.file_bytes = info.valid_bytes;
   info.torn = false;
@@ -417,13 +317,16 @@ easytime::Status Wal::OpenFreshSegmentLocked() {
 easytime::Result<uint64_t> Wal::Append(std::string_view payload) {
   std::unique_lock<std::mutex> lock(mu_);
   EASYTIME_FAULT_POINT("store.append");
+  EASYTIME_RETURN_IF_ERROR(poisoned_);
   if (payload.size() > kMaxPayload) {
     return easytime::Status::InvalidArgument(
         "WAL record exceeds the 256 MiB payload bound");
   }
   if (fd_ < 0 || active_bytes_ >= options_.segment_bytes) {
     CloseActiveLocked();
-    EASYTIME_RETURN_IF_ERROR(OpenFreshSegmentLocked());
+    EASYTIME_RETURN_IF_ERROR(poisoned_);  // the close fsync failed
+    easytime::Status opened = OpenFreshSegmentLocked();
+    if (!opened.ok()) return PoisonLocked(std::move(opened));
   }
   const uint64_t seq = last_seq_ + 1;
   std::string frame;
@@ -433,13 +336,9 @@ easytime::Result<uint64_t> Wal::Append(std::string_view payload) {
   PutU64(&frame, seq);
   frame.append(payload.data(), payload.size());
   easytime::Status st = WriteFully(fd_, frame.data(), frame.size());
-  if (!st.ok()) {
-    // Never leave a half-written frame in front of future appends.
-    if (::ftruncate(fd_, static_cast<off_t>(active_bytes_)) != 0) {
-      CloseActiveLocked();  // recovery will truncate the torn tail instead
-    }
-    return st;
-  }
+  // A frame written part-way stays on disk: the next write would land past
+  // it, so only recovery may cut it.
+  if (!st.ok()) return PoisonLocked(std::move(st));
   active_bytes_ += frame.size();
   last_seq_ = seq;
   lock.unlock();
@@ -447,28 +346,18 @@ easytime::Result<uint64_t> Wal::Append(std::string_view payload) {
     // Fault point "store.append_written": lets tests hold a written record
     // back from Sync while another caller's fsync covers it.
     EASYTIME_FAULT_POINT("store.append_written");
-    EASYTIME_RETURN_IF_ERROR(SyncThrough(seq, /*retry_failed=*/false));
+    EASYTIME_RETURN_IF_ERROR(SyncThrough(seq));
   }
   return seq;
 }
 
-easytime::Status Wal::Sync() {
-  return SyncThrough(last_seq(), /*retry_failed=*/true);
-}
+easytime::Status Wal::Sync() { return SyncThrough(last_seq()); }
 
-easytime::Status Wal::SyncThrough(uint64_t seq, bool retry_failed) {
+easytime::Status Wal::SyncThrough(uint64_t seq) {
   std::unique_lock<std::mutex> ack(ack_mu_);
-  const uint64_t failures_before = failures_;
   for (;;) {
-    // Failure wins over durability: a later fsync may advance durable_seq_
-    // past records an earlier failed fsync covered, and a poisoned log has
-    // no durable records past the failed segment. A failed fsync with
-    // failed_seq_ >= seq read last_seq_ after seq was written, so it covered
-    // seq: Append's record is judged from its write on. Only an explicit
-    // Sync() may retry records whose fsync failed before the call.
-    const bool seq_failed =
-        failed_seq_ >= seq && (!retry_failed || failures_ != failures_before);
-    if (poisoned_ || seq_failed) return commit_status_;
+    // Failure wins over durability: a poisoned log acks nothing more.
+    EASYTIME_RETURN_IF_ERROR(poisoned_);
     if (durable_seq_ >= seq) return easytime::Status::OK();
     if (!syncing_) break;
     ack_cv_.wait(ack);  // an fsync is running: it may cover seq
@@ -500,21 +389,34 @@ easytime::Status Wal::SyncThrough(uint64_t seq, bool retry_failed) {
     return easytime::Status::OK();
   }();
   if (dupfd >= 0) ::close(dupfd);
+  if (!st.ok()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    PoisonLocked(std::move(st));
+  }
   ack.lock();
   syncing_ = false;
-  if (st.ok() && !poisoned_) {
+  // An fsync that finishes after the log was poisoned acks nothing: it may
+  // have run over pages a failed fsync already marked clean.
+  if (poisoned_.ok()) {
     ++gc_stats_.batches;
     gc_stats_.records += target - durable_seq_;
     durable_seq_ = target;
-  } else {
-    ++failures_;
-    failed_seq_ = std::max(failed_seq_, target);
-    if (!st.ok()) commit_status_ = st;  // else keep the poison's cause
-    st = commit_status_;
   }
+  st = poisoned_;
   ack.unlock();
   ack_cv_.notify_all();
   return st;
+}
+
+easytime::Status Wal::PoisonLocked(easytime::Status st) {
+  // Lock order is mu_ -> ack_mu_, so this cannot deadlock with Sync().
+  std::lock_guard<std::mutex> ack(ack_mu_);
+  if (poisoned_.ok()) {
+    EASYTIME_LOG(Warning) << "wal: " << dir_ << " fails until reopened: "
+                          << st.ToString();
+    poisoned_ = std::move(st);
+  }
+  return poisoned_;
 }
 
 void Wal::CloseActiveLocked() {
@@ -531,14 +433,7 @@ void Wal::CloseActiveLocked() {
         std::string("wal fsync on segment close failed: ") +
         std::strerror(errno));
   }
-  if (!close_st.ok()) {
-    EASYTIME_LOG(Warning) << "wal: fsync on segment close failed: "
-                          << close_st.ToString();
-    // Lock order is mu_ -> ack_mu_, so this cannot deadlock with Sync().
-    std::lock_guard<std::mutex> ack(ack_mu_);
-    poisoned_ = true;
-    commit_status_ = close_st;
-  }
+  if (!close_st.ok()) PoisonLocked(std::move(close_st));
   ::close(fd_);
   fd_ = -1;
   active_bytes_ = 0;

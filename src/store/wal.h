@@ -21,6 +21,13 @@
 /// durable leads one fsync covering every record written so far, and callers
 /// arriving while it runs wait for it. With sync_every_append, Append ends
 /// in that Sync() (DESIGN.md §10).
+///
+/// Failure has one rule too: any failed frame write or fsync (Sync's, a
+/// durable Append's, or a segment-close one) poisons the log with the first
+/// error. Every later Append and Sync returns that error until the log is
+/// reopened, and reopening recovers the CRC-valid prefix on disk. A record
+/// is acknowledged only by a successful fsync that finished before the
+/// poisoning; a refused record may still come back on reopen.
 
 #include <condition_variable>
 #include <cstdint>
@@ -128,12 +135,12 @@ class Wal {
   Wal& operator=(const Wal&) = delete;
 
   /// \brief Appends one record, returning its sequence number. Fault point
-  /// "store.append"; a failed write truncates the segment back so the log
-  /// never exposes a half-written record to a later append. With
-  /// sync_every_append the record is durable when this returns ok, and any
-  /// failed fsync that covered it fails the call, even one that finished
-  /// before this call reached Sync (fault point "store.append_written" sits
-  /// between the write and the Sync).
+  /// "store.append" refuses before any byte is written and does not poison
+  /// the log; a failed segment creation or frame write poisons it. With
+  /// sync_every_append the record is durable when this returns ok, and a
+  /// failed fsync fails the call even when it finished before this call
+  /// reached Sync (fault point "store.append_written" sits between the write
+  /// and the Sync).
   easytime::Result<uint64_t> Append(std::string_view payload);
 
   /// \brief Durability point: makes every record appended before the call
@@ -141,8 +148,7 @@ class Wal {
   /// Group commit: when an fsync is already running the caller waits for
   /// it; otherwise the caller leads one fsync of the active segment that
   /// acknowledges every record written so far, including other callers'.
-  /// Records an fsync failed before the call are fsync'd again. A failed
-  /// segment-close fsync fails every later call until reopen.
+  /// A failed fsync poisons the log; a poisoned log fails every call.
   easytime::Status Sync();
 
   /// \brief Deletes the longest prefix of segments whose records all have
@@ -173,10 +179,13 @@ class Wal {
                            WalRecoveryStats* stats);
 
   easytime::Status OpenFreshSegmentLocked();
+  /// fsyncs and closes the active segment; a failed fsync poisons the log.
   void CloseActiveLocked();
-  /// Sync() for the records up to \p seq; \p retry_failed is true for
-  /// Sync() and false for Append (see both for the failure rule).
-  easytime::Status SyncThrough(uint64_t seq, bool retry_failed);
+  /// Sync() for the records up to \p seq.
+  easytime::Status SyncThrough(uint64_t seq);
+  /// Poisons the log with \p st unless it already is; returns the first
+  /// error. Caller holds mu_.
+  easytime::Status PoisonLocked(easytime::Status st);
 
   const std::string dir_;
   const WalOptions options_;
@@ -194,16 +203,13 @@ class Wal {
   std::condition_variable ack_cv_;  ///< signalled when an fsync finishes
   bool syncing_ = false;            ///< a leader's fsync is in flight
   uint64_t durable_seq_ = 0;        ///< records <= this are fsync'd
-  uint64_t failed_seq_ = 0;         ///< highest record of a failed fsync
-  uint64_t failures_ = 0;           ///< failed fsyncs so far
-  easytime::Status commit_status_ = easytime::Status::OK();  ///< last failure
   WalGroupCommitStats gc_stats_;
-  /// Sticky fail-stop: set when a segment-close fsync fails. The closed
-  /// segment's tail may be torn, and recovery truncates a torn tail and then
-  /// DROPS every later segment as an unreachable suffix — so no record
-  /// appended after the failure can be acked durable, however its own fsync
-  /// goes. Every Sync() fails until the log is reopened.
-  bool poisoned_ = false;
+  /// The one failure state: the first failed frame write or fsync, sticky
+  /// until reopen (see the file comment). A failed fsync may leave pages
+  /// marked clean that never reached disk, and a torn segment tail makes
+  /// recovery drop every later segment, so no later success proves
+  /// anything. Written holding mu_ and ack_mu_; read holding either.
+  easytime::Status poisoned_ = easytime::Status::OK();
 };
 
 }  // namespace easytime::store

@@ -210,6 +210,7 @@ easytime::Status AppendLog::Append(const AppendRecord& record) {
   if (record.channels.empty() || record.channels[0].empty()) {
     return Status::InvalidArgument("append record must carry values");
   }
+  size_t tail_len = 0;
   {
     // Tails first: any record that later obtains a WAL sequence number is
     // already inside the state a concurrent compaction would snapshot (the
@@ -226,8 +227,7 @@ easytime::Status AppendLog::Append(const AppendRecord& record) {
     if (record.channels.size() != tail.channels.size()) {
       return Status::InvalidArgument("append changes channel arity");
     }
-    const size_t tail_len =
-        tail.channels.empty() ? 0 : tail.channels[0].size();
+    tail_len = tail.channels.empty() ? 0 : tail.channels[0].size();
     if (record.start != tail.base + tail_len) {
       return Status::Internal(
           "append log ordering violated for '" + record.dataset +
@@ -243,10 +243,28 @@ easytime::Status AppendLog::Append(const AppendRecord& record) {
   }
   // Durable outside the tails lock: concurrent appenders (to different
   // datasets) group-commit into shared fsyncs.
-  EASYTIME_ASSIGN_OR_RETURN(uint64_t seq,
-                            store_->Append(record.ToJson().Dump()));
-  (void)seq;
-  return MaybeCompact();
+  auto seq = store_->Append(record.ToJson().Dump());
+  if (!seq.ok()) {
+    // Refused: take the batch back out of the tail, or the next compaction
+    // would snapshot it and a restart would resurrect it. Same-dataset
+    // appends are serialized, so nothing was added behind it.
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = tails_.find(record.dataset);
+    if (tail_len == 0) {
+      tails_.erase(it);
+    } else {
+      for (auto& ch : it->second.channels) ch.resize(tail_len);
+    }
+    return seq.status();
+  }
+  // The record is durable: a failed compaction leaves it in the WAL and
+  // must not turn the acknowledged append into a refusal.
+  easytime::Status compacted = MaybeCompact();
+  if (!compacted.ok()) {
+    EASYTIME_LOG(Warning) << "append log: compaction failed: "
+                          << compacted.ToString();
+  }
+  return Status::OK();
 }
 
 std::string AppendLog::EncodeTailsLocked() const {

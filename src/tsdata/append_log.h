@@ -70,7 +70,10 @@ class AppendLog {
   /// \brief Durably appends one record; returns after the record is on
   /// disk. Safe to call concurrently for different datasets; same-dataset
   /// calls must be externally serialized in start order (see the ordering
-  /// contract above).
+  /// contract above). A refused append leaves the log's tails as they were,
+  /// so the caller may retry at the same start; once the store is poisoned
+  /// (store/wal.h) every append is refused until reopen, and a refused
+  /// record the WAL already held may replay then.
   easytime::Status Append(const AppendRecord& record);
 
   /// Group-commit counters of the underlying WAL: fsyncs and the appends

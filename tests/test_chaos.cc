@@ -4,7 +4,8 @@
 // result or a well-formed error envelope with the right id — with nothing
 // wrong, dropped, or deadlocked. A separate scenario simulates a killed
 // evaluation job and asserts the checkpoint/resume path skips completed
-// pairs on restart.
+// pairs on restart, and another fails one WAL fsync under concurrent
+// appends: the store refuses every later append until it is reopened.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -463,6 +464,144 @@ TEST_F(ChaosTest, RestartedServerAnswersIdenticallyFromThePersistedStore) {
     EXPECT_EQ((*sys)->knowledge().NumResults(), results_after_extra)
         << "records appended after the snapshot must replay from the WAL";
   }
+  std::filesystem::remove_all(dir);
+}
+
+// The store's one failure rule, end to end: a server with a store_dir takes
+// concurrent appends while one WAL fsync fails. From then on every append is
+// refused with IOError until the store is reopened, while forecasts keep
+// answering from memory. A system reopened on the same directory holds every
+// acknowledged append exactly once, in offset order, and takes appends again.
+TEST_F(ChaosTest, FailedFsyncRefusesAppendsUntilReopen) {
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) /
+       ("easytime_chaos_fsync_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  core::EasyTime::Options opt = MakeOptions();
+  opt.store_dir = dir;
+  opt.pretrain_ensemble = false;
+
+  // One appender per univariate dataset. Batch n of lane l holds
+  // {l * 1e6 + 2n, l * 1e6 + 2n + 1}, so a lost, doubled or misplaced
+  // batch shows up as a wrong value or length.
+  struct Lane {
+    std::string dataset;
+    size_t base = 0;
+    std::vector<std::vector<double>> acked;
+    std::vector<double> first_refused;
+    int refused = 0;
+    std::string wrong;  ///< the first broken expectation, if any
+  };
+  std::vector<Lane> lanes;
+  {
+    auto sys = core::EasyTime::Create(opt);
+    ASSERT_TRUE(sys.ok()) << sys.status().ToString();
+    for (const auto& name : (*sys)->repository()->names()) {
+      auto ds = (*sys)->repository()->Get(name);
+      if (ds.ok() && (*ds)->num_channels() == 1 && lanes.size() < 4) {
+        Lane lane;
+        lane.dataset = name;
+        lane.base = (*ds)->length();
+        lanes.push_back(std::move(lane));
+      }
+    }
+    ASSERT_GE(lanes.size(), 2u);
+
+    ForecastServer server(sys->get());
+    server.Start();
+    std::atomic<size_t> lane_acks[4] = {};
+    std::vector<std::thread> appenders;
+    for (size_t l = 0; l < lanes.size(); ++l) {
+      appenders.emplace_back([&, l]() {
+        Lane& lane = lanes[l];
+        for (int n = 0; n < 20000 && lane.refused < 3; ++n) {
+          const double v = static_cast<double>(l) * 1e6 + 2.0 * n;
+          Json params = Json::Object();
+          params.Set("dataset", lane.dataset);
+          Json values = Json::Array();
+          values.Append(v);
+          values.Append(v + 1.0);
+          params.Set("values", std::move(values));
+          auto r = server.Call("append", params);
+          if (r.ok()) {
+            if (lane.refused > 0) {
+              lane.wrong = "an append was acked after a refusal";
+              return;
+            }
+            lane.acked.push_back({v, v + 1.0});
+            lane_acks[l].fetch_add(1);
+          } else if (r.status().code() != StatusCode::kIOError) {
+            lane.wrong = "refused with " + r.status().ToString();
+            return;
+          } else if (lane.refused++ == 0) {
+            lane.first_refused = {v, v + 1.0};
+          }
+        }
+        if (lane.refused == 0) lane.wrong = "no append was ever refused";
+      });
+    }
+    // Let every lane get some appends acked, then fail one fsync.
+    const auto deadline = std::chrono::steady_clock::now() + 30s;
+    for (size_t l = 0; l < lanes.size(); ++l) {
+      while (lane_acks[l].load() < 3 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(1ms);
+      }
+    }
+    FaultSpec fail;
+    fail.kind = FaultKind::kError;
+    fail.code = StatusCode::kIOError;
+    fail.max_triggers = 1;
+    EXPECT_TRUE(FaultRegistry::Global().Arm("store.fsync", fail).ok());
+    for (auto& t : appenders) t.join();
+    EXPECT_EQ(FaultRegistry::Global().PointStats("store.fsync").triggers, 1u);
+    FaultRegistry::Global().DisarmAll();
+
+    for (const Lane& lane : lanes) {
+      EXPECT_EQ(lane.wrong, "") << lane.dataset;
+      EXPECT_GE(lane.acked.size(), 3u) << lane.dataset;
+      EXPECT_EQ(lane.refused, 3) << lane.dataset;
+      // Reads never touch the store: forecasts still answer.
+      Json params = Json::Object();
+      params.Set("dataset", lane.dataset);
+      params.Set("method", "naive");
+      params.Set("horizon", static_cast<int64_t>(4));
+      auto r = server.Call("forecast", params);
+      ASSERT_TRUE(r.ok()) << lane.dataset << ": " << r.status().ToString();
+      EXPECT_EQ(r->Get("values").size(), 4u);
+    }
+    server.Stop();
+  }
+
+  auto sys = core::EasyTime::Create(opt);
+  ASSERT_TRUE(sys.ok()) << sys.status().ToString();
+  for (const Lane& lane : lanes) {
+    SCOPED_TRACE(lane.dataset);
+    auto snap = (*sys)->SeriesSnapshot(lane.dataset);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    const std::vector<double>& values = snap->values();
+    const size_t acked_len = lane.base + 2 * lane.acked.size();
+    ASSERT_GE(values.size(), acked_len)
+        << "an acknowledged append was lost";
+    for (size_t k = 0; k < lane.acked.size(); ++k) {
+      ASSERT_EQ(values[lane.base + 2 * k], lane.acked[k][0]) << "batch " << k;
+      ASSERT_EQ(values[lane.base + 2 * k + 1], lane.acked[k][1]);
+    }
+    // Refusals after the failure come before any write and never land. The
+    // lane's first refused batch may already have been written when the
+    // fsync failed: a failed fsync does not say the bytes are missing, so
+    // recovery may replay it. Nothing refused after it may follow.
+    if (values.size() > acked_len) {
+      ASSERT_EQ(values.size(), acked_len + 2)
+          << "a batch refused before its write was recovered";
+      EXPECT_EQ(values[acked_len], lane.first_refused[0]);
+      EXPECT_EQ(values[acked_len + 1], lane.first_refused[1]);
+    }
+    auto again = (*sys)->AppendObservations(lane.dataset, {{1.0, 2.0}});
+    EXPECT_TRUE(again.ok()) << again.status().ToString();
+  }
+  sys->reset();
   std::filesystem::remove_all(dir);
 }
 

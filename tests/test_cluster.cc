@@ -28,6 +28,7 @@
 #include "cluster/supervisor.h"
 #include "common/json.h"
 #include "serve/client.h"
+#include "store/snapshot.h"
 #include "store/wal.h"
 
 namespace easytime::cluster {
@@ -164,6 +165,7 @@ TEST(SyncFrozenStoreDirTest, CopiesValidRecordsAndCutsTornTail) {
     }
     ASSERT_TRUE((*wal)->Sync().ok());
   }
+  ASSERT_TRUE(store::WriteSnapshot(src, 20, "state-through-20").ok());
   // Simulate death mid-append: garbage on the active segment's tail.
   {
     auto segments = store::ListWalSegments(src);
@@ -188,6 +190,16 @@ TEST(SyncFrozenStoreDirTest, CopiesValidRecordsAndCutsTornTail) {
   ASSERT_EQ(seqs.size(), 40u);
   EXPECT_EQ(seqs.front(), 1u);
   EXPECT_EQ(seqs.back(), 40u);
+
+  // The newest snapshot arrives whole and durably renamed into place.
+  EXPECT_EQ(report->snapshots_copied, 1u);
+  auto snap = store::LoadLatestSnapshot(dst);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  EXPECT_EQ(snap->seq, 20u);
+  EXPECT_EQ(snap->state, "state-through-20");
+  for (const auto& entry : std::filesystem::directory_iterator(dst)) {
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+  }
 }
 
 TEST(SyncFrozenStoreDirTest, MissingSourceIsEmptyNotError) {

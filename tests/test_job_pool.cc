@@ -616,6 +616,54 @@ TEST_F(JobPoolTest, ResumesFromACompactedCheckpoint) {
   std::filesystem::remove_all(dir);
 }
 
+// A checkpoint append that fails ends its job with the store's IOError: a
+// run whose records no longer persist must not carry on as if they did. The
+// checkpoint stays for the next run, which resumes once the store reopens.
+TEST_F(JobPoolTest, FailedCheckpointAppendFailsTheJob) {
+  const std::string dir = FreshCheckpointDir("easytime_pool_ckpt_fail");
+  auto config = Json::Parse(R"({
+    "methods": ["naive", "drift", "ses", "theta"],
+    "evaluation": {"strategy": "fixed", "horizon": 8, "metrics": ["mae"]},
+    "num_threads": 1,
+    "job_key": "pool-ckpt-fail"
+  })");
+  ASSERT_TRUE(config.ok());
+  JobManager::Options opt;
+  opt.checkpoint_dir = dir;
+  std::string ckpt_path;
+  {
+    FaultSpec fail;
+    fail.kind = FaultKind::kError;
+    fail.code = StatusCode::kIOError;
+    fail.max_triggers = 1;
+    ASSERT_TRUE(FaultRegistry::Global().Arm("store.fsync", fail).ok());
+    JobManager manager(system_, opt);
+    ckpt_path = manager.CheckpointPath("pool-ckpt-fail");
+    manager.Start();
+    auto job = manager.Submit(*config);
+    ASSERT_TRUE(job.ok()) << job.status().ToString();
+    ASSERT_EQ(AwaitTerminal(manager, *job), "failed");
+    auto s = manager.StatusJson(*job);
+    ASSERT_TRUE(s.ok());
+    EXPECT_NE(s->GetString("error", "").find("IO error"), std::string::npos)
+        << s->GetString("error", "");
+    EXPECT_NE(s->GetString("error", "").find("checkpoint append"),
+              std::string::npos);
+    EXPECT_EQ(manager.stats().failed, 1u);
+  }
+  FaultRegistry::Global().DisarmAll();
+  EXPECT_TRUE(std::filesystem::exists(ckpt_path))
+      << "a failed job keeps its checkpoint";
+
+  JobManager manager(system_, opt);
+  manager.Start();
+  auto job = manager.Submit(*config);
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  EXPECT_EQ(AwaitTerminal(manager, *job), "done");
+  manager.Shutdown();
+  std::filesystem::remove_all(dir);
+}
+
 // A job that crashed between appending its terminal marker and removing its
 // checkpoint leaves an orphan behind; Start() must sweep exactly those.
 TEST_F(JobPoolTest, StartSweepsTerminalOrphanCheckpointsOnly) {

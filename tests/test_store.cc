@@ -1,7 +1,8 @@
 // Storage engine tests (DESIGN.md §9): CRC framing, WAL append/rotate/
 // recover, torn-tail and bit-flip corruption corpus, snapshot fallback,
-// compaction's segment-deletion guard, fault injection on the
-// store.append/store.fsync/store.snapshot points, fork/SIGKILL torture for
+// compaction's segment-deletion guard, fault injection on the store.*
+// points and a frame write cut short by RLIMIT_FSIZE (one failure rule:
+// the log stays failed until reopen), fork/SIGKILL torture for
 // kill-mid-append and kill-mid-compaction, and the KnowledgeStore round
 // trip on top of it all.
 
@@ -9,6 +10,7 @@
 
 #include <signal.h>
 #include <sys/mman.h>
+#include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -572,10 +574,82 @@ TEST_F(StoreFaultTest, FsyncFaultFailsSyncAndCompactButNotTheData) {
   EXPECT_FALSE((*rs)->Compact("state").ok());
   EXPECT_TRUE(ListSnapshots(dir).empty());
 
+  // A failed fsync is final for this open: a retry that succeeds proves
+  // nothing about pages the failed one may have marked clean.
   FaultRegistry::Global().DisarmAll();
+  EXPECT_EQ((*rs)->Sync().code(), StatusCode::kIOError);
+  EXPECT_EQ((*rs)->Compact("state").code(), StatusCode::kIOError);
+  EXPECT_EQ((*rs)->Append("r2").status().code(), StatusCode::kIOError);
+  EXPECT_TRUE(ListSnapshots(dir).empty());
+  rs->reset();
+
+  // Reopen recovers what is on disk and the store works again.
+  RecordStoreRecovery rec;
+  rs = RecordStore::Open(dir, RecordStoreOptions{}, &rec);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ASSERT_EQ(rec.tail.size(), 1u);
+  EXPECT_EQ(rec.tail[0].second, "r1");
   EXPECT_TRUE((*rs)->Sync().ok());
   EXPECT_TRUE((*rs)->Compact("state").ok());
   EXPECT_EQ(ListSnapshots(dir).size(), 1u);
+  rs->reset();
+  fs::remove_all(dir);
+}
+
+// A frame write that fails part-way poisons the log. The segment fd is not
+// O_APPEND, so a later frame would land past the torn one, and recovery,
+// which cuts the log at the torn frame, would drop it after it was acked.
+// RLIMIT_FSIZE makes the write stop mid-frame; a forked child sets it, so
+// the limit binds no other test.
+TEST_F(StoreFaultTest, PartialFrameWritePoisonsTheLogUntilReopen) {
+  const std::string dir = TestDir("fault_partial_write");
+  constexpr size_t kAcked = 3;
+  const std::string payload(40, 'p');  // 16-byte frame header + 40 = 56
+  pid_t pid = fork();
+  ASSERT_NE(pid, -1);
+  if (pid == 0) {
+    // Exit 0 when every expectation held, else the code of the first miss.
+    RecordStoreOptions opt;
+    opt.sync_every_append = true;
+    auto rs = RecordStore::Open(dir, opt, nullptr);
+    if (!rs.ok()) _exit(10);
+    signal(SIGXFSZ, SIG_IGN);  // the failed write returns EFBIG instead
+    struct rlimit lim;
+    if (getrlimit(RLIMIT_FSIZE, &lim) != 0) _exit(11);
+    const rlim_t unlimited = lim.rlim_cur;
+    // The segment header, kAcked frames and half of the next frame.
+    lim.rlim_cur = 16 + kAcked * 56 + 28;
+    if (setrlimit(RLIMIT_FSIZE, &lim) != 0) _exit(12);
+    for (size_t i = 0; i < kAcked; ++i) {
+      if (!(*rs)->Append(payload).ok()) _exit(13);
+    }
+    if ((*rs)->Append(payload).ok()) _exit(14);  // fails mid-frame
+    lim.rlim_cur = unlimited;
+    if (setrlimit(RLIMIT_FSIZE, &lim) != 0) _exit(15);
+    if ((*rs)->Append("after").ok()) _exit(16);
+    if ((*rs)->Sync().ok()) _exit(17);
+    _exit(0);
+  }
+  int wstatus = 0;
+  ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(WIFEXITED(wstatus));
+  ASSERT_EQ(WEXITSTATUS(wstatus), 0)
+      << "child exit code names the failed step (16/17: the log took an "
+         "append or sync after a torn frame write)";
+
+  RecordStoreRecovery rec;
+  auto rs = RecordStore::Open(dir, RecordStoreOptions{}, &rec);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(rec.bytes_dropped, 28u) << "recovery cuts the torn half-frame";
+  ASSERT_EQ(rec.tail.size(), kAcked)
+      << "every record acked before the failure must replay";
+  for (size_t i = 0; i < kAcked; ++i) {
+    EXPECT_EQ(rec.tail[i].first, i + 1);
+    EXPECT_EQ(rec.tail[i].second, payload);
+  }
+  EXPECT_TRUE((*rs)->Append("after-reopen").ok());
+  EXPECT_TRUE((*rs)->Sync().ok());
+  rs->reset();
   fs::remove_all(dir);
 }
 
@@ -776,8 +850,21 @@ TEST_F(StoreFaultTest, GroupCommitFsyncFaultFailsTheWaitingAppend) {
   ASSERT_FALSE(failed.ok()) << "a failed batch fsync must fail its waiters";
   EXPECT_EQ(failed.status().code(), StatusCode::kIOError);
 
+  // Fail-stop until reopen, even once the fault clears.
   FaultRegistry::Global().DisarmAll();
-  EXPECT_TRUE((*rs)->Append("after").ok());
+  EXPECT_EQ((*rs)->Append("after").status().code(), StatusCode::kIOError);
+  rs->reset();
+
+  RecordStoreRecovery rec;
+  rs = RecordStore::Open(dir, opt, &rec);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ASSERT_GE(rec.tail.size(), 1u);
+  EXPECT_EQ(rec.tail[0].second, "before");
+  for (const auto& [seq, payload] : rec.tail) {
+    EXPECT_NE(payload, "after") << "a refused-before-write append never lands";
+  }
+  EXPECT_TRUE((*rs)->Append("after-reopen").ok());
+  rs->reset();
   fs::remove_all(dir);
 }
 
@@ -913,8 +1000,21 @@ TEST_F(StoreFaultTest, FsyncFailureBeforeAppendReachesSyncFailsTheAppend) {
   appender.join();
   EXPECT_EQ(append_st.code(), StatusCode::kIOError)
       << "a record a failed fsync covered must never be acked durable";
+  // Fail-stop until reopen, even once the fault clears.
   FaultRegistry::Global().DisarmAll();
-  EXPECT_TRUE((*rs)->Append("after").ok());
+  EXPECT_EQ((*rs)->Append("after").status().code(), StatusCode::kIOError);
+  EXPECT_EQ((*rs)->Sync().code(), StatusCode::kIOError);
+  rs->reset();
+
+  RecordStoreRecovery rec;
+  rs = RecordStore::Open(dir, opt, &rec);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ASSERT_GE(rec.tail.size(), 1u);
+  EXPECT_EQ(rec.tail[0].second, "before");
+  EXPECT_EQ(rec.tail.back().second, "covered-by-a-failed-fsync")
+      << "a refused record the WAL already held may replay; a record "
+         "refused before its write may not";
+  EXPECT_TRUE((*rs)->Append("after-reopen").ok());
   rs->reset();
   fs::remove_all(dir);
 }

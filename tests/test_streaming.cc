@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault.h"
 #include "core/easytime.h"
 #include "eval/backtest.h"
 #include "serve/job_manager.h"
@@ -600,6 +601,81 @@ TEST(StreamingDurabilityTest, KillMidAppendKeepsAcknowledgedBatchesOnly) {
   rec.start = len;
   rec.channels.push_back({static_cast<double>(len)});
   EXPECT_TRUE((*log)->Append(rec).ok());
+  fs::remove_all(dir);
+}
+
+// A refused append must leave no trace: the log takes the batch back out of
+// the dataset's tail, so the caller can retry at the same start, and a
+// compaction triggered by another dataset's appends cannot snapshot the
+// refused values into a state a restart would replay. The converse holds
+// too: a durable append is acked even when the compaction after it fails.
+TEST(StreamingRollbackTest, RefusedAppendIsNeitherBlockingNorResurrected) {
+  const std::string dir = TestDir("rollback");
+  constexpr size_t kBase = 8;
+  auto make_repo = [] {
+    tsdata::Repository repo;
+    for (const char* name : {"a", "b"}) {
+      tsdata::Dataset ds(name);
+      std::vector<double> base(kBase);
+      for (size_t i = 0; i < kBase; ++i) base[i] = static_cast<double>(i);
+      EXPECT_TRUE(ds.AddChannel(tsdata::Series(name, base)).ok());
+      EXPECT_TRUE(repo.Add(std::move(ds)).ok());
+    }
+    return repo;
+  };
+  auto record = [](const std::string& dataset, size_t start, double v) {
+    tsdata::AppendRecord rec;
+    rec.dataset = dataset;
+    rec.start = start;
+    rec.channels.push_back({v});
+    return rec;
+  };
+  tsdata::AppendLogOptions opt;
+  opt.dir = dir;
+  opt.compact_every = 2;
+  FaultRegistry::Global().DisarmAll();
+  {
+    tsdata::Repository repo = make_repo();
+    auto log = tsdata::AppendLog::Open(opt, &repo, nullptr);
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    FaultSpec refuse;
+    refuse.kind = FaultKind::kError;
+    refuse.code = StatusCode::kIOError;
+    refuse.max_triggers = 1;
+    ASSERT_TRUE(FaultRegistry::Global().Arm("store.append", refuse).ok());
+    EXPECT_EQ((*log)->Append(record("a", kBase, 99.0)).code(),
+              StatusCode::kIOError);
+    FaultRegistry::Global().DisarmAll();
+    // Three appends to b compact the tails, a's included. The first
+    // compaction fails; that must not refuse the durable append behind it.
+    FaultSpec no_snapshot = refuse;
+    ASSERT_TRUE(
+        FaultRegistry::Global().Arm("store.snapshot", no_snapshot).ok());
+    for (size_t i = 0; i < 3; ++i) {
+      easytime::Status st = (*log)->Append(record("b", kBase + i, 50.0 + i));
+      ASSERT_TRUE(st.ok()) << "append " << i << ": " << st.ToString();
+    }
+    EXPECT_EQ(FaultRegistry::Global().PointStats("store.snapshot").triggers,
+              1u);
+    FaultRegistry::Global().DisarmAll();
+  }
+  {
+    tsdata::Repository repo = make_repo();
+    auto log = tsdata::AppendLog::Open(opt, &repo, nullptr);
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    EXPECT_EQ((*repo.Get("a"))->length(), kBase)
+        << "the refused append came back after a restart";
+    EXPECT_EQ((*repo.Get("b"))->length(), kBase + 3);
+    // The retry at the same start is accepted.
+    easytime::Status retried = (*log)->Append(record("a", kBase, 7.0));
+    ASSERT_TRUE(retried.ok()) << retried.ToString();
+  }
+  tsdata::Repository repo = make_repo();
+  auto log = tsdata::AppendLog::Open(opt, &repo, nullptr);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  const auto* a = *repo.Get("a");
+  ASSERT_EQ(a->length(), kBase + 1);
+  EXPECT_EQ(a->channel(0).values()[kBase], 7.0);
   fs::remove_all(dir);
 }
 
