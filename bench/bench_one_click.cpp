@@ -17,7 +17,6 @@ int main() {
   core::EasyTime::Options opt;
   opt.suite.univariate_per_domain = 2;
   opt.suite.multivariate_total = 2;
-  opt.pretrain_ensemble = false;  // S1 needs only benchmark + Q&A layers
   auto system = core::EasyTime::Create(opt);
   if (!system.ok()) {
     std::fprintf(stderr, "%s\n", system.status().ToString().c_str());

@@ -14,15 +14,15 @@
 using namespace easytime;
 
 int main() {
-  // Offline phase: seed the benchmark knowledge and pretrain the
-  // recommendation stack (TS2Vec encoder + soft-label classifier).
+  // Seed the benchmark knowledge. The offline phase (TS2Vec encoder +
+  // soft-label classifier) runs on the first Recommend below, over the
+  // repository as it stands then.
   core::EasyTime::Options opt;
   opt.suite.univariate_per_domain = 2;
   opt.suite.multivariate_total = 2;
   opt.seed_eval.horizon = 24;
   opt.ensemble.top_k = 3;
-  std::printf("pretraining EasyTime (benchmark seeding + TS2Vec + "
-              "classifier)...\n");
+  std::printf("seeding EasyTime (benchmark evaluation)...\n");
   auto system = core::EasyTime::Create(opt);
   if (!system.ok()) {
     std::fprintf(stderr, "create: %s\n", system.status().ToString().c_str());
@@ -46,7 +46,8 @@ int main() {
     return 1;
   }
 
-  // Characteristics + recommendation (labels 3/4).
+  // Characteristics + recommendation (labels 3/4); this first Recommend
+  // trains the TS2Vec encoder and the classifier.
   auto ch = tsdata::ExtractCharacteristics(uploaded);
   std::printf("\nuploaded '%s': %s\n", uploaded.name().c_str(),
               ch.Describe().c_str());

@@ -17,7 +17,6 @@ int main() {
   opt.suite.multivariate_total = 2;
   opt.seed_eval.horizon = 24;
   opt.seed_methods = {"naive", "seasonal_naive", "theta", "mean"};
-  opt.pretrain_ensemble = false;
   opt.pretrain_foundation = true;      // <- the interesting part
   opt.foundation.lookback = 48;
   opt.foundation.horizon = 24;

@@ -16,7 +16,6 @@ int main(int argc, char** argv) {
   opt.suite.univariate_per_domain = 2;
   opt.suite.multivariate_total = 3;
   opt.seed_eval.horizon = 24;  // long-term per the Q&A vocabulary
-  opt.pretrain_ensemble = false;  // Q&A only needs the knowledge base
   std::printf("seeding the benchmark knowledge base...\n\n");
   auto system = core::EasyTime::Create(opt);
   if (!system.ok()) {

@@ -97,20 +97,17 @@ easytime::Result<CatchUpReport> SyncFrozenStoreDir(const std::string& src,
     if (seg.last_seq > report.last_seq) report.last_seq = seg.last_seq;
   }
 
-  // Newest snapshot only: recovery loads the latest valid image and replays
-  // the WAL past it; older snapshots are dead weight.
-  auto snapshots = store::ListSnapshots(src);
-  if (!snapshots.empty()) {
-    // Durably: recovery from dst finds only WAL segments that start past
-    // the snapshot, so losing it to a crash would lose acknowledged data.
-    const store::SnapshotInfo& snap = snapshots.back();
+  // Every retained snapshot, so a corrupt newest one falls back at dst to
+  // an older one as recovery at src would. Durably: dst's WAL segments may
+  // start past the oldest snapshot, so losing one to a crash would lose
+  // acknowledged data.
+  for (const store::SnapshotInfo& snap : store::ListSnapshots(src)) {
     const std::string file = fs::path(snap.path).filename().string();
-    if (!fs::exists(dst + "/" + file)) {
-      EASYTIME_ASSIGN_OR_RETURN(std::string bytes,
-                                store::ReadWholeFile(snap.path));
-      EASYTIME_RETURN_IF_ERROR(store::WriteFileDurably(dst, file, {bytes}));
-      ++report.snapshots_copied;
-    }
+    if (fs::exists(dst + "/" + file)) continue;
+    EASYTIME_ASSIGN_OR_RETURN(std::string bytes,
+                              store::ReadWholeFile(snap.path));
+    EASYTIME_RETURN_IF_ERROR(store::WriteFileDurably(dst, file, {bytes}));
+    ++report.snapshots_copied;
   }
   return report;
 }

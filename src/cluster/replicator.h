@@ -15,7 +15,7 @@
 /// Promotion's final catch-up reuses SyncFrozenStoreDir(): after a primary
 /// dies, its store directory is frozen on disk, so the follower copies
 /// every remaining valid record (including the active segment's valid
-/// prefix and the newest snapshot) before opening the store as its own.
+/// prefix and every retained snapshot) before opening the store as its own.
 
 #include <atomic>
 #include <cstdint>
@@ -38,11 +38,12 @@ struct CatchUpReport {
   uint64_t last_seq = 0;  ///< highest valid record seq seen in src
 };
 
-/// \brief Copies a frozen record-store directory (WAL segments + newest
-/// snapshot) from \p src into \p dst. Segment bytes travel through the
-/// validated export/import path, so a torn tail from the primary's death
-/// mid-append is cut; the newest snapshot is copied verbatim (snapshot
-/// writes are atomic, so a frozen snapshot file is whole). \p dst is
+/// \brief Copies a frozen record-store directory (WAL segments + every
+/// retained snapshot) from \p src into \p dst. Segment bytes travel through
+/// the validated export/import path, so a torn tail from the primary's death
+/// mid-append is cut; snapshots are copied verbatim and unvalidated, so a
+/// corrupt newest one falls back at \p dst to the next older one, exactly as
+/// recovery at \p src would. \p dst is
 /// created if missing. Missing \p src is not an error (empty report) —
 /// a primary that never appended has nothing to catch up.
 easytime::Result<CatchUpReport> SyncFrozenStoreDir(const std::string& src,

@@ -68,8 +68,8 @@ easytime::Result<std::unique_ptr<EasyTime>> EasyTime::Create(
 
   // Streamed observations are user data the generator cannot reproduce:
   // replay the append log over the (deterministic) base suite before the
-  // knowledge layers see the repository, so seeding, restore-sync, and
-  // ensemble pretraining all observe the fully-extended series.
+  // knowledge layers see the repository, so seeding and restore-sync
+  // observe the fully-extended series.
   tsdata::AppendLog::ReplayStats append_replay;
   if (!options.store_dir.empty()) {
     tsdata::AppendLogOptions log_options;
@@ -128,11 +128,6 @@ easytime::Result<std::unique_ptr<EasyTime>> EasyTime::Create(
     system->kb_.AddReport(report);
   }
 
-  if (options.pretrain_ensemble) {
-    system->ensemble_ = ensemble::AutoEnsembleEngine(options.ensemble);
-    EASYTIME_RETURN_IF_ERROR(
-        system->ensemble_.Pretrain(system->repository_, system->kb_));
-  }
   if (options.pretrain_foundation) {
     std::vector<std::vector<double>> corpus;
     for (const auto* ds : system->repository_.All()) {
@@ -338,17 +333,37 @@ easytime::Result<tsdata::Series> EasyTime::SeriesSnapshot(
   return ds->channel(channel);
 }
 
+easytime::Status EasyTime::EnsureEnsembleTrained() const {
+  if (ensemble_trained_.load(std::memory_order_acquire)) return Status::OK();
+  std::lock_guard<std::mutex> lock(ensemble_mu_);
+  if (ensemble_trained_.load(std::memory_order_relaxed)) return Status::OK();
+  // The caller's hold on mu_ keeps the repository and the knowledge base
+  // still for the whole training.
+  ensemble_ = ensemble::AutoEnsembleEngine(options_.ensemble);
+  Status st = ensemble_.Pretrain(repository_, kb_);
+  if (!st.ok()) {
+    // Unavailable: the engine may train on a later call (the serving layer
+    // answers recommend from its global ranking meanwhile).
+    return Status::Unavailable("automated ensemble is not trained: " +
+                               st.ToString());
+  }
+  ensemble_trained_.store(true, std::memory_order_release);
+  return Status::OK();
+}
+
 easytime::Result<ensemble::Recommendation> EasyTime::Recommend(
     const std::string& dataset_name, size_t k) const {
   std::shared_lock lock(mu_);
   EASYTIME_ASSIGN_OR_RETURN(const tsdata::Dataset* ds,
                             repository_.Get(dataset_name));
+  EASYTIME_RETURN_IF_ERROR(EnsureEnsembleTrained());
   return ensemble_.Recommend(ds->primary().values(), k);
 }
 
 easytime::Result<ensemble::Recommendation> EasyTime::RecommendForValues(
     const std::vector<double>& values, size_t k) const {
   std::shared_lock lock(mu_);
+  EASYTIME_RETURN_IF_ERROR(EnsureEnsembleTrained());
   return ensemble_.Recommend(values, k);
 }
 
@@ -359,6 +374,7 @@ easytime::Result<EasyTime::EnsembleEvaluation> EasyTime::EvaluateWithEnsemble(
                             repository_.Get(dataset_name));
   const std::vector<double>& values = ds->primary().values();
 
+  EASYTIME_RETURN_IF_ERROR(EnsureEnsembleTrained());
   EASYTIME_ASSIGN_OR_RETURN(auto ens, ensemble_.BuildEnsemble(values));
   eval::Evaluator evaluator(config);
 

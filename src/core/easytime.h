@@ -14,6 +14,7 @@
 ///   auto resp   = system->Ask("top-5 methods by mae on traffic datasets?");
 /// \endcode
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -54,8 +55,9 @@ class EasyTime {
     tsdata::SuiteSpec suite;            ///< benchmark data suite to generate
     eval::EvalConfig seed_eval;         ///< protocol for seeding the KB
     std::vector<std::string> seed_methods;  ///< empty = a fast default set
+    /// The Automated Ensemble's parameters. Its offline phase (TS2Vec and
+    /// classifier training) runs on the first call that needs it, not here.
     ensemble::AutoEnsembleOptions ensemble;
-    bool pretrain_ensemble = true;      ///< run the offline phase at startup
     /// Pretrain and register the zero-shot "ts2vec_foundation" method on the
     /// generated corpus (the method layer's foundation-model slot).
     bool pretrain_foundation = false;
@@ -79,9 +81,12 @@ class EasyTime {
     Options();
   };
 
-  /// \brief Builds the system: generates the benchmark suite, runs the
-  /// pipeline to seed the knowledge base, pretrains the Automated Ensemble,
-  /// and stands up the Q&A engine.
+  /// \brief Builds the system: generates (or restores) the benchmark suite,
+  /// runs the pipeline to seed the knowledge base (or restores it), and
+  /// stands up the Q&A engine. It does no Automated Ensemble training: the
+  /// offline phase runs once, on the first Recommend, RecommendForValues or
+  /// EvaluateWithEnsemble, over the repository and knowledge base as they
+  /// stand at that call.
   static easytime::Result<std::unique_ptr<EasyTime>> Create(
       const Options& options);
 
@@ -156,6 +161,10 @@ class EasyTime {
   // ----- module 3: automated ensemble --------------------------------------
 
   /// \brief Recommends top-k methods for a repository dataset (Fig. 4).
+  /// The first call of the three ensemble entry points trains the engine
+  /// (concurrent first calls train once; the others wait for it). A failed
+  /// training returns Unavailable carrying the cause and is retried by the
+  /// next call; a successful one is final.
   easytime::Result<ensemble::Recommendation> Recommend(
       const std::string& dataset_name, size_t k = 0) const;
 
@@ -173,11 +182,6 @@ class EasyTime {
   };
   easytime::Result<EnsembleEvaluation> EvaluateWithEnsemble(
       const std::string& dataset_name, const eval::EvalConfig& config) const;
-
-  /// The pretrained ensemble engine (for advanced use).
-  const ensemble::AutoEnsembleEngine& ensemble_engine() const {
-    return ensemble_;
-  }
 
   // ----- module 4: natural-language Q&A -------------------------------------
 
@@ -210,6 +214,11 @@ class EasyTime {
   /// Rebuilds the Q&A engine after the knowledge base changes.
   easytime::Status RefreshQa();
 
+  /// \brief The Automated Ensemble's one training path: trains ensemble_ on
+  /// the first call, returns at once after a success, and leaves a failure
+  /// to be retried by the next call. Callers hold mu_ (shared or exclusive).
+  easytime::Status EnsureEnsembleTrained() const;
+
   /// Runs a parsed benchmark config and commits the report (shared lock for
   /// the run, exclusive lock for the commit).
   easytime::Result<pipeline::BenchmarkReport> RunAndCommit(
@@ -228,7 +237,11 @@ class EasyTime {
   std::mutex append_index_mu_;
   std::map<std::string, std::mutex> append_mus_;
   bool restored_from_store_ = false;
-  ensemble::AutoEnsembleEngine ensemble_;
+  /// Written only by EnsureEnsembleTrained, under ensemble_mu_, while
+  /// ensemble_trained_ is false; read only once it is true.
+  mutable ensemble::AutoEnsembleEngine ensemble_;
+  mutable std::mutex ensemble_mu_;
+  mutable std::atomic<bool> ensemble_trained_{false};
   std::unique_ptr<qa::QaEngine> qa_;
   Options options_;
 };

@@ -141,28 +141,32 @@ AutoEnsembleEngine::AutoEnsembleEngine(AutoEnsembleOptions options)
 
 easytime::Status AutoEnsembleEngine::Pretrain(
     const tsdata::Repository& repo, const knowledge::KnowledgeBase& kb) {
-  // 1. Pretrain the representation encoder on every channel in the suite.
+  EASYTIME_FAULT_POINT("ensemble.pretrain");
+  // 1. Candidate set = methods with benchmark results in the KB. Checked
+  // first: a knowledge base that cannot train fails before any encoder work.
+  std::map<std::string, size_t> method_counts;
+  for (const auto& r : kb.results()) {
+    if (r.metrics.count(options_.metric)) ++method_counts[r.method];
+  }
+  std::vector<std::string> candidates;
+  for (const auto& [name, count] : method_counts) {
+    if (count >= 2) candidates.push_back(name);
+  }
+  if (candidates.size() < 2) {
+    return Status::InvalidArgument(
+        "knowledge base must contain results (metric '" + options_.metric +
+        "') for at least two methods");
+  }
+  pretrained_ = false;
+  candidate_methods_ = std::move(candidates);
+
+  // 2. Pretrain the representation encoder on every channel in the suite.
   encoder_ = std::make_unique<Ts2VecEncoder>(options_.ts2vec);
   std::vector<std::vector<double>> corpus;
   for (const auto* ds : repo.All()) {
     for (const auto& ch : ds->channels()) corpus.push_back(ch.values());
   }
   EASYTIME_RETURN_IF_ERROR(PretrainTs2Vec(encoder_.get(), corpus).status());
-
-  // 2. Candidate set = methods with benchmark results in the KB.
-  std::map<std::string, size_t> method_counts;
-  for (const auto& r : kb.results()) {
-    if (r.metrics.count(options_.metric)) ++method_counts[r.method];
-  }
-  candidate_methods_.clear();
-  for (const auto& [name, count] : method_counts) {
-    if (count >= 2) candidate_methods_.push_back(name);
-  }
-  if (candidate_methods_.size() < 2) {
-    return Status::InvalidArgument(
-        "knowledge base must contain results (metric '" + options_.metric +
-        "') for at least two methods");
-  }
 
   // 3. Train the soft-label classifier: one example per dataset.
   size_t feat_dim = encoder_->repr_dim() + tsdata::kCharacteristicFeatureDim;

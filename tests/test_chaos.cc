@@ -480,7 +480,6 @@ TEST_F(ChaosTest, FailedFsyncRefusesAppendsUntilReopen) {
   std::filesystem::remove_all(dir);
   core::EasyTime::Options opt = MakeOptions();
   opt.store_dir = dir;
-  opt.pretrain_ensemble = false;
 
   // One appender per univariate dataset. Batch n of lane l holds
   // {l * 1e6 + 2n, l * 1e6 + 2n + 1}, so a lost, doubled or misplaced

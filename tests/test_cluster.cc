@@ -28,6 +28,7 @@
 #include "cluster/supervisor.h"
 #include "common/json.h"
 #include "serve/client.h"
+#include "store/record_store.h"
 #include "store/snapshot.h"
 #include "store/wal.h"
 
@@ -200,6 +201,69 @@ TEST(SyncFrozenStoreDirTest, CopiesValidRecordsAndCutsTornTail) {
   for (const auto& entry : std::filesystem::directory_iterator(dst)) {
     EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
   }
+}
+
+// A corrupt newest snapshot at the source: recovery there falls back to the
+// older retained snapshot plus the WAL past it, and recovery from the
+// promoted copy must find exactly the same records.
+TEST(SyncFrozenStoreDirTest, CorruptNewestSnapshotFallsBackAsAtTheSource) {
+  const std::string src = TestDir("sync_corrupt_src");
+  const std::string src_copy = TestDir("sync_corrupt_src_copy");
+  const std::string dst = TestDir("sync_corrupt_dst");
+  store::RecordStoreOptions options;
+  options.segment_bytes = 128;
+  options.keep_snapshots = 2;
+  {
+    auto st = store::RecordStore::Open(src, options);
+    ASSERT_TRUE(st.ok()) << st.status().ToString();
+    for (int i = 1; i <= 30; ++i) {
+      ASSERT_TRUE((*st)->Append("record-" + std::to_string(i)).ok());
+      if (i % 10 == 0 && i < 30) {
+        ASSERT_TRUE((*st)->Compact("state-through-" + std::to_string(i)).ok());
+      }
+    }
+    ASSERT_TRUE((*st)->Sync().ok());
+  }
+  auto snapshots = store::ListSnapshots(src);
+  ASSERT_EQ(snapshots.size(), 2u);
+  EXPECT_EQ(snapshots.back().seq, 20u);
+  {
+    std::fstream f(snapshots.back().path,
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(0, std::ios::end);
+    const std::streamoff middle = f.tellg() / 2;
+    f.seekg(middle);
+    char byte = 0;
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x5a);
+    f.seekp(middle);
+    f.write(&byte, 1);
+  }
+
+  auto report = SyncFrozenStoreDir(src, dst);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->snapshots_copied, 2u);
+  // Recovery deletes the corrupt snapshot it skips: read the source from a
+  // copy so both recoveries start from the same bytes.
+  std::filesystem::copy(src, src_copy,
+                        std::filesystem::copy_options::recursive);
+
+  store::RecordStoreRecovery at_src;
+  store::RecordStoreRecovery at_dst;
+  ASSERT_TRUE(store::RecordStore::Open(src_copy, options, &at_src).ok());
+  ASSERT_TRUE(store::RecordStore::Open(dst, options, &at_dst).ok());
+  ASSERT_TRUE(at_src.has_snapshot);
+  EXPECT_EQ(at_src.snapshot_seq, 10u);
+  EXPECT_EQ(at_src.snapshot, "state-through-10");
+  ASSERT_EQ(at_src.tail.size(), 20u);
+  EXPECT_EQ(at_src.tail.back().second, "record-30");
+
+  EXPECT_EQ(at_dst.has_snapshot, at_src.has_snapshot);
+  EXPECT_EQ(at_dst.snapshot_seq, at_src.snapshot_seq);
+  EXPECT_EQ(at_dst.snapshot, at_src.snapshot);
+  EXPECT_EQ(at_dst.tail, at_src.tail);
+  EXPECT_EQ(at_dst.last_seq, at_src.last_seq);
+  EXPECT_EQ(at_dst.corrupt_snapshots, 1u);
 }
 
 TEST(SyncFrozenStoreDirTest, MissingSourceIsEmptyNotError) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <filesystem>
 
+#include "common/fault.h"
 #include "store/record_store.h"
 #include "test_util.h"
 #include "tsdata/dataset_store.h"
@@ -12,24 +13,28 @@
 namespace easytime::core {
 namespace {
 
+EasyTime::Options FixtureOptions() {
+  EasyTime::Options opt;
+  opt.suite.univariate_per_domain = 1;
+  opt.suite.multivariate_total = 1;
+  opt.suite.min_length = 180;
+  opt.suite.max_length = 220;
+  opt.seed_eval.horizon = 12;
+  opt.seed_eval.metrics = {"mae", "rmse"};
+  opt.seed_methods = {"naive", "seasonal_naive", "theta", "ses", "drift"};
+  opt.ensemble.top_k = 2;
+  opt.ensemble.ts2vec.epochs = 3;
+  opt.ensemble.ts2vec.repr_dim = 8;
+  opt.ensemble.ts2vec.hidden_dim = 10;
+  opt.ensemble.ts2vec.depth = 2;
+  opt.ensemble.classifier.epochs = 80;
+  return opt;
+}
+
 class EasyTimeTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    EasyTime::Options opt;
-    opt.suite.univariate_per_domain = 1;
-    opt.suite.multivariate_total = 1;
-    opt.suite.min_length = 180;
-    opt.suite.max_length = 220;
-    opt.seed_eval.horizon = 12;
-    opt.seed_eval.metrics = {"mae", "rmse"};
-    opt.seed_methods = {"naive", "seasonal_naive", "theta", "ses", "drift"};
-    opt.ensemble.top_k = 2;
-    opt.ensemble.ts2vec.epochs = 3;
-    opt.ensemble.ts2vec.repr_dim = 8;
-    opt.ensemble.ts2vec.hidden_dim = 10;
-    opt.ensemble.ts2vec.depth = 2;
-    opt.ensemble.classifier.epochs = 80;
-    auto system = EasyTime::Create(opt);
+    auto system = EasyTime::Create(FixtureOptions());
     ASSERT_TRUE(system.ok()) << system.status().ToString();
     system_ = system->release();
   }
@@ -60,7 +65,6 @@ TEST(EasyTimeDatasetStoreTest, WarmStartLoadsDatasetsFromTheStore) {
   opt.seed_eval.horizon = 12;
   opt.seed_eval.metrics = {"mae"};
   opt.seed_methods = {"naive", "drift"};
-  opt.pretrain_ensemble = false;
   opt.store_dir = dir;
 
   std::vector<std::string> names;
@@ -113,7 +117,6 @@ TEST(EasyTimeDatasetStoreTest, WarmStartRegeneratesWhenSuiteOptionsChange) {
   opt.seed_eval.horizon = 12;
   opt.seed_eval.metrics = {"mae"};
   opt.seed_methods = {"naive"};
-  opt.pretrain_ensemble = false;
   opt.store_dir = dir;
   {
     auto cold = EasyTime::Create(opt);
@@ -146,7 +149,6 @@ TEST(EasyTimeDatasetStoreTest, DamagedDatasetStoreFallsBackToRegeneration) {
   opt.seed_eval.horizon = 12;
   opt.seed_eval.metrics = {"mae"};
   opt.seed_methods = {"naive"};
-  opt.pretrain_ensemble = false;
   opt.store_dir = dir;
   {
     auto cold = EasyTime::Create(opt);
@@ -179,7 +181,23 @@ TEST(EasyTimeDatasetStoreTest, DamagedDatasetStoreFallsBackToRegeneration) {
 TEST_F(EasyTimeTest, CreateSeedsEverything) {
   EXPECT_EQ(system_->repository()->size(), 11u);  // 10 domains + 1 mv
   EXPECT_EQ(system_->knowledge().results().size(), 11u * 5u);
-  EXPECT_TRUE(system_->ensemble_engine().pretrained());
+
+  // Create does no ensemble training; the first Recommend trains, once. A
+  // zero-delay fault counts the passes through the training path.
+  FaultSpec count_only;
+  count_only.kind = FaultKind::kDelay;
+  count_only.delay_ms = 0.0;
+  ASSERT_TRUE(FaultRegistry::Global().Arm("ensemble.pretrain", count_only).ok());
+  auto fresh = EasyTime::Create(FixtureOptions());
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  const std::string dataset = (*fresh)->repository()->names()[0];
+  EXPECT_EQ(FaultRegistry::Global().PointStats("ensemble.pretrain").passes, 0u)
+      << "untrained after Create";
+  ASSERT_TRUE((*fresh)->Recommend(dataset).ok());
+  ASSERT_TRUE((*fresh)->Recommend(dataset).ok());
+  EXPECT_EQ(FaultRegistry::Global().PointStats("ensemble.pretrain").passes, 1u)
+      << "trained after the first Recommend";
+  FaultRegistry::Global().DisarmAll();
 }
 
 TEST_F(EasyTimeTest, OneClickEvaluateFromJsonConfig) {

@@ -11,6 +11,7 @@
 #include "pipeline/plot.h"
 #include "test_util.h"
 #include "tsdata/generator.h"
+#include "tsdata/split.h"
 
 namespace easytime {
 namespace {
@@ -84,19 +85,26 @@ TEST(Integration, UploadRecommendEnsembleVisualize) {
   ASSERT_TRUE(rec.ok());
   ASSERT_EQ(rec->size(), 2u);
 
-  // Build + fit the ensemble, forecast, and render the report plot.
-  auto ens = (*system)->ensemble_engine().BuildEnsemble(uploaded);
-  ASSERT_TRUE(ens.ok());
-  methods::FitContext ctx;
-  ctx.horizon = 24;
-  ctx.period_hint = 24;
-  std::vector<double> train(uploaded.begin(), uploaded.end() - 24);
-  std::vector<double> actual(uploaded.end() - 24, uploaded.end());
-  ASSERT_TRUE((*ens)->Fit(train, ctx).ok());
-  auto fc = (*ens)->Forecast(24);
-  ASSERT_TRUE(fc.ok());
+  // Ensemble-evaluate the upload (the frontend's comparison view) and
+  // render the report plot of its forecast window.
+  tsdata::Dataset dataset("uploaded");
+  ASSERT_TRUE(dataset.AddChannel(tsdata::Series("uploaded", uploaded)).ok());
+  ASSERT_TRUE((*system)->repository()->Add(dataset).ok());
+  eval::EvalConfig protocol;
+  protocol.horizon = 24;
+  protocol.metrics = {"mae"};
+  auto cmp = (*system)->EvaluateWithEnsemble("uploaded", protocol);
+  ASSERT_TRUE(cmp.ok()) << cmp.status().ToString();
+  EXPECT_EQ(cmp->members.size(), 2u);
+  const auto& window = cmp->ensemble;
+  ASSERT_EQ(window.last_forecast.size(), 24u);
+  auto bounds = tsdata::ComputeSplit(uploaded.size(), protocol.split);
+  ASSERT_TRUE(bounds.ok());
+  std::vector<double> history(uploaded.begin(),
+                              uploaded.begin() + bounds->val_end);
 
-  std::string plot = pipeline::RenderForecastPlot(train, actual, *fc);
+  std::string plot = pipeline::RenderForecastPlot(
+      history, window.last_actual, window.last_forecast);
   EXPECT_NE(plot.find('x'), std::string::npos);
   EXPECT_NE(plot.find('.'), std::string::npos);
 }

@@ -494,7 +494,6 @@ TEST_F(StreamingFuzzTest, MalformedAppendsAreRejectedWithoutSideEffects) {
 TEST(StreamingDurabilityTest, AppendsSurviveFacadeRestart) {
   const std::string dir = TestDir("restart");
   core::EasyTime::Options opt = SmallSystemOptions();
-  opt.pretrain_ensemble = false;
   opt.store_dir = dir;
 
   std::string name;
