@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <filesystem>
 #include <initializer_list>
 #include <limits>
@@ -39,17 +38,6 @@ std::string StampResult(
   return resp->Dump();
 }
 
-/// The request's "deadline_ms" budget, which bounds the router's retries of
-/// a forward. Infinite when the field is absent or not a positive finite
-/// number (the worker rejects a malformed one itself).
-easytime::Deadline RequestDeadline(const serve::Request& req) {
-  const easytime::Json& ms = req.params.Get("deadline_ms");
-  if (!ms.is_number() || !std::isfinite(ms.AsDouble()) ||
-      ms.AsDouble() <= 0.0) {
-    return easytime::Deadline();
-  }
-  return easytime::Deadline::AfterMillis(ms.AsDouble());
-}
 }  // namespace
 
 ClusterRouter::ClusterRouter(Options options)
@@ -307,7 +295,8 @@ std::string ClusterRouter::ForwardRead(Shard& shard, const serve::Request& req,
           return Exchange(shard, shard.primary_port.load(), line,
                           std::exchange(fresh, true));
         },
-        RequestDeadline(req));
+        // A malformed "deadline_ms" reads as none: the worker rejects it.
+        serve::ParseDeadline(req.params).ValueOr(easytime::Deadline()));
     shard.outstanding.fetch_sub(1, std::memory_order_relaxed);
     if (reply.ok()) {
       shard.breaker->RecordSuccess();
@@ -378,7 +367,7 @@ std::string ClusterRouter::ForwardAtMostOnce(Shard& shard,
         }
         return r;
       },
-      RequestDeadline(req));
+      serve::ParseDeadline(req.params).ValueOr(easytime::Deadline()));
   return reply.ok() ? *reply : UnavailableReply(req.id, reply.status());
 }
 

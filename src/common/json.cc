@@ -185,7 +185,8 @@ void AppendJsonNumber(double v, std::string* out) {
   }
 }
 
-void Json::DumpTo(std::string* out, int indent, int depth) const {
+void Json::DumpTo(std::string* out, int indent, int depth,
+                  bool sorted) const {
   auto newline = [&](int d) {
     if (indent > 0) {
       *out += '\n';
@@ -203,23 +204,29 @@ void Json::DumpTo(std::string* out, int indent, int depth) const {
       for (size_t i = 0; i < arr.size(); ++i) {
         if (i) *out += ',';
         newline(depth + 1);
-        arr[i].DumpTo(out, indent, depth + 1);
+        arr[i].DumpTo(out, indent, depth + 1, sorted);
       }
       if (!arr.empty()) newline(depth);
       *out += ']';
       break;
     }
     case Type::kObject: {
-      const std::vector<std::string>& object_keys = keys();
       *out += '{';
-      for (size_t i = 0; i < object_keys.size(); ++i) {
-        if (i) *out += ',';
+      bool first = true;
+      auto member = [&](const std::string& key, const Json& value) {
+        if (!first) *out += ',';
+        first = false;
         newline(depth + 1);
-        AppendJsonString(object_keys[i], out);
+        AppendJsonString(key, out);
         *out += indent > 0 ? ": " : ":";
-        box_->obj.at(object_keys[i]).DumpTo(out, indent, depth + 1);
+        value.DumpTo(out, indent, depth + 1, sorted);
+      };
+      if (sorted && box_) {
+        for (const auto& [key, value] : box_->obj) member(key, value);
+      } else {
+        for (const std::string& key : keys()) member(key, box_->obj.at(key));
       }
-      if (!object_keys.empty()) newline(depth);
+      if (!first) newline(depth);
       *out += '}';
       break;
     }
@@ -228,8 +235,12 @@ void Json::DumpTo(std::string* out, int indent, int depth) const {
 
 std::string Json::Dump(int indent) const {
   std::string out;
-  DumpTo(&out, indent, 0);
+  DumpTo(&out, indent, 0, /*sorted=*/false);
   return out;
+}
+
+void Json::AppendCanonical(std::string* out) const {
+  DumpTo(out, 0, 0, /*sorted=*/true);
 }
 
 namespace {

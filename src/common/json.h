@@ -97,6 +97,11 @@ class Json {
   /// Serializes; \p indent > 0 pretty-prints.
   std::string Dump(int indent = 0) const;
 
+  /// \brief Appends the compact dump with every object's keys in sorted
+  /// order, so documents that differ only in key order or whitespace
+  /// serialize alike (the canonical form request keys are built from).
+  void AppendCanonical(std::string* out) const;
+
   /// Parses a JSON document (strict; trailing garbage is an error).
   static Result<Json> Parse(const std::string& text);
 
@@ -105,7 +110,9 @@ class Json {
   struct Box;
 
   Box& MutableBox();
-  void DumpTo(std::string* out, int indent, int depth) const;
+  /// \p sorted walks each object's members in key order (the map's),
+  /// otherwise in insertion order.
+  void DumpTo(std::string* out, int indent, int depth, bool sorted) const;
 
   Type type_;
   bool bool_ = false;

@@ -41,7 +41,28 @@ void AdmissionController::RecomputeSharesLocked() {
   }
 }
 
-bool AdmissionController::TryAdmit(const std::string& cls) {
+AdmissionController::Ticket::Ticket(Ticket&& other) noexcept
+    : controller_(std::exchange(other.controller_, nullptr)),
+      cls_(other.cls_),
+      worker_(other.worker_) {}
+
+AdmissionController::Ticket& AdmissionController::Ticket::operator=(
+    Ticket&& other) noexcept {
+  if (this != &other) {
+    if (controller_ != nullptr) controller_->Release(*cls_, worker_);
+    controller_ = std::exchange(other.controller_, nullptr);
+    cls_ = other.cls_;
+    worker_ = other.worker_;
+  }
+  return *this;
+}
+
+AdmissionController::Ticket::~Ticket() {
+  if (controller_ != nullptr) controller_->Release(*cls_, worker_);
+}
+
+AdmissionController::Ticket AdmissionController::TryAdmit(
+    const std::string& cls) {
   std::lock_guard<std::mutex> lock(mu_);
   ClassState& s = Cls(cls);
   // Under reservation: always in. Over it: borrow shared headroom only
@@ -52,37 +73,33 @@ bool AdmissionController::TryAdmit(const std::string& cls) {
     ++s.admitted;
     ++total_pending_;
     UpdateBrownoutLocked();
-    return true;
+    return Ticket(this, &s);
   }
   ++s.shed;
   ++shed_total_;
   UpdateBrownoutLocked();
-  return false;
+  return Ticket();
 }
 
-void AdmissionController::Finish(const std::string& cls) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ClassState& s = Cls(cls);
-  if (s.pending > 0) --s.pending;
-  if (total_pending_ > 0) --total_pending_;
-  UpdateBrownoutLocked();
-}
-
-bool AdmissionController::AcquireWorker(const std::string& cls) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (drained_) return false;
+bool AdmissionController::Ticket::AcquireWorker() {
+  std::unique_lock<std::mutex> lock(controller_->mu_);
+  if (controller_->drained_) return false;
   Waiter waiter;
-  Cls(cls).queue.push_back(&waiter);
-  GrantReadyLocked();
+  cls_->queue.push_back(&waiter);
+  controller_->GrantReadyLocked();
   waiter.cv.wait(lock, [&waiter]() { return waiter.granted; });
+  worker_ = true;
   return true;
 }
 
-void AdmissionController::ReleaseWorker(const std::string& cls) {
+void AdmissionController::Release(ClassState& s, bool worker) {
   std::lock_guard<std::mutex> lock(mu_);
-  ClassState& s = Cls(cls);
-  if (s.running > 0) --s.running;
-  if (total_running_ > 0) --total_running_;
+  --s.pending;
+  --total_pending_;
+  UpdateBrownoutLocked();
+  if (!worker) return;
+  --s.running;
+  --total_running_;
   GrantReadyLocked();
   if (drained_ && total_running_ == 0) idle_cv_.notify_all();
 }

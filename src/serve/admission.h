@@ -11,12 +11,16 @@
 ///    (`Unavailable`) once it exhausts its own reservation plus the shared
 ///    headroom, while other classes keep their reserved slots.
 ///  - **Worker slots.** An admitted request runs on its caller's thread once
-///    AcquireWorker grants its class a slot; `workers` caps how many run at
-///    once. While slots are short, waiters queue per class and each freed
-///    slot goes to the class below its guaranteed share `max(1, floor(
-///    workers * w_i / sum(w)))` first, otherwise to the class with the lowest
-///    running/weight ratio, then to the least recently granted one. A
+///    its ticket's AcquireWorker grants its class a slot; `workers` caps how
+///    many run at once. While slots are short, waiters queue per class and
+///    each freed slot goes to the class below its guaranteed share `max(1,
+///    floor(workers * w_i / sum(w)))` first, otherwise to the class with the
+///    lowest running/weight ratio, then to the least recently granted one. A
 ///    saturated class therefore cannot head-of-line-block the others.
+///
+/// Admission is a move-only Ticket: TryAdmit hands one out, and its
+/// destructor gives back the queue slot and any worker slot it was granted,
+/// under one lock. No caller releases anything by hand.
 ///
 /// The controller also owns the brownout hysteresis: when total pending
 /// crosses `enter_fraction * capacity` the process-global OverloadState flips
@@ -36,6 +40,8 @@
 namespace easytime::serve {
 
 class AdmissionController {
+  struct ClassState;
+
  public:
   struct Options {
     size_t queue_capacity = 128;  ///< shared queue-slot budget
@@ -50,19 +56,38 @@ class AdmissionController {
 
   explicit AdmissionController(Options options);
 
-  /// \brief Claims a queue slot for \p cls. False = shed the request.
-  bool TryAdmit(const std::string& cls);
+  /// \brief One admitted request's claim on the controller. Move-only; an
+  /// empty ticket (TryAdmit shed the request) holds nothing. Destroying a
+  /// held ticket releases its queue slot and, if AcquireWorker granted one,
+  /// its worker slot, then grants the next waiter.
+  class Ticket {
+   public:
+    Ticket() = default;
+    Ticket(Ticket&& other) noexcept;
+    Ticket& operator=(Ticket&& other) noexcept;
+    ~Ticket();
 
-  /// Releases the queue slot claimed by TryAdmit (response fulfilled).
-  void Finish(const std::string& cls);
+    /// True when TryAdmit admitted the request.
+    explicit operator bool() const { return controller_ != nullptr; }
 
-  /// \brief Blocks until \p cls is granted a worker slot; the caller then
-  /// runs its request and hands the slot back with ReleaseWorker. Returns
-  /// false, with no slot taken, once DrainAll has run.
-  bool AcquireWorker(const std::string& cls);
+    /// \brief Blocks until the ticket's class is granted a worker slot,
+    /// which the ticket then holds until it dies. Returns false, with no
+    /// slot taken, once DrainAll has run. Call once, on a held ticket.
+    bool AcquireWorker();
 
-  /// Frees a slot granted by AcquireWorker and grants the next waiter.
-  void ReleaseWorker(const std::string& cls);
+   private:
+    friend class AdmissionController;
+    Ticket(AdmissionController* controller, ClassState* cls)
+        : controller_(controller), cls_(cls) {}
+
+    AdmissionController* controller_ = nullptr;
+    ClassState* cls_ = nullptr;  ///< its class record (map nodes never move)
+    bool worker_ = false;        ///< AcquireWorker granted a slot
+  };
+
+  /// \brief Claims a queue slot for \p cls. An empty ticket = shed the
+  /// request.
+  Ticket TryAdmit(const std::string& cls);
 
   /// Stop-time drain: grants every waiter regardless of worker caps, makes
   /// every later AcquireWorker refuse, and returns once no granted slot is
@@ -101,6 +126,9 @@ class AdmissionController {
   /// first sight of a new class.
   ClassState& Cls(const std::string& name);
   void RecomputeSharesLocked();
+  /// The ticket's destructor: frees its queue slot and, when \p worker, its
+  /// worker slot.
+  void Release(ClassState& s, bool worker);
   /// Grants queued waiters while worker slots remain.
   void GrantReadyLocked();
   void GrantLocked(ClassState& s);

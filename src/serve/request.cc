@@ -1,7 +1,6 @@
 #include "serve/request.h"
 
-#include <algorithm>
-#include <vector>
+#include <cmath>
 
 namespace easytime::serve {
 
@@ -43,58 +42,25 @@ easytime::Result<Request> ParseRequest(const std::string& line,
   return req;
 }
 
-namespace {
-
-void CanonicalDump(const easytime::Json& node, std::string* out) {
-  switch (node.type()) {
-    case easytime::Json::Type::kArray: {
-      out->push_back('[');
-      bool first = true;
-      for (const auto& item : node.items()) {
-        if (!first) out->push_back(',');
-        first = false;
-        CanonicalDump(item, out);
-      }
-      out->push_back(']');
-      return;
-    }
-    case easytime::Json::Type::kObject: {
-      std::vector<std::string> keys = node.keys();
-      std::sort(keys.begin(), keys.end());
-      out->push_back('{');
-      bool first = true;
-      for (const auto& key : keys) {
-        if (!first) out->push_back(',');
-        first = false;
-        easytime::AppendJsonString(key, out);
-        out->push_back(':');
-        CanonicalDump(node.Get(key), out);
-      }
-      out->push_back('}');
-      return;
-    }
-    case easytime::Json::Type::kNumber:
-      easytime::AppendJsonNumber(node.AsDouble(), out);
-      return;
-    case easytime::Json::Type::kString:
-      easytime::AppendJsonString(node.AsString(), out);
-      return;
-    case easytime::Json::Type::kBool:
-      *out += node.AsBool() ? "true" : "false";
-      return;
-    case easytime::Json::Type::kNull:
-      *out += "null";
-      return;
+easytime::Result<easytime::Deadline> ParseDeadline(
+    const easytime::Json& params) {
+  if (!params.Has("deadline_ms")) return easytime::Deadline();
+  const easytime::Json& ms = params.Get("deadline_ms");
+  if (!ms.is_number()) {
+    return Status::InvalidArgument("\"deadline_ms\" must be a number");
   }
+  if (!std::isfinite(ms.AsDouble()) || ms.AsDouble() <= 0.0) {
+    return Status::InvalidArgument(
+        "\"deadline_ms\" must be a positive finite number");
+  }
+  return easytime::Deadline::AfterMillis(ms.AsDouble());
 }
-
-}  // namespace
 
 std::string CanonicalKey(const std::string& endpoint,
                          const easytime::Json& params) {
   std::string key = endpoint;
   key.push_back('\n');
-  CanonicalDump(params, &key);
+  params.AppendCanonical(&key);
   return key;
 }
 

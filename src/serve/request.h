@@ -15,6 +15,7 @@
 
 #include <string>
 
+#include "common/deadline.h"
 #include "common/json.h"
 #include "common/result.h"
 
@@ -35,6 +36,13 @@ struct Request {
 easytime::Result<Request> ParseRequest(const std::string& line,
                                        size_t max_bytes,
                                        int64_t* error_id = nullptr);
+
+/// \brief The request's optional "deadline_ms" budget, counted from now:
+/// infinite when absent, InvalidArgument when present but not a positive
+/// finite number (strings, booleans, NaN and infinities included — NaN
+/// would slip through a plain `<= 0` check).
+easytime::Result<easytime::Deadline> ParseDeadline(
+    const easytime::Json& params);
 
 /// \brief Deterministic cache key: endpoint plus a canonicalized dump of the
 /// params (object keys sorted recursively), so key order and whitespace in

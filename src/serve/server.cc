@@ -22,6 +22,39 @@ bool IsFastEndpoint(const std::string& endpoint) {
          endpoint == "ask" || endpoint == "sql" || endpoint == "append";
 }
 
+/// The numbers in JSON array \p arr; TypeError(\p not_a_number) at the
+/// first element that is not one.
+easytime::Result<std::vector<double>> ReadNumbers(const easytime::Json& arr,
+                                                  const char* not_a_number) {
+  std::vector<double> values;
+  values.reserve(arr.size());
+  for (const auto& v : arr.items()) {
+    if (!v.is_number()) return Status::TypeError(not_a_number);
+    values.push_back(v.AsDouble());
+  }
+  return values;
+}
+
+/// Tags a fast-lane result as a degraded answer and says why.
+void MarkDegraded(easytime::Json* result, const std::string& reason) {
+  result->Set("degraded", true);
+  result->Set("degraded_reason", reason);
+}
+
+/// {"recommendations": [{"method": …, "score": …}, …]}, best first.
+easytime::Json RecommendationsJson(const ensemble::Recommendation& rec) {
+  easytime::Json items = easytime::Json::Array();
+  for (const auto& [name, score] : rec) {
+    easytime::Json item = easytime::Json::Object();
+    item.Set("method", name);
+    item.Set("score", score);
+    items.Append(std::move(item));
+  }
+  easytime::Json result = easytime::Json::Object();
+  result.Set("recommendations", std::move(items));
+  return result;
+}
+
 }  // namespace
 
 ForecastServer::ForecastServer(core::EasyTime* system, Options options)
@@ -139,55 +172,72 @@ easytime::Result<easytime::Json> ForecastServer::CallWithRetry(
                    [&]() { return Call(endpoint, params); });
 }
 
+/// What one request came to. Route computes it; Dispatch, its one exit,
+/// records the stats and builds the reply line from it.
+struct ForecastServer::Outcome {
+  /// A control-plane answer: the payload, or the status it failed with.
+  static Outcome Of(easytime::Result<easytime::Json> r) {
+    if (!r.ok()) return {.status = r.status()};
+    return {.result = std::move(*r)};
+  }
+
+  // Every member has an initializer, so each return names only the members
+  // that differ from an OK control-plane answer.
+  easytime::Status status{};  ///< not OK: the reply is the error envelope
+  easytime::Json result{};    ///< the OK payload, unless cache_hit
+  bool rejected = false;      ///< shed, or refused while not accepting
+  bool protocol_error = false;  ///< an unknown endpoint: counted "_protocol"
+  /// A fast-lane answer: the reply splices the serialized result with
+  /// "cached"/"seconds" instead of dumping MakeOkResponse.
+  bool spliced = false;
+  bool cache_hit = false;
+  std::string cached{};       ///< a hit's payload bytes, spliced as stored
+  std::string fill_key{};     ///< non-empty: cache the payload under it
+  uint64_t fill_stamp = 0;    ///< the cache stamp read before executing
+  /// Dies with the outcome, after the stats record and the cache fill, so
+  /// Stop()'s DrainAll covers the whole request.
+  AdmissionController::Ticket ticket{};
+};
+
 std::string ForecastServer::Dispatch(Request req) {
   Stopwatch watch;
-  const std::string endpoint = req.endpoint;
+  Outcome out = Route(req);
+  const double secs = watch.ElapsedSeconds();
+  static const std::string kProtocol = "_protocol";
+  RecordStats(out.protocol_error ? kProtocol : req.endpoint, out.status.ok(),
+              out.rejected, out.cache_hit, secs);
+  if (!out.status.ok()) return MakeErrorResponse(req.id, out.status).Dump();
+  if (!out.spliced) return MakeOkResponse(req.id, std::move(out.result)).Dump();
+  // A hit is bytes in, bytes out: the cached result goes into the reply
+  // line as stored, so a hit formats no numbers. A miss dumps its result
+  // once: the same bytes are the reply's "result" and the cache fill.
+  std::string bytes = out.cache_hit ? std::move(out.cached) : out.result.Dump();
+  std::string line = SpliceOkResponseLine(req.id, bytes, out.cache_hit, secs);
+  if (!out.fill_key.empty()) {
+    cache_.Insert(out.fill_key, std::move(bytes), CacheTags(req.params),
+                  out.fill_stamp);
+  }
+  return line;
+}
 
+ForecastServer::Outcome ForecastServer::Route(const Request& req) {
+  const std::string& endpoint = req.endpoint;
   if (FaultRegistry::AnyArmed()) {
     Status fs = FaultRegistry::Global().Check("serve.dispatch");
-    if (!fs.ok()) {
-      RecordStats(endpoint, false, false, false, watch.ElapsedSeconds());
-      return MakeErrorResponse(req.id, fs).Dump();
-    }
+    if (!fs.ok()) return {.status = fs};
   }
-
-  // Optional per-request deadline ("deadline_ms" in params). Parsed up
-  // front so an already-absurd value is rejected before any queueing.
-  // Strings, booleans, NaN, and infinities are all malformed — NaN in
-  // particular would slip through a plain `<= 0` check and silently run
-  // with a nonsense deadline.
-  easytime::Deadline deadline;
-  if (req.params.Has("deadline_ms")) {
-    const easytime::Json& dm = req.params.Get("deadline_ms");
-    if (!dm.is_number()) {
-      RecordStats(endpoint, false, false, false, watch.ElapsedSeconds());
-      return MakeErrorResponse(
-          req.id, Status::InvalidArgument("\"deadline_ms\" must be a number"))
-          .Dump();
-    }
-    double ms = dm.AsDouble();
-    if (!std::isfinite(ms) || ms <= 0.0) {
-      RecordStats(endpoint, false, false, false, watch.ElapsedSeconds());
-      return MakeErrorResponse(
-          req.id, Status::InvalidArgument(
-                      "\"deadline_ms\" must be a positive finite number"))
-          .Dump();
-    }
-    deadline = easytime::Deadline::AfterMillis(ms);
-  }
+  // Parsed up front so an already-absurd budget is rejected before any
+  // queueing.
+  easytime::Result<easytime::Deadline> deadline = ParseDeadline(req.params);
+  if (!deadline.ok()) return {.status = deadline.status()};
 
   // ----- control plane: always served inline, even under load -------------
   if (endpoint == "ping") {
     easytime::Json result = easytime::Json::Object();
     result.Set("pong", true);
-    RecordStats(endpoint, true, false, false, watch.ElapsedSeconds());
-    return MakeOkResponse(req.id, std::move(result)).Dump();
+    return {.result = std::move(result)};
   }
-  if (endpoint == "stats") {
-    easytime::Json result = StatsJson();
-    RecordStats(endpoint, true, false, false, watch.ElapsedSeconds());
-    return MakeOkResponse(req.id, std::move(result)).Dump();
-  }
+  if (endpoint == "stats") return {.result = StatsJson()};
   if (endpoint == "flush_cache") {
     // The drop-everything escape hatch (DESIGN.md §13): appends invalidate
     // per-dataset tags, but an operator who distrusts the cache wholesale
@@ -196,40 +246,28 @@ std::string ForecastServer::Dispatch(Request req) {
     cache_.Clear();
     easytime::Json result = easytime::Json::Object();
     result.Set("flushed", static_cast<int64_t>(dropped));
-    RecordStats(endpoint, true, false, false, watch.ElapsedSeconds());
-    return MakeOkResponse(req.id, std::move(result)).Dump();
+    return {.result = std::move(result)};
   }
   if (endpoint == "job_status" || endpoint == "cancel") {
     if (!req.params.Has("job") || !req.params.Get("job").is_number()) {
-      RecordStats(endpoint, false, false, false, watch.ElapsedSeconds());
-      return MakeErrorResponse(
-          req.id, Status::InvalidArgument("missing numeric \"job\" id"))
-          .Dump();
+      return {.status = Status::InvalidArgument("missing numeric \"job\" id")};
     }
     uint64_t job_id = static_cast<uint64_t>(req.params.Get("job").AsInt());
-    auto result = endpoint == "cancel" ? jobs_.Cancel(job_id)
-                                       : jobs_.StatusJson(job_id);
-    RecordStats(endpoint, result.ok(), false, false, watch.ElapsedSeconds());
-    if (!result.ok()) return MakeErrorResponse(req.id, result.status()).Dump();
-    return MakeOkResponse(req.id, std::move(*result)).Dump();
+    return Outcome::Of(endpoint == "cancel" ? jobs_.Cancel(job_id)
+                                            : jobs_.StatusJson(job_id));
   }
   if (auto it = control_endpoints_.find(endpoint);
       it != control_endpoints_.end()) {
     // Registered extensions (the shard worker's replication plane) ride the
     // inline control path: they must answer even when the fast lanes shed.
-    auto result = it->second(req.params);
-    RecordStats(endpoint, result.ok(), false, false, watch.ElapsedSeconds());
-    if (!result.ok()) return MakeErrorResponse(req.id, result.status()).Dump();
-    return MakeOkResponse(req.id, std::move(*result)).Dump();
+    return Outcome::Of(it->second(req.params));
   }
 
   // ----- async lane: evaluation + backtest jobs ----------------------------
   if (endpoint == "evaluate" || endpoint == "backtest") {
     if (!accepting_.load()) {
-      RecordStats(endpoint, false, true, false, watch.ElapsedSeconds());
-      return MakeErrorResponse(req.id,
-                               Status::Unavailable("server is not accepting"))
-          .Dump();
+      return {.status = Status::Unavailable("server is not accepting"),
+              .rejected = true};
     }
     easytime::Json job_config = req.params;
     // The endpoint picks the job type; an explicit "type" in the params
@@ -237,115 +275,89 @@ std::string ForecastServer::Dispatch(Request req) {
     // bug, not something to silently reinterpret).
     if (job_config.Has("type") &&
         job_config.GetString("type", "") != endpoint) {
-      RecordStats(endpoint, false, false, false, watch.ElapsedSeconds());
-      return MakeErrorResponse(
-          req.id, Status::InvalidArgument(
-                      "job \"type\" conflicts with the \"" + endpoint +
-                      "\" endpoint"))
-          .Dump();
+      return {.status = Status::InvalidArgument(
+                  "job \"type\" conflicts with the \"" + endpoint +
+                  "\" endpoint")};
     }
     job_config.Set("type", endpoint);
     auto job_id = jobs_.Submit(job_config);
-    const bool rejected = !job_id.ok() && job_id.status().IsUnavailable();
-    RecordStats(endpoint, job_id.ok(), rejected, false,
-                watch.ElapsedSeconds());
-    if (!job_id.ok()) return MakeErrorResponse(req.id, job_id.status()).Dump();
+    if (!job_id.ok()) {
+      return {.status = job_id.status(),
+              .rejected = job_id.status().IsUnavailable()};
+    }
     easytime::Json result = easytime::Json::Object();
     result.Set("job", static_cast<int64_t>(*job_id));
     result.Set("state", "queued");
-    return MakeOkResponse(req.id, std::move(result)).Dump();
+    return {.result = std::move(result)};
   }
 
   // ----- fast lane ---------------------------------------------------------
   if (!IsFastEndpoint(endpoint)) {
-    RecordStats("_protocol", false, false, false, watch.ElapsedSeconds());
-    return MakeErrorResponse(
-        req.id, Status::NotFound("unknown endpoint: " + endpoint))
-        .Dump();
+    return {.status = Status::NotFound("unknown endpoint: " + endpoint),
+            .protocol_error = true};
   }
   if (!accepting_.load() || !running_.load()) {
-    RecordStats(endpoint, false, true, false, watch.ElapsedSeconds());
-    return MakeErrorResponse(
-        req.id, Status::Unavailable("server is not accepting requests"))
-        .Dump();
+    return {.status = Status::Unavailable("server is not accepting requests"),
+            .rejected = true};
   }
-
   std::string cache_key;
   uint64_t cache_stamp = 0;
   if (IsCacheable(endpoint)) {
     cache_key = CanonicalKey(endpoint, req.params);
-    // A hit is bytes in, bytes out: the cached result goes into the reply
-    // line as stored, so a hit formats no numbers.
     if (auto hit = cache_.Lookup(cache_key)) {
-      const double secs = watch.ElapsedSeconds();
-      RecordStats(endpoint, true, false, true, secs);
-      return SpliceOkResponseLine(req.id, *hit, /*cached=*/true, secs);
+      return {.spliced = true, .cache_hit = true, .cached = std::move(*hit)};
     }
     // Read before the request snapshots its data: an append that lands
-    // while it computes moves the stamp, and Fulfill's fill is dropped.
+    // while it computes moves the stamp, and the fill is dropped.
     cache_stamp = cache_.Stamp(CacheTags(req.params));
   }
+  Outcome out{.spliced = true,
+              .fill_key = std::move(cache_key),
+              .fill_stamp = cache_stamp};
 
-  // Per-endpoint admission: claim a weighted queue slot (released in
-  // Fulfill). A class over its reservation with no shared headroom left is
-  // shed here, so a burst on one endpoint cannot starve the others.
-  if (!admission_->TryAdmit(endpoint)) {
-    RecordStats(endpoint, false, true, false, watch.ElapsedSeconds());
-    return MakeErrorResponse(
-        req.id,
-        Status::Unavailable("endpoint \"" + endpoint +
-                            "\" is over its admission quota; retry later"))
-        .Dump();
+  // Per-endpoint admission: claim a weighted queue slot. A class over its
+  // reservation with no shared headroom left is shed here, so a burst on
+  // one endpoint cannot starve the others.
+  out.ticket = admission_->TryAdmit(endpoint);
+  if (!out.ticket) {
+    out.status = Status::Unavailable(
+        "endpoint \"" + endpoint +
+        "\" is over its admission quota; retry later");
+    out.rejected = true;
+    return out;
   }
-
-  // Run on this thread once the controller grants a worker slot. The slot
-  // is held through Fulfill, so Stop() (DrainAll) covers the whole request.
-  if (!admission_->AcquireWorker(endpoint)) {
-    admission_->Finish(endpoint);
-    RecordStats(endpoint, false, true, false, watch.ElapsedSeconds());
-    return MakeErrorResponse(req.id,
-                             Status::Unavailable("server is shutting down"))
-        .Dump();
+  if (FaultRegistry::AnyArmed()) {
+    out.status = FaultRegistry::Global().Check("serve.admitted");
+    if (!out.status.ok()) return out;
+  }
+  // Run on this thread once the controller grants a worker slot.
+  if (!out.ticket.AcquireWorker()) {
+    out.status = Status::Unavailable("server is shutting down");
+    out.rejected = true;
+    return out;
   }
   // A request that waited out its budget for a slot is not worth a fit
   // nobody is waiting for.
-  const easytime::Result<easytime::Json> answered =
-      deadline.expired()
+  easytime::Result<easytime::Json> answered =
+      deadline->expired()
           ? Status::DeadlineExceeded("request deadline expired while queued")
-          : ExecuteFast(req, deadline);
-  std::string line =
-      Fulfill(req, cache_key, cache_stamp, answered, watch.ElapsedSeconds());
-  admission_->ReleaseWorker(endpoint);
-  return line;
-}
-
-std::string ForecastServer::Fulfill(
-    const Request& req, const std::string& cache_key, uint64_t cache_stamp,
-    const easytime::Result<easytime::Json>& result, double seconds) {
-  // Release the admission slot claimed in Dispatch — every request the
-  // controller accepted reaches Fulfill exactly once.
-  admission_->Finish(req.endpoint);
-  RecordStats(req.endpoint, result.ok(), false, false, seconds);
-  if (!result.ok()) {
-    if (result.status().IsDeadlineExceeded()) {
+          : ExecuteFast(req, *deadline);
+  if (!answered.ok()) {
+    if (answered.status().IsDeadlineExceeded()) {
       deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
     }
-    return MakeErrorResponse(req.id, result.status()).Dump();
+    out.status = answered.status();
+    return out;
   }
-  const bool degraded = result.ValueOrDie().GetBool("degraded", false);
-  if (degraded) degraded_responses_.fetch_add(1, std::memory_order_relaxed);
+  out.result = std::move(*answered);
   // Degraded answers must not outlive the overload that produced them: a
   // cached brownout response would keep serving the cheap fallback long
-  // after the system recovered. The result is dumped once: the same bytes
-  // are the reply's "result" and the cache fill.
-  std::string bytes = result.ValueOrDie().Dump();
-  std::string line =
-      SpliceOkResponseLine(req.id, bytes, /*cached=*/false, seconds);
-  if (!cache_key.empty() && !degraded) {
-    cache_.Insert(cache_key, std::move(bytes), CacheTags(req.params),
-                  cache_stamp);
+  // after the system recovered.
+  if (out.result.GetBool("degraded", false)) {
+    degraded_responses_.fetch_add(1, std::memory_order_relaxed);
+    out.fill_key.clear();
   }
-  return line;
+  return out;
 }
 
 easytime::Result<easytime::Json> ForecastServer::ExecuteFast(
@@ -374,10 +386,7 @@ easytime::Result<easytime::Json> ForecastServer::ExecuteFast(
     }
     EASYTIME_ASSIGN_OR_RETURN(qa::QaResponse resp, system_->Ask(question));
     easytime::Json out = resp.ToJson();
-    if (brownout) {
-      out.Set("degraded", true);
-      out.Set("degraded_reason", "brownout");
-    }
+    if (brownout) MarkDegraded(&out, "brownout");
     return out;
   }
   if (req.endpoint == "sql") {
@@ -392,10 +401,7 @@ easytime::Result<easytime::Json> ForecastServer::ExecuteFast(
     EASYTIME_ASSIGN_OR_RETURN(qa::QaResponse resp,
                               system_->AskSql(query, deadline));
     easytime::Json out = resp.ToJson();
-    if (brownout) {
-      out.Set("degraded", true);
-      out.Set("degraded_reason", "brownout");
-    }
+    if (brownout) MarkDegraded(&out, "brownout");
     return out;
   }
   return Status::NotFound("unknown fast endpoint: " + req.endpoint);
@@ -418,36 +424,16 @@ easytime::Result<easytime::Json> ForecastServer::ExecuteAppend(
   // per-channel arrays; mixing the two shapes is malformed.
   std::vector<std::vector<double>> channels;
   const bool nested = arr.items().front().is_array();
-  if (nested) {
-    for (const auto& ch : arr.items()) {
-      if (!ch.is_array() || ch.size() == 0) {
-        return Status::InvalidArgument(
-            "append channels must be non-empty arrays of numbers");
-      }
-      std::vector<double> values;
-      values.reserve(ch.size());
-      for (const auto& v : ch.items()) {
-        if (!v.is_number()) {
-          return Status::TypeError("append values must be numbers");
-        }
-        values.push_back(v.AsDouble());
-      }
-      if (values.size() > options_.max_inline_values) {
-        return Status::InvalidArgument(
-            "append batch exceeds the " +
-            std::to_string(options_.max_inline_values) + "-point limit");
-      }
-      channels.push_back(std::move(values));
+  const size_t n_channels = nested ? arr.size() : 1;
+  for (size_t c = 0; c < n_channels; ++c) {
+    const easytime::Json& ch = nested ? arr.items()[c] : arr;
+    if (!ch.is_array() || ch.size() == 0) {
+      return Status::InvalidArgument(
+          "append channels must be non-empty arrays of numbers");
     }
-  } else {
-    std::vector<double> values;
-    values.reserve(arr.size());
-    for (const auto& v : arr.items()) {
-      if (!v.is_number()) {
-        return Status::TypeError("append values must be numbers");
-      }
-      values.push_back(v.AsDouble());
-    }
+    EASYTIME_ASSIGN_OR_RETURN(
+        std::vector<double> values,
+        ReadNumbers(ch, "append values must be numbers"));
     if (values.size() > options_.max_inline_values) {
       return Status::InvalidArgument(
           "append batch exceeds the " +
@@ -495,16 +481,8 @@ easytime::Result<std::vector<double>> ForecastServer::ResolveSeries(
           "\"values\" exceeds the " +
           std::to_string(options_.max_inline_values) + "-point limit");
     }
-    std::vector<double> values;
-    values.reserve(arr.size());
-    for (const auto& v : arr.items()) {
-      if (!v.is_number()) {
-        return Status::TypeError("\"values\" must contain only numbers");
-      }
-      values.push_back(v.AsDouble());
-    }
     if (source_name) *source_name = "inline";
-    return values;
+    return ReadNumbers(arr, "\"values\" must contain only numbers");
   }
   std::string dataset = params.GetString("dataset", "");
   if (dataset.empty()) {
@@ -585,17 +563,8 @@ easytime::Result<easytime::Json> ForecastServer::ExecuteRecommend(
   if (easytime::GlobalOverload().brownout()) {
     auto cheap = GlobalAverageRanking(k);
     if (cheap.ok()) {
-      easytime::Json items = easytime::Json::Array();
-      for (const auto& [name, score] : *cheap) {
-        easytime::Json item = easytime::Json::Object();
-        item.Set("method", name);
-        item.Set("score", score);
-        items.Append(std::move(item));
-      }
-      easytime::Json result = easytime::Json::Object();
-      result.Set("recommendations", std::move(items));
-      result.Set("degraded", true);
-      result.Set("degraded_reason", "brownout");
+      easytime::Json result = RecommendationsJson(*cheap);
+      MarkDegraded(&result, "brownout");
       return result;
     }
   }
@@ -616,7 +585,6 @@ easytime::Result<easytime::Json> ForecastServer::ExecuteRecommend(
     auto r = system_->Recommend(dataset, k);
     if (r.ok()) rec = std::move(*r); else primary_error = r.status();
   }
-  bool degraded = false;
   if (!primary_error.ok()) {
     // Graceful degradation: when the classifier path fails transiently
     // (Internal/Unavailable), answer from the knowledge base's global
@@ -626,21 +594,9 @@ easytime::Result<easytime::Json> ForecastServer::ExecuteRecommend(
       return primary_error;
     }
     EASYTIME_ASSIGN_OR_RETURN(rec, GlobalAverageRanking(k));
-    degraded = true;
   }
-  easytime::Json items = easytime::Json::Array();
-  for (const auto& [name, score] : rec) {
-    easytime::Json item = easytime::Json::Object();
-    item.Set("method", name);
-    item.Set("score", score);
-    items.Append(std::move(item));
-  }
-  easytime::Json result = easytime::Json::Object();
-  result.Set("recommendations", std::move(items));
-  if (degraded) {
-    result.Set("degraded", true);
-    result.Set("degraded_reason", primary_error.ToString());
-  }
+  easytime::Json result = RecommendationsJson(rec);
+  if (!primary_error.ok()) MarkDegraded(&result, primary_error.ToString());
   return result;
 }
 

@@ -7,13 +7,14 @@
 /// serve/event_loop.h, from a loopback TCP listener.
 ///
 /// Architecture (DESIGN.md §6, §13):
-///  - Fast lane: forecast / recommend / ask / sql / append requests claim a
-///    per-endpoint weighted queue slot (class over quota with no shared
-///    headroom => Unavailable, the admission-control contract; see
-///    serve/admission.h). The calling thread (an in-process client, or a
-///    TCP connection's own thread) then waits for one of the
-///    fast_lane_workers slots, granted by class with guaranteed shares, and
-///    runs the request itself.
+///  - Fast lane: forecast / recommend / ask / sql / append requests take an
+///    admission ticket: a per-endpoint weighted queue slot (class over quota
+///    with no shared headroom => Unavailable, the admission-control
+///    contract; see serve/admission.h). The calling thread (an in-process
+///    client, or a TCP connection's own thread) then waits on the ticket for
+///    one of the fast_lane_workers slots, granted by class with guaranteed
+///    shares, and runs the request itself. The ticket gives both slots back
+///    when it dies, after the request's stats and cache fill.
 ///  - Async lane: "evaluate" submits a OneClickEvaluate job, "backtest" a
 ///    rolling-origin backtest job, to a bounded job queue
 ///    (serve/job_manager.h); clients poll "job_status" and may "cancel"
@@ -21,6 +22,9 @@
 ///  - Control plane: "stats", "job_status", "cancel", "flush_cache" and
 ///    "ping" execute inline on the calling thread — they must stay
 ///    responsive even when the lanes are saturated.
+///  - One exit: every path through Dispatch (shed, error, cache hit,
+///    answer, control plane) ends as one Outcome; the stats are recorded and
+///    the reply line is built from it in one place.
 ///  - Result cache: forecast/recommend responses are cached (LRU + TTL)
 ///    under the canonical request key, tagged with the dataset they read;
 ///    a streaming append drops exactly that dataset's entries
@@ -160,10 +164,19 @@ class ForecastServer {
   const Options& options() const { return options_; }
 
  private:
-  /// Full request lifecycle: route, admit, execute, envelope. Returns the
-  /// response line (no trailing newline); a cache hit splices the cached
-  /// result bytes into it without parsing them.
+  /// One request's result, rejection or cache hit, plus its admission
+  /// ticket (defined in server.cc).
+  struct Outcome;
+
+  /// Full request lifecycle and its one exit: Route computes the outcome,
+  /// then the stats are recorded and the reply line built in one place.
+  /// Returns the response line (no trailing newline); a cache hit splices
+  /// the cached result bytes into it without parsing them.
   std::string Dispatch(Request req);
+
+  /// Routes, admits and executes one request; every path returns its
+  /// outcome instead of answering.
+  Outcome Route(const Request& req);
 
   /// \brief Runs a fast-lane endpoint to completion (caller's thread, under
   /// a granted worker slot).
@@ -195,15 +208,6 @@ class ForecastServer {
   easytime::Result<std::vector<double>> ResolveSeries(
       const easytime::Json& params, std::string* source_name) const;
 
-  /// Answers one admitted request from its endpoint result: releases the
-  /// admission slot, records stats and fills the cache (unless
-  /// \p cache_stamp, read before executing, shows the data changed).
-  /// Returns the response line.
-  std::string Fulfill(const Request& req, const std::string& cache_key,
-                      uint64_t cache_stamp,
-                      const easytime::Result<easytime::Json>& result,
-                      double seconds);
-
   void RecordStats(const std::string& endpoint, bool ok, bool rejected,
                    bool cache_hit, double seconds);
 
@@ -223,11 +227,11 @@ class ForecastServer {
   std::map<std::string, ControlFn> control_endpoints_;
   ResultCache cache_;
   JobManager jobs_;
-  /// Per-endpoint admission quotas + weighted worker scheduling. Requests
-  /// claim a queue slot in Dispatch (shed = Unavailable), wait in their
-  /// class's queue for a worker slot, so one endpoint's burst cannot
-  /// head-of-line-block the others, and release the queue slot in Fulfill
-  /// and the worker slot after it (serve/admission.h).
+  /// Per-endpoint admission quotas + weighted worker scheduling. A request
+  /// takes a ticket in Route (shed = Unavailable) and waits in its class's
+  /// queue for a worker slot, so one endpoint's burst cannot
+  /// head-of-line-block the others; the ticket gives both slots back when
+  /// Dispatch's outcome dies (serve/admission.h).
   std::unique_ptr<AdmissionController> admission_;
   std::atomic<bool> running_{false};
   std::atomic<bool> accepting_{false};

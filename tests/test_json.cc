@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <charconv>
 #include <clocale>
 #include <cmath>
@@ -9,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <new>
 #include <optional>
@@ -276,6 +278,120 @@ TEST(JsonCanonicalKey, GoldenStringForMixedParams) {
             R"("nested":{"a":"x\"y\n","z":1},"none":null,)"
             R"("values":[1.5,0.1,-2.25,1e-07,123456789.123,)"
             R"(0.30000000000000004,1e+15,0,1048576,0.0001234]})");
+}
+
+// The canonical dump as it was written before Json serialized sorted
+// objects itself: copy each object's key list, sort it, look every key up.
+void OracleCanonicalDump(const Json& node, std::string* out) {
+  switch (node.type()) {
+    case Json::Type::kArray: {
+      out->push_back('[');
+      bool first = true;
+      for (const auto& item : node.items()) {
+        if (!first) out->push_back(',');
+        first = false;
+        OracleCanonicalDump(item, out);
+      }
+      out->push_back(']');
+      return;
+    }
+    case Json::Type::kObject: {
+      std::vector<std::string> keys = node.keys();
+      std::sort(keys.begin(), keys.end());
+      out->push_back('{');
+      bool first = true;
+      for (const auto& key : keys) {
+        if (!first) out->push_back(',');
+        first = false;
+        AppendJsonString(key, out);
+        out->push_back(':');
+        OracleCanonicalDump(node.Get(key), out);
+      }
+      out->push_back('}');
+      return;
+    }
+    case Json::Type::kNumber:
+      AppendJsonNumber(node.AsDouble(), out);
+      return;
+    case Json::Type::kString:
+      AppendJsonString(node.AsString(), out);
+      return;
+    case Json::Type::kBool:
+      *out += node.AsBool() ? "true" : "false";
+      return;
+    case Json::Type::kNull:
+      *out += "null";
+      return;
+  }
+}
+
+// A random params tree: objects are filled in random key order, with
+// overwritten and taken members, over keys that share prefixes, differ in
+// case, need escaping or carry bytes above 0x7f.
+Json RandomTree(std::mt19937_64& rng, int depth) {
+  static const char* const kKeys[] = {
+      "",      "a",     "A",     "aa",   "a b",    "b",       "horizon",
+      "key10", "key9",  "method", "values", "\"q\"", "line\nbreak",
+      "\xc3\xa9t\xc3\xa9", "~",  "_",     "z"};
+  static const double kNumbers[] = {
+      0.0, -0.0, 1.0, -2.25, 0.1, 1e-7, 1e15, 123456789.123, 24.0,
+      0.30000000000000004, std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(), -1e300, 5e-324};
+  auto pick = [&](size_t n) {
+    return std::uniform_int_distribution<size_t>(0, n - 1)(rng);
+  };
+  const size_t kind = depth >= 4 ? pick(4) : pick(6);
+  switch (kind) {
+    case 0: return Json();
+    case 1: return Json(pick(2) == 1);
+    case 2:
+      return pick(3) == 0 ? Json(std::uniform_real_distribution<double>(
+                                 -1e6, 1e6)(rng))
+                          : Json(kNumbers[pick(std::size(kNumbers))]);
+    case 3: return Json(std::string(kKeys[pick(std::size(kKeys))]));
+    case 4: {
+      Json arr = Json::Array();
+      for (size_t i = pick(5); i > 0; --i) {
+        arr.Append(RandomTree(rng, depth + 1));
+      }
+      return arr;
+    }
+    default: {
+      Json obj = Json::Object();
+      for (size_t i = pick(8); i > 0; --i) {
+        const char* key = kKeys[pick(std::size(kKeys))];
+        if (pick(6) == 0) {
+          obj.Take(key);  // leaves null in place when present
+        } else {
+          obj.Set(key, RandomTree(rng, depth + 1));
+        }
+      }
+      return obj;
+    }
+  }
+}
+
+TEST(JsonCanonicalKey, MatchesTheSortedKeyCopyOnRandomTrees) {
+  std::mt19937_64 rng(20241019);
+  for (int i = 0; i < 12000; ++i) {
+    Json params = Json::Object();
+    params.Set("dataset", "d" + std::to_string(i % 7));
+    for (size_t n = rng() % 6; n > 0; --n) {
+      params.Set("k" + std::to_string(rng() % 9), RandomTree(rng, 0));
+    }
+    params.Set(i % 2 ? "values" : "config", RandomTree(rng, 1));
+    // Every third tree comes back through the parser, which builds objects
+    // its own way.
+    if (i % 3 == 0) {
+      auto reparsed = Json::Parse(params.Dump());
+      ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+      params = std::move(*reparsed);
+    }
+    std::string want = "forecast\n";
+    OracleCanonicalDump(params, &want);
+    ASSERT_EQ(serve::CanonicalKey("forecast", params), want)
+        << "tree " << i << ": " << params.Dump();
+  }
 }
 
 TEST(JsonString, EscapedOnDump) {

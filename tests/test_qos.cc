@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -68,28 +69,33 @@ TEST(QosDeadlineCheckerTest, ForceCheckPrimesTheNextCall) {
 // AdmissionController: weighted quotas, borrowing, worker fairness
 // ---------------------------------------------------------------------------
 
+using Ticket = AdmissionController::Ticket;
+
 TEST(QosAdmissionTest, ReservationsAdmitBorrowAndShed) {
   AdmissionController::Options opt;
   opt.queue_capacity = 4;
   opt.workers = 2;
   opt.weights = {{"a", 3.0}, {"b", 1.0}};
   AdmissionController ac(opt);
+  std::vector<Ticket> held;
+  auto admit = [&](const std::string& cls) {
+    held.push_back(ac.TryAdmit(cls));
+    return static_cast<bool>(held.back());
+  };
 
   // a reserves floor(4 * 3/4) = 3 slots, b reserves 1.
-  EXPECT_TRUE(ac.TryAdmit("a"));
-  EXPECT_TRUE(ac.TryAdmit("a"));
-  EXPECT_TRUE(ac.TryAdmit("a"));   // fills a's reservation
-  EXPECT_TRUE(ac.TryAdmit("a"));   // borrows shared headroom (total 3 < 4)
-  EXPECT_FALSE(ac.TryAdmit("a"));  // at capacity with no reservation: shed
+  EXPECT_TRUE(admit("a"));
+  EXPECT_TRUE(admit("a"));
+  EXPECT_TRUE(admit("a"));   // fills a's reservation
+  EXPECT_TRUE(admit("a"));   // borrows shared headroom (total 3 < 4)
+  EXPECT_FALSE(admit("a"));  // at capacity with no reservation: shed
   EXPECT_EQ(ac.shed_total(), 1u);
 
   // b's reserved slot survives a's burst — the no-starvation property.
-  EXPECT_TRUE(ac.TryAdmit("b"));
+  EXPECT_TRUE(admit("b"));
 
-  for (int i = 0; i < 4; ++i) ac.Finish("a");
-  ac.Finish("b");
+  held.clear();  // every ticket gives its slot back
   EXPECT_TRUE(ac.TryAdmit("a")) << "released slots are reusable";
-  ac.Finish("a");
 }
 
 TEST(QosAdmissionTest, BrownoutEntersAndExitsWithHysteresis) {
@@ -103,20 +109,22 @@ TEST(QosAdmissionTest, BrownoutEntersAndExitsWithHysteresis) {
   opt.overload = &overload;
   AdmissionController ac(opt);
 
-  EXPECT_TRUE(ac.TryAdmit("a"));
-  EXPECT_TRUE(ac.TryAdmit("a"));
+  Ticket t1 = ac.TryAdmit("a");
+  Ticket t2 = ac.TryAdmit("a");
+  EXPECT_TRUE(t1);
+  EXPECT_TRUE(t2);
   EXPECT_FALSE(ac.brownout());
-  EXPECT_TRUE(ac.TryAdmit("a"));  // pending 3 >= 3: brownout
+  Ticket t3 = ac.TryAdmit("a");
+  EXPECT_TRUE(t3);  // pending 3 >= 3: brownout
   EXPECT_TRUE(ac.brownout());
   EXPECT_TRUE(overload.brownout()) << "the global flag tracks the controller";
 
-  ac.Finish("a");  // pending 2: still browned out (hysteresis)
+  t3 = Ticket();  // pending 2: still browned out (hysteresis)
   EXPECT_TRUE(ac.brownout());
-  ac.Finish("a");  // pending 1 <= 1: recovered
+  t2 = Ticket();  // pending 1 <= 1: recovered
   EXPECT_FALSE(ac.brownout());
   EXPECT_FALSE(overload.brownout());
   EXPECT_EQ(overload.brownout_enters(), 1u);
-  ac.Finish("a");
 }
 
 // Polls \p done (1 ms steps, at most 5 s); true once it holds.
@@ -127,6 +135,36 @@ bool WaitFor(const std::function<bool()>& done) {
 
 int64_t QueuedUnits(const AdmissionController& ac, const std::string& cls) {
   return ac.StatsJson().Get("classes").Get(cls).GetInt("queued_units", -1);
+}
+
+TEST(QosAdmissionTest, TicketGivesBackItsSlotsExactlyOnce) {
+  // A ticket moved twice, holding a queue slot and a worker slot, releases
+  // both once — when its last owner dies — and an empty ticket holds none.
+  AdmissionController::Options opt;
+  opt.queue_capacity = 4;
+  opt.workers = 1;
+  opt.weights = {{"a", 1.0}};
+  AdmissionController ac(opt);
+  auto pending = [&]() { return ac.StatsJson().GetInt("total_pending", -1); };
+  auto running = [&]() { return ac.StatsJson().GetInt("total_running", -1); };
+
+  Ticket first = ac.TryAdmit("a");
+  ASSERT_TRUE(first.AcquireWorker());
+  Ticket second(std::move(first));
+  Ticket third;
+  third = std::move(second);
+  EXPECT_FALSE(first);
+  EXPECT_FALSE(second);
+  EXPECT_EQ(pending(), 1);
+  EXPECT_EQ(running(), 1);
+  first = Ticket();
+  second = Ticket();
+  EXPECT_EQ(pending(), 1) << "a moved-from ticket holds nothing";
+  third = ac.TryAdmit("a");  // the old claim is given back on overwrite
+  EXPECT_EQ(pending(), 1);
+  EXPECT_EQ(running(), 0);
+  third = Ticket();
+  EXPECT_EQ(pending(), 0);
 }
 
 TEST(QosAdmissionTest, WorkerTieBreakRoundRobinsAcrossClasses) {
@@ -141,15 +179,15 @@ TEST(QosAdmissionTest, WorkerTieBreakRoundRobinsAcrossClasses) {
   std::mutex order_mu;
   std::vector<std::string> order;
   auto run = [&](const std::string& cls, const std::string& name) {
-    ASSERT_TRUE(ac.AcquireWorker(cls));
-    {
-      std::lock_guard<std::mutex> lock(order_mu);
-      order.push_back(name);
-    }
-    ac.ReleaseWorker(cls);
-  };
+    Ticket ticket = ac.TryAdmit(cls);
+    ASSERT_TRUE(ticket);
+    ASSERT_TRUE(ticket.AcquireWorker());
+    std::lock_guard<std::mutex> lock(order_mu);
+    order.push_back(name);
+  };  // the ticket gives the worker slot back here
 
-  ASSERT_TRUE(ac.AcquireWorker("a"));  // a1 takes the only slot
+  Ticket a1 = ac.TryAdmit("a");
+  ASSERT_TRUE(a1.AcquireWorker());  // a1 takes the only slot
   order.push_back("a1");
   std::vector<std::thread> waiters;
   waiters.emplace_back(run, "a", "a2");
@@ -159,7 +197,7 @@ TEST(QosAdmissionTest, WorkerTieBreakRoundRobinsAcrossClasses) {
   waiters.emplace_back(run, "b", "b1");
   ASSERT_TRUE(WaitFor([&]() { return QueuedUnits(ac, "b") == 1; }));
 
-  ac.ReleaseWorker("a");  // a1 done: the slot goes to the next waiter
+  a1 = Ticket();  // a1 done: the slot goes to the next waiter
   for (auto& t : waiters) t.join();
   ASSERT_EQ(order.size(), 4u);
   EXPECT_EQ(order[0], "a1");
@@ -176,18 +214,20 @@ TEST(QosAdmissionTest, DrainAllGrantsEveryWaiterAndWaitsForTheirRelease) {
   opt.weights = {{"a", 1.0}};
   AdmissionController ac(opt);
 
-  ASSERT_TRUE(ac.AcquireWorker("a"));
+  Ticket mine = ac.TryAdmit("a");
+  ASSERT_TRUE(mine.AcquireWorker());
   std::atomic<int> started{0};
   std::atomic<int> released{0};
   std::atomic<bool> gate{false};
   std::vector<std::thread> waiters;
   for (int i = 0; i < 3; ++i) {
     waiters.emplace_back([&]() {
-      ASSERT_TRUE(ac.AcquireWorker("a"));
+      Ticket ticket = ac.TryAdmit("a");
+      ASSERT_TRUE(ticket);
+      ASSERT_TRUE(ticket.AcquireWorker());
       started.fetch_add(1);
       while (!gate.load()) std::this_thread::sleep_for(1ms);
       released.fetch_add(1);
-      ac.ReleaseWorker("a");
     });
   }
   ASSERT_TRUE(WaitFor([&]() { return QueuedUnits(ac, "a") == 3; }));
@@ -209,11 +249,13 @@ TEST(QosAdmissionTest, DrainAllGrantsEveryWaiterAndWaitsForTheirRelease) {
   for (auto& t : waiters) t.join();
   std::this_thread::sleep_for(20ms);
   EXPECT_FALSE(drained.load()) << "this thread still holds its slot";
-  ac.ReleaseWorker("a");
+  mine = Ticket();
   drainer.join();
   EXPECT_EQ(released_at_drain.load(), 3);
   EXPECT_EQ(ac.StatsJson().GetInt("total_running", -1), 0);
-  EXPECT_FALSE(ac.AcquireWorker("a")) << "acquires after DrainAll refuse";
+  Ticket late = ac.TryAdmit("a");
+  ASSERT_TRUE(late);
+  EXPECT_FALSE(late.AcquireWorker()) << "acquires after DrainAll refuse";
 }
 
 TEST(QosAdmissionTest, StatsJsonExposesPerClassCounters) {
@@ -222,7 +264,8 @@ TEST(QosAdmissionTest, StatsJsonExposesPerClassCounters) {
   opt.workers = 2;
   opt.weights = {{"forecast", 4.0}, {"ask", 1.0}};
   AdmissionController ac(opt);
-  ASSERT_TRUE(ac.TryAdmit("forecast"));
+  Ticket ticket = ac.TryAdmit("forecast");
+  ASSERT_TRUE(ticket);
   Json stats = ac.StatsJson();
   EXPECT_TRUE(stats.Has("classes"));
   EXPECT_TRUE(stats.Get("classes").Has("forecast"));
@@ -230,7 +273,6 @@ TEST(QosAdmissionTest, StatsJsonExposesPerClassCounters) {
   EXPECT_GE(stats.Get("classes").Get("forecast").GetInt("reserved_slots", 0),
             1);
   EXPECT_EQ(stats.GetInt("queue_capacity", 0), 4);
-  ac.Finish("forecast");
 }
 
 // ---------------------------------------------------------------------------
@@ -595,6 +637,166 @@ TEST_F(QosServerTest, StatsJsonCarriesQosCounters) {
   EXPECT_TRUE(stats.Has("deadline_exceeded"));
   EXPECT_TRUE(stats.Has("degraded_responses"));
   server.Stop();
+}
+
+// The counters one endpoint's stats carry: requests, ok, errors, rejected,
+// cache_hits.
+using Counters = std::array<int64_t, 5>;
+
+Counters EndpointCounters(const Json& stats, const std::string& endpoint) {
+  const Json& e = stats.Get("endpoints").Get(endpoint);
+  return {e.GetInt("requests", 0), e.GetInt("ok", 0), e.GetInt("errors", 0),
+          e.GetInt("rejected", 0), e.GetInt("cache_hits", 0)};
+}
+
+int64_t TotalRequests(const Json& stats) {
+  int64_t total = 0;
+  for (const auto& name : stats.Get("endpoints").keys()) {
+    total += stats.Get("endpoints").Get(name).GetInt("requests", 0);
+  }
+  return total;
+}
+
+Counters Delta(const Json& before, const Json& after,
+               const std::string& endpoint) {
+  Counters d = EndpointCounters(after, endpoint);
+  const Counters b = EndpointCounters(before, endpoint);
+  for (size_t i = 0; i < d.size(); ++i) d[i] -= b[i];
+  return d;
+}
+
+void ExpectSlotsGivenBack(const ForecastServer& server) {
+  const Json admission = server.StatsJson().Get("admission");
+  EXPECT_EQ(admission.GetInt("total_pending", -1), 0);
+  EXPECT_EQ(admission.GetInt("total_running", -1), 0);
+}
+
+TEST_F(QosServerTest, EveryFastLaneExitGivesBackWhatItClaimed) {
+  // Each way out of the fast lane records exactly one request under its
+  // endpoint and leaves no queue or worker slot behind: a cache hit, a
+  // success, a method error, a deadline that expired while queued, a shed
+  // over quota and a refusal while Stop() drains.
+  const Counters kOk = {1, 1, 0, 0, 0};
+  const Counters kHit = {1, 1, 0, 0, 1};
+  const Counters kError = {1, 0, 1, 0, 0};
+  const Counters kRejected = {1, 0, 1, 1, 0};
+  Json forecast = Json::Object();
+  forecast.Set("dataset", FirstDataset());
+  forecast.Set("method", "naive");
+  forecast.Set("horizon", static_cast<int64_t>(4));
+  Json slow_ask = Json::Object();
+  slow_ask.Set("question", "What is the average mae of theta?");
+  slow_ask.Set("sleep_ms", 300.0);
+
+  {
+    ForecastServer::Options opt;
+    opt.warm_cache = false;
+    opt.fast_lane_workers = 1;
+    ForecastServer server(system_, opt);
+    server.Start();
+    // Sequential calls: success, then the same request as a cache hit,
+    // then a method error.
+    Json failing = forecast;
+    failing.Set("method", "no_such_method");
+    const std::vector<std::pair<Json, Counters>> calls = {
+        {forecast, kOk}, {forecast, kHit}, {failing, kError}};
+    for (const auto& [params, want] : calls) {
+      const Json before = server.StatsJson();
+      auto r = server.Call("forecast", params);
+      EXPECT_EQ(r.ok(), want[1] == 1) << r.status().ToString();
+      const Json after = server.StatsJson();
+      EXPECT_EQ(Delta(before, after, "forecast"), want);
+      EXPECT_EQ(TotalRequests(after) - TotalRequests(before), 1);
+      ExpectSlotsGivenBack(server);
+    }
+
+    // A slow ask holds the only worker; a forecast with a 20 ms budget
+    // queues behind it and is refused once granted.
+    std::thread holder([&]() { EXPECT_TRUE(server.Call("ask", slow_ask).ok()); });
+    ASSERT_TRUE(WaitFor([&]() {
+      return server.StatsJson().Get("admission").GetInt("total_running", 0) ==
+             1;
+    }));
+    const Json before = server.StatsJson();
+    Json budgeted = forecast;
+    budgeted.Set("horizon", static_cast<int64_t>(5));
+    budgeted.Set("deadline_ms", 20.0);
+    auto r = server.Call("forecast", budgeted);
+    holder.join();
+    EXPECT_TRUE(r.status().IsDeadlineExceeded()) << r.status().ToString();
+    const Json after = server.StatsJson();
+    EXPECT_EQ(Delta(before, after, "forecast"), kError);
+    EXPECT_EQ(Delta(before, after, "ask"), kOk);
+    EXPECT_EQ(TotalRequests(after) - TotalRequests(before), 2);
+    EXPECT_EQ(after.GetInt("deadline_exceeded", 0) -
+                  before.GetInt("deadline_exceeded", 0),
+              1);
+    ExpectSlotsGivenBack(server);
+    server.Stop();
+  }
+
+  {
+    // Capacity 2: two slow forecasts fill forecast's one reserved slot and
+    // the shared headroom, so a third is shed at the door.
+    ForecastServer::Options opt;
+    opt.warm_cache = false;
+    opt.cache_capacity = 0;
+    opt.fast_lane_capacity = 2;
+    opt.fast_lane_workers = 2;
+    ForecastServer server(system_, opt);
+    server.Start();
+    Json slow = forecast;
+    slow.Set("sleep_ms", 800.0);
+    std::vector<std::thread> holders;
+    for (int i = 0; i < 2; ++i) {
+      holders.emplace_back(
+          [&]() { EXPECT_TRUE(server.Call("forecast", slow).ok()); });
+    }
+    ASSERT_TRUE(WaitFor([&]() {
+      return server.StatsJson().Get("admission").GetInt("total_running", 0) ==
+             2;
+    }));
+    const Json before = server.StatsJson();
+    auto r = server.Call("forecast", forecast);
+    const Json after = server.StatsJson();
+    EXPECT_TRUE(r.status().IsUnavailable()) << r.status().ToString();
+    EXPECT_EQ(Delta(before, after, "forecast"), kRejected);
+    EXPECT_EQ(TotalRequests(after) - TotalRequests(before), 1);
+    for (auto& t : holders) t.join();
+    ExpectSlotsGivenBack(server);
+    server.Stop();
+  }
+
+  {
+    // The "serve.admitted" delay parks an admitted request before it asks
+    // for a worker; Stop() drains meanwhile, so the acquire is refused.
+    ForecastServer::Options opt;
+    opt.warm_cache = false;
+    ForecastServer server(system_, opt);
+    server.Start();
+    FaultSpec park;
+    park.kind = FaultKind::kDelay;
+    park.delay_ms = 500.0;
+    park.max_triggers = 1;
+    ASSERT_TRUE(FaultRegistry::Global().Arm("serve.admitted", park).ok());
+    const Json before = server.StatsJson();
+    easytime::Status refused;
+    std::thread caller(
+        [&]() { refused = server.Call("forecast", forecast).status(); });
+    ASSERT_TRUE(WaitFor([&]() {
+      return server.StatsJson().Get("admission").GetInt("total_pending", 0) ==
+             1;
+    }));
+    server.Stop();
+    caller.join();
+    EXPECT_TRUE(refused.IsUnavailable()) << refused.ToString();
+    EXPECT_NE(refused.message().find("shutting down"), std::string::npos)
+        << refused.ToString();
+    const Json after = server.StatsJson();
+    EXPECT_EQ(Delta(before, after, "forecast"), kRejected);
+    EXPECT_EQ(TotalRequests(after) - TotalRequests(before), 1);
+    ExpectSlotsGivenBack(server);
+  }
 }
 
 // ---------------------------------------------------------------------------
