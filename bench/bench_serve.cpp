@@ -3,20 +3,15 @@
 // bench/run_serve.sh):
 //
 //   1. cache     — forecast latency, cache hit vs cache miss
-//   2. loopback  — end-to-end req/sec over the TCP front-end
-//   3. front_end — multi-client and pipelined req/sec against the TCP
-//                  front-end (one thread per connection)
-//   4. job_pool  — two concurrent evaluations vs the same two run back-to-back
-//   5. qos       — overload shedding (4x ask oversubscription vs a concurrent
+//   2. job_pool  — two concurrent evaluations vs the same two run
+//                  back-to-back (median and spread of kJobPoolTrials)
+//   3. qos       — overload shedding (4x ask oversubscription vs a concurrent
 //                  forecast) and the latency of a deadline-bounded fit abort
 //
+// Throughput over the TCP front-end is perfbench's to measure (its
+// forecast_hot workload), not this harness's.
+//
 //   ./build/bench/bench_serve [output.json]
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -26,9 +21,9 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/stopwatch.h"
 #include "core/easytime.h"
-#include "serve/event_loop.h"
 #include "serve/job_manager.h"
 #include "serve/server.h"
 
@@ -98,149 +93,7 @@ CacheNumbers BenchCache(serve::ForecastServer* server,
   return out;
 }
 
-// ---- 2. loopback TCP req/sec ----------------------------------------------
-
-double BenchTcp(serve::ForecastServer* server, const std::string& dataset) {
-  serve::EventLoopServer tcp(server, serve::EventLoopServer::Options());
-  if (auto st = tcp.Start(); !st.ok()) {
-    std::fprintf(stderr, "tcp: %s\n", st.ToString().c_str());
-    std::exit(1);
-  }
-
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(tcp.port());
-  if (fd < 0 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    std::fprintf(stderr, "tcp connect failed\n");
-    std::exit(1);
-  }
-
-  // Warm the cache so the TCP number measures the protocol + transport.
-  const std::string line = ForecastLine(dataset, "theta", 1, 6) + "\n";
-  constexpr int kRequests = 500;
-  auto round_trip = [&]() {
-    if (::send(fd, line.data(), line.size(), 0) !=
-        static_cast<ssize_t>(line.size())) {
-      std::exit(1);
-    }
-    char c;
-    while (::recv(fd, &c, 1, 0) == 1 && c != '\n') {
-    }
-  };
-  round_trip();
-
-  Stopwatch watch;
-  for (int i = 0; i < kRequests; ++i) round_trip();
-  double seconds = watch.ElapsedSeconds();
-  ::close(fd);
-  tcp.Stop();
-  return kRequests / seconds;
-}
-
-// ---- 3. TCP front-end: many clients, then one pipelined client ------------
-
-int ConnectTo(uint16_t port) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (fd < 0 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    std::fprintf(stderr, "front-end bench: connect failed\n");
-    std::exit(1);
-  }
-  int one = 1;  // burst writes must not sit behind Nagle
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
-void SendLine(int fd, const std::string& line) {
-  if (::send(fd, line.data(), line.size(), 0) !=
-      static_cast<ssize_t>(line.size())) {
-    std::fprintf(stderr, "front-end bench: send failed\n");
-    std::exit(1);
-  }
-}
-
-void ReadLines(int fd, int n) {
-  char c;
-  while (n > 0 && ::recv(fd, &c, 1, 0) == 1) {
-    if (c == '\n') --n;
-  }
-  if (n != 0) {
-    std::fprintf(stderr, "front-end bench: connection closed early\n");
-    std::exit(1);
-  }
-}
-
-struct FrontEndNumbers {
-  double multi_client_rps = 0.0;
-  double pipelined_rps = 0.0;
-};
-
-FrontEndNumbers BenchFrontEnd(serve::ForecastServer* server,
-                        const std::string& dataset) {
-  serve::EventLoopServer loop(server, serve::EventLoopServer::Options());
-  if (auto st = loop.Start(); !st.ok()) {
-    std::fprintf(stderr, "front-end bench: %s\n", st.ToString().c_str());
-    std::exit(1);
-  }
-
-  const std::string line = ForecastLine(dataset, "theta", 1, 6) + "\n";
-  FrontEndNumbers out;
-
-  // (a) Concurrent clients, one request in flight per connection: measures
-  // many connections served at once (cache warm: protocol cost).
-  {
-    constexpr int kClients = 8;
-    constexpr int kPerClient = 250;
-    std::vector<int> fds;
-    for (int c = 0; c < kClients; ++c) fds.push_back(ConnectTo(loop.port()));
-    SendLine(fds[0], line);
-    ReadLines(fds[0], 1);  // warm the forecast cache
-
-    Stopwatch watch;
-    std::vector<std::thread> clients;
-    for (int c = 0; c < kClients; ++c) {
-      clients.emplace_back([&, c]() {
-        for (int r = 0; r < kPerClient; ++r) {
-          SendLine(fds[c], line);
-          ReadLines(fds[c], 1);
-        }
-      });
-    }
-    for (auto& t : clients) t.join();
-    out.multi_client_rps = kClients * kPerClient / watch.ElapsedSeconds();
-    for (int fd : fds) ::close(fd);
-  }
-
-  // (b) One connection, deep pipelining: bursts of requests, responses
-  // streamed back in order.
-  {
-    constexpr int kBatch = 32;
-    constexpr int kBatches = 16;
-    int fd = ConnectTo(loop.port());
-    std::string burst;
-    for (int i = 0; i < kBatch; ++i) burst += line;
-
-    Stopwatch watch;
-    for (int b = 0; b < kBatches; ++b) {
-      SendLine(fd, burst);
-      ReadLines(fd, kBatch);
-    }
-    out.pipelined_rps = kBatch * kBatches / watch.ElapsedSeconds();
-    ::close(fd);
-  }
-
-  loop.Stop();
-  return out;
-}
-
-// ---- 4. job pool: 2 concurrent evaluations vs sequential -------------------
+// ---- 2. job pool: 2 concurrent evaluations vs sequential -------------------
 
 Json MakeJobConfig(const std::string& key) {
   auto config = Json::Parse(R"({
@@ -287,7 +140,7 @@ double RunJobPair(core::EasyTime* system, size_t concurrency,
   return seconds;
 }
 
-// ---- 5. qos: overload shedding and deadline-bounded fits -------------------
+// ---- 3. qos: overload shedding and deadline-bounded fits -------------------
 
 struct QosNumbers {
   double forecast_under_overload_ms = 0.0;
@@ -385,8 +238,6 @@ int main(int argc, char** argv) {
   server.Start();
 
   CacheNumbers cache = BenchCache(&server, datasets);
-  double tcp_rps = BenchTcp(&server, datasets[0]);
-  FrontEndNumbers front_end = BenchFrontEnd(&server, datasets[0]);
   server.Stop();
 
   // The concurrent configuration scales with the machine: min(cores, 4)
@@ -395,14 +246,20 @@ int main(int argc, char** argv) {
   const unsigned hc = std::thread::hardware_concurrency();
   const size_t pool_workers =
       hc >= 2 ? std::min<size_t>(hc, 4) : 2;
+  // Alternate the two configurations so drift on the box hits both alike.
+  constexpr int kJobPoolTrials = 5;
   uint64_t pool_peak = 0;
-  double sequential_seconds = RunJobPair(system.get(), 1, nullptr);
-  double concurrent_seconds = RunJobPair(system.get(), pool_workers,
-                                         &pool_peak);
+  std::vector<double> sequential_seconds, concurrent_seconds;
+  for (int t = 0; t < kJobPoolTrials; ++t) {
+    sequential_seconds.push_back(RunJobPair(system.get(), 1, nullptr));
+    concurrent_seconds.push_back(
+        RunJobPair(system.get(), pool_workers, &pool_peak));
+  }
 
   QosNumbers qos = BenchQos(system.get(), datasets[0]);
 
   Json out = Json::Object();
+  benchutil::SetBuildInfo(&out);
   Json cache_json = Json::Object();
   cache_json.Set("threads", static_cast<int64_t>(1));
   cache_json.Set("miss_mean_ms", cache.miss_mean_ms);
@@ -413,25 +270,17 @@ int main(int argc, char** argv) {
                      : 0.0);
   out.Set("cache", std::move(cache_json));
 
-  Json tcp_json = Json::Object();
-  tcp_json.Set("threads", static_cast<int64_t>(1));
-  tcp_json.Set("cached_forecast_req_per_sec", tcp_rps);
-  out.Set("loopback_tcp", std::move(tcp_json));
-
-  Json front_end_json = Json::Object();
-  front_end_json.Set("clients", static_cast<int64_t>(8));
-  front_end_json.Set("threads", static_cast<int64_t>(8));  // client threads
-  front_end_json.Set("multi_client_req_per_sec", front_end.multi_client_rps);
-  front_end_json.Set("pipelined_req_per_sec", front_end.pipelined_rps);
-  out.Set("front_end", std::move(front_end_json));
-
   Json pool_json = Json::Object();
   pool_json.Set("threads", static_cast<int64_t>(pool_workers));
-  pool_json.Set("sequential_seconds", sequential_seconds);
-  pool_json.Set("concurrent_seconds", concurrent_seconds);
-  pool_json.Set("speedup", concurrent_seconds > 0.0
-                               ? sequential_seconds / concurrent_seconds
+  Json sequential = benchutil::TrialSummary(sequential_seconds);
+  Json concurrent = benchutil::TrialSummary(concurrent_seconds);
+  const double concurrent_median = concurrent.GetDouble("median", 0.0);
+  pool_json.Set("speedup", concurrent_median > 0.0
+                               ? sequential.GetDouble("median", 0.0) /
+                                     concurrent_median
                                : 0.0);
+  pool_json.Set("sequential_seconds", std::move(sequential));
+  pool_json.Set("concurrent_seconds", std::move(concurrent));
   pool_json.Set("peak_running", static_cast<int64_t>(pool_peak));
   // Context for the speedup: two CPU-bound jobs only finish faster than
   // back-to-back when there is more than one core to split.

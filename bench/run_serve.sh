@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Runs the serving-layer benchmark and writes BENCH_serve.json at the repo
-# root: cache-hit vs cache-miss forecast latency, loopback TCP req/sec,
-# the TCP front-end under multiple clients and pipelining, the
-# multi-worker job pool (min(cores, 4) workers when >1 core is available)
-# vs sequential jobs, and the QoS
-# section: overload shedding under 4x ask oversubscription (forecast
-# latency inside its guaranteed quota, shed/brownout/degraded counters)
-# plus the latency of a deadline-bounded mid-fit abort. Every section
-# carries a "threads" field recording the configuration it ran with.
+# root: cache-hit vs cache-miss forecast latency, the multi-worker job pool
+# (min(cores, 4) workers when >1 core is available) vs sequential jobs as
+# the median and spread of 5 alternating trials, and the QoS section:
+# overload shedding under 4x ask oversubscription (forecast latency inside
+# its guaranteed quota, shed/brownout/degraded counters) plus the latency
+# of a deadline-bounded mid-fit abort. Every section carries a "threads"
+# field recording the configuration it ran with. TCP front-end throughput
+# is measured by perfbench (forecast_hot), not here.
 #
 # Usage: bench/run_serve.sh [build_dir]   (default: build)
 set -euo pipefail

@@ -26,12 +26,15 @@ class Deadline {
   /// The infinite deadline, spelled explicitly.
   static Deadline Infinite() { return Deadline(); }
 
-  /// Expires \p ms milliseconds from now (non-positive = already expired).
+  /// Expires \p ms milliseconds from now (non-positive or NaN = already
+  /// expired). A budget past half the clock's remaining range (~146 years)
+  /// saturates to Infinite() instead of overflowing the time point.
   static Deadline AfterMillis(double ms) {
-    Deadline d;
-    d.tp_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double, std::milli>(ms));
-    return d;
+    const Clock::time_point now = Clock::now();
+    if (!(ms > 0.0)) return At(now);
+    const std::chrono::duration<double, std::milli> budget(ms);
+    if (budget >= (Clock::time_point::max() - now) / 2) return Infinite();
+    return At(now + std::chrono::duration_cast<Clock::duration>(budget));
   }
 
   /// Expires at \p tp.

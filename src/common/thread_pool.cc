@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <string>
 
@@ -15,6 +17,107 @@ namespace {
 /// Set for the lifetime of each worker thread; lets ParallelFor detect
 /// re-entry from one of its own workers and fall back to inline execution.
 thread_local const ThreadPool* tls_worker_pool = nullptr;
+
+/// One ParallelFor call's claim counter and completion count. Helper tasks
+/// share ownership, so a helper that starts after the call returned finds
+/// the range exhausted here instead of in the caller's dead frame.
+struct ParallelForState {
+  ParallelForState(size_t n, const std::function<void(size_t)>* body,
+                   Schedule schedule, size_t participants)
+      : n(n),
+        body(body),
+        schedule(schedule),
+        participants(participants),
+        grain(std::max<size_t>(1, n / (4 * participants))) {}
+
+  /// Claims the next grain into [*begin, *end); false once the range is
+  /// exhausted.
+  bool Claim(size_t* begin, size_t* end) {
+    if (schedule == Schedule::kStatic) {
+      *begin = next.fetch_add(grain, std::memory_order_relaxed);
+      if (*begin >= n) return false;
+      *end = std::min(n, *begin + grain);
+      return true;
+    }
+    // Guided: half the remaining range per participant, shrinking toward
+    // single iterations as the loop drains.
+    size_t cur = next.load(std::memory_order_relaxed);
+    for (;;) {
+      if (cur >= n) return false;
+      const size_t chunk = std::max<size_t>(1, (n - cur) / (2 * participants));
+      if (next.compare_exchange_weak(cur, cur + chunk,
+                                     std::memory_order_relaxed)) {
+        *begin = cur;
+        *end = cur + chunk;
+        return true;
+      }
+    }
+  }
+
+  /// Claims and runs grains until the range is exhausted. \p body is only
+  /// dereferenced inside a claimed grain, which the caller is still waiting
+  /// on.
+  void RunChunks() {
+    size_t begin = 0, end = 0;
+    while (Claim(&begin, &end)) {
+      size_t finished = end - begin;
+      try {
+        for (size_t i = begin; i < end; ++i) (*body)(i);
+      } catch (...) {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          if (!error) error = std::current_exception();
+        }
+        // Stop the loop: iterations nobody claimed yet count as finished.
+        const size_t unclaimed = next.exchange(n, std::memory_order_relaxed);
+        if (unclaimed < n) finished += n - unclaimed;
+      }
+      if (done.fetch_add(finished, std::memory_order_acq_rel) + finished ==
+          n) {
+        std::lock_guard<std::mutex> lock(mu);
+        all_done.notify_all();
+      }
+    }
+  }
+
+  const size_t n;
+  const std::function<void(size_t)>* const body;
+  const Schedule schedule;
+  const size_t participants;
+  const size_t grain;  ///< kStatic grain size
+  std::atomic<size_t> next{0};  ///< first unclaimed iteration
+  std::atomic<size_t> done{0};  ///< iterations finished (or skipped)
+  std::mutex mu;
+  std::condition_variable all_done;
+  std::exception_ptr error;  ///< first exception from body (guarded by mu)
+};
+
+/// The EASYTIME_NUM_THREADS override, or 0 when unset/invalid (0 lets
+/// ThreadPool fall back to hardware concurrency).
+size_t GlobalThreadPoolSizeOverride() {
+  const char* env = std::getenv("EASYTIME_NUM_THREADS");
+  if (env == nullptr || *env == '\0') return 0;
+  char* end = nullptr;
+  long v = std::strtol(env, &end, 10);
+  if (end == env || *end != '\0' || v <= 0) {
+    EASYTIME_LOG(Warning)
+        << "EASYTIME_NUM_THREADS=\"" << env
+        << "\" is not a positive integer; using hardware concurrency";
+    return 0;
+  }
+  // A huge value (typo, wrong unit) would spawn thousands of threads and
+  // thrash or exhaust the process; clamp to a generous multiple of the
+  // machine instead.
+  const size_t hw = std::thread::hardware_concurrency();
+  const size_t cap = std::max<size_t>(256, 4 * std::max<size_t>(1, hw));
+  if (static_cast<size_t>(v) > cap) {
+    EASYTIME_LOG(Warning) << "EASYTIME_NUM_THREADS=\"" << env
+                          << "\" exceeds the sanity cap; clamping to " << cap;
+    return cap;
+  }
+  return static_cast<size_t>(v);
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
@@ -55,115 +158,50 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
-  ParallelFor(n, body, Schedule::kStatic);
-}
-
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& body,
-                             Schedule schedule) {
+                             Schedule schedule, size_t max_participants) {
   if (n == 0) return;
+  // No more helpers than there are iterations left after the caller's.
+  size_t helpers = std::min(workers_.size(), n - 1);
+  if (max_participants > 0) helpers = std::min(helpers, max_participants - 1);
   // Inline when there is no parallelism to gain or when called from one of
   // this pool's own workers (blocking a worker on work only other workers
   // can run deadlocks once every worker is inside such a call).
-  if (n == 1 || workers_.empty() || InWorkerThread()) {
+  if (helpers == 0 || InWorkerThread()) {
     for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
 
-  // Chunked dispatch: participants claim contiguous grains off one atomic
-  // counter. One task per worker at most; the caller works too.
-  const size_t participants = workers_.size() + 1;
-  const size_t grain = std::max<size_t>(1, n / (4 * participants));
-  std::atomic<size_t> next{0};
-  auto run_chunks = [&next, &body, n, grain, participants, schedule]() {
-    if (schedule == Schedule::kGuided) {
-      // Guided claiming: take half the remaining range per participant,
-      // shrinking toward single iterations as the loop drains.
-      size_t cur = next.load(std::memory_order_relaxed);
-      for (;;) {
-        if (cur >= n) return;
-        const size_t chunk =
-            std::max<size_t>(1, (n - cur) / (2 * participants));
-        if (next.compare_exchange_weak(cur, cur + chunk,
-                                       std::memory_order_relaxed)) {
-          const size_t end = std::min(n, cur + chunk);
-          for (size_t i = cur; i < end; ++i) body(i);
-          cur = next.load(std::memory_order_relaxed);
-        }
-      }
-    }
-    for (;;) {
-      const size_t begin = next.fetch_add(grain, std::memory_order_relaxed);
-      if (begin >= n) return;
-      const size_t end = std::min(n, begin + grain);
-      for (size_t i = begin; i < end; ++i) body(i);
-    }
-  };
-
-  const size_t num_chunks = schedule == Schedule::kGuided
-                                ? n  // upper bound; fanout only needs a cap
-                                : (n + grain - 1) / grain;
-  const size_t fanout = std::min(workers_.size(), num_chunks - 1);
-  std::vector<std::future<void>> futures;
-  futures.reserve(fanout);
-  for (size_t t = 0; t < fanout; ++t) futures.push_back(Submit(run_chunks));
-
-  // The caller participates; hold any exception until the workers drain so
-  // no task outlives the shared state on this stack frame.
-  std::exception_ptr caller_error;
-  try {
-    run_chunks();
-  } catch (...) {
-    caller_error = std::current_exception();
-    next.store(n, std::memory_order_relaxed);  // stop remaining chunks early
-  }
-  std::exception_ptr task_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!task_error) task_error = std::current_exception();
+  auto state =
+      std::make_shared<ParallelForState>(n, &body, schedule, helpers + 1);
+  {
+    // Keep the queue at one task per worker: a helper queued behind a deeper
+    // backlog starts only after the caller has run the loop alone, and such
+    // helpers would pile up while a long job holds every worker.
+    std::lock_guard<std::mutex> lock(mu_);
+    const size_t room =
+        tasks_.size() < workers_.size() ? workers_.size() - tasks_.size() : 0;
+    helpers = std::min(helpers, room);
+    for (size_t t = 0; t < helpers; ++t) {
+      tasks_.push([state]() { state->RunChunks(); });
     }
   }
-  if (caller_error) std::rethrow_exception(caller_error);
-  if (task_error) std::rethrow_exception(task_error);
-}
+  for (size_t t = 0; t < helpers; ++t) cv_.notify_one();
 
-size_t GlobalThreadPoolSizeOverride() {
-  const char* env = std::getenv("EASYTIME_NUM_THREADS");
-  if (env == nullptr || *env == '\0') return 0;
-  // Warn once per process, not once per pool: tests construct many pools
-  // and a misconfigured environment should not flood the log.
-  static std::once_flag warned;
-  char* end = nullptr;
-  long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || v <= 0) {
-    std::call_once(warned, [env] {
-      EASYTIME_LOG(Warning)
-          << "EASYTIME_NUM_THREADS=\"" << env
-          << "\" is not a positive integer; using hardware concurrency";
+  state->RunChunks();
+  {
+    // Wait only for grains helpers have claimed and are still running.
+    std::unique_lock<std::mutex> lock(state->mu);
+    state->all_done.wait(lock, [&] {
+      return state->done.load(std::memory_order_acquire) == n;
     });
-    return 0;
+    if (state->error) std::rethrow_exception(state->error);
   }
-  // A huge value (typo, wrong unit) would spawn thousands of threads and
-  // thrash or exhaust the process; clamp to a generous multiple of the
-  // machine instead.
-  const size_t hw = std::thread::hardware_concurrency();
-  const size_t cap = std::max<size_t>(256, 4 * std::max<size_t>(1, hw));
-  if (static_cast<size_t>(v) > cap) {
-    std::call_once(warned, [env, cap] {
-      EASYTIME_LOG(Warning) << "EASYTIME_NUM_THREADS=\"" << env
-                            << "\" exceeds the sanity cap; clamping to "
-                            << cap;
-    });
-    return cap;
-  }
-  return static_cast<size_t>(v);
 }
 
 ThreadPool& GlobalThreadPool() {
-  static ThreadPool pool(GlobalThreadPoolSizeOverride());
-  return pool;
+  static ThreadPool global(GlobalThreadPoolSizeOverride());
+  return global;
 }
 
 }  // namespace easytime

@@ -1,8 +1,10 @@
 #pragma once
 
 /// \file thread_pool.h
-/// \brief Fixed-size worker pool used by the benchmark pipeline to evaluate
-/// (method, dataset) pairs in parallel, plus a chunked ParallelFor.
+/// \brief Fixed-size worker pool with a chunked ParallelFor, and the one
+/// process-wide instance (GlobalThreadPool) every fan-out in the library
+/// runs on: pipeline pairs, backtest origins, TS_FORECAST_BY groups and the
+/// NN kernels.
 
 #include <condition_variable>
 #include <cstddef>
@@ -58,21 +60,25 @@ class ThreadPool {
   size_t size() const { return workers_.size(); }
 
   /// \brief Runs body(i) for i in [0, n), distributing across the pool and
-  /// blocking until all iterations complete.
+  /// returning once every iteration has finished.
   ///
-  /// Iterations are claimed in contiguous grains off a shared atomic counter,
-  /// so only one task per worker is enqueued regardless of n, and the calling
-  /// thread participates in the work instead of idling. When called from
-  /// inside one of this pool's own workers the loop executes inline — the
-  /// old one-future-per-index implementation would block that worker on
-  /// futures no other worker could ever run (deadlock once all workers were
-  /// inside such a call).
-  void ParallelFor(size_t n, const std::function<void(size_t)>& body);
-
-  /// ParallelFor with an explicit schedule (see Schedule). The two-argument
-  /// overload is kStatic.
+  /// Iterations are claimed in grains off a shared counter (see Schedule);
+  /// the calling thread claims too, and at most one helper task per worker
+  /// is queued. The caller never waits for a helper that has not started:
+  /// once the range is exhausted it waits only for grains already claimed,
+  /// and a helper that starts later finds nothing to claim and returns
+  /// without touching \p body. Helpers are not queued at all while the
+  /// queue already holds a task per worker, so a saturated pool runs the
+  /// loop on its caller alone. When called from one of this pool's own
+  /// workers the loop runs inline. An exception from \p body stops
+  /// unclaimed iterations and is rethrown to the caller.
+  ///
+  /// \p max_participants caps the threads running \p body at once: 0 means
+  /// the caller plus every worker, 1 runs the loop inline on the caller, k
+  /// means the caller plus at most k-1 helpers.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body,
-                   Schedule schedule);
+                   Schedule schedule = Schedule::kStatic,
+                   size_t max_participants = 0);
 
   /// True when the calling thread is one of this pool's workers.
   bool InWorkerThread() const;
@@ -88,18 +94,13 @@ class ThreadPool {
 };
 
 /// \brief Process-wide shared pool (lazily created, hardware-concurrency
-/// sized). Used by the NN kernels and the training loops so they draw from
-/// one set of workers instead of each spinning up their own.
+/// sized) and the only pool the library runs work on.
 ///
 /// The size can be pinned with the EASYTIME_NUM_THREADS environment variable
-/// (a positive integer; malformed or non-positive values are ignored) —
-/// serving deployments use it to match the pool to their CPU quota, and the
-/// 1-core CI box uses it to keep worker counts deterministic. It is read
-/// once, at first use.
+/// (a positive integer; malformed or non-positive values are ignored, huge
+/// ones clamp to max(256, 4 x cores)) — serving deployments use it to match
+/// the pool to their CPU quota, and the 1-core CI box uses it to keep worker
+/// counts deterministic. It is read once, at first use.
 ThreadPool& GlobalThreadPool();
-
-/// \brief The EASYTIME_NUM_THREADS override, or 0 when unset/invalid
-/// (0 lets ThreadPool fall back to hardware concurrency).
-size_t GlobalThreadPoolSizeOverride();
 
 }  // namespace easytime

@@ -353,17 +353,8 @@ easytime::Result<BacktestReport> RunBacktest(const std::vector<double>& values,
     }
   };
 
-  // A thread budget of one means no pool at all (strictly sequential);
-  // otherwise the calling thread works alongside budget-1 pool workers, the
-  // same arithmetic the pipeline applies under the job pool.
-  if (hooks.max_threads == 1) {
-    for (size_t t = 0; t < todo.size(); ++t) run_origin(t);
-  } else {
-    size_t pool_workers = 0;  // 0 = hardware concurrency / env override
-    if (hooks.max_threads > 0) pool_workers = hooks.max_threads - 1;
-    ThreadPool pool(pool_workers);
-    pool.ParallelFor(todo.size(), run_origin, Schedule::kGuided);
-  }
+  GlobalThreadPool().ParallelFor(todo.size(), run_origin, Schedule::kGuided,
+                                 hooks.max_threads);
 
   if (cancelled.load(std::memory_order_relaxed)) {
     return Status::Cancelled("backtest cancelled");

@@ -105,7 +105,9 @@ struct BacktestHooks {
   /// ladder index; spliced into the report without re-evaluation.
   const std::map<size_t, OriginEval>* completed = nullptr;
   easytime::Deadline deadline;
-  size_t max_threads = 0;  ///< 0 = shared pool; 1 = strictly sequential
+  /// Most origins evaluated at once, counting the calling thread: 0 = the
+  /// whole process pool (GlobalThreadPool), 1 = strictly sequential.
+  size_t max_threads = 0;
 };
 
 /// \brief Computes the origin ladder for a series of length \p n:

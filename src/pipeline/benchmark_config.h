@@ -28,7 +28,9 @@ struct BenchmarkConfig {
   std::vector<MethodSpec> methods;
   /// The evaluation protocol.
   eval::EvalConfig eval;
-  /// Worker threads (0 = hardware concurrency).
+  /// Most (method, dataset) pairs evaluated at once, counting the calling
+  /// thread: 0 = the whole process pool (GlobalThreadPool, sized by
+  /// EASYTIME_NUM_THREADS), 1 = strictly sequential on the caller.
   size_t num_threads = 0;
   /// Optional path for the run log ("" = stderr).
   std::string log_file;

@@ -7,7 +7,6 @@
 #include <deque>
 #include <mutex>
 #include <set>
-#include <thread>
 
 #include "common/circuit_breaker.h"
 #include "common/csv.h"
@@ -243,18 +242,6 @@ easytime::Result<BenchmarkReport> PipelineRunner::Run(
   const int breaker_threshold = breaker_opt.threshold;
 
   Stopwatch watch;
-  // The job pool budgets each concurrent run's pool so N jobs share the
-  // machine instead of oversubscribing it N-fold. ParallelFor has the
-  // calling thread work alongside the pool, so a budget of B means B-1
-  // workers — and a budget of one means no pool at all (plain loop below).
-  size_t pool_workers = config_.num_threads;  // 0 = hardware concurrency
-  if (hooks.max_threads > 0) {
-    const size_t want =
-        pool_workers > 0
-            ? pool_workers
-            : std::max<size_t>(1, std::thread::hardware_concurrency());
-    pool_workers = std::min(want, hooks.max_threads) - 1;
-  }
   std::mutex log_mu;
   std::atomic<size_t> done{0};
   std::atomic<bool> cancelled{false};
@@ -356,15 +343,11 @@ easytime::Result<BenchmarkReport> PipelineRunner::Run(
       hooks.progress(done.fetch_add(1, std::memory_order_relaxed) + 1, total);
     }
   };
-  if (hooks.max_threads > 0 && pool_workers == 0) {
-    for (size_t i = 0; i < tasks.size(); ++i) run_pair(i);
-  } else {
-    // Guided schedule: per-pair costs are heavily skewed (a deep method on
-    // a long dataset vs naive on a short one), so decreasing chunk sizes
-    // keep the tail balanced.
-    ThreadPool pool(pool_workers);
-    pool.ParallelFor(tasks.size(), run_pair, Schedule::kGuided);
-  }
+  // Guided schedule: per-pair costs are heavily skewed (a deep method on a
+  // long dataset vs naive on a short one), so decreasing chunk sizes keep
+  // the tail balanced. num_threads caps the pairs in flight (0 = the pool).
+  GlobalThreadPool().ParallelFor(tasks.size(), run_pair, Schedule::kGuided,
+                                 config_.num_threads);
   if (cancelled.load(std::memory_order_relaxed)) {
     return Status::Cancelled("pipeline run cancelled");
   }

@@ -3,7 +3,7 @@
 /// \file runner.h
 /// \brief The benchmark pipeline: "standardized dataset processing and
 /// splitting, model training and testing, as well as unified
-/// post-processing". Fans (method x dataset) pairs across a thread pool,
+/// post-processing". Fans (method x dataset) pairs across the process pool,
 /// logs progress, and produces the result table that seeds the benchmark
 /// knowledge base.
 
@@ -84,10 +84,6 @@ struct RunHooks {
   /// matching pairs are copied into the report instead of re-evaluated —
   /// the crash-safe resume path. Not owned; may be null.
   const std::map<std::string, RunRecord>* completed = nullptr;
-  /// Upper bound on this run's worker-pool size (0 = no cap). The serving
-  /// job pool sets it so N concurrent evaluation jobs split the machine's
-  /// cores instead of each spinning up a full-width pool.
-  size_t max_threads = 0;
 };
 
 /// \brief Executes a benchmark configuration against a dataset repository.

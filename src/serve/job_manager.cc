@@ -9,7 +9,6 @@
 
 #include "common/fault.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "eval/backtest.h"
 #include "pipeline/runner.h"
 #include "serve/request.h"
@@ -189,15 +188,6 @@ void JobManager::Shutdown() {
   }
 }
 
-size_t JobManager::PerJobThreadBudget() const {
-  if (options_.thread_budget > 0) return options_.thread_budget;
-  size_t cores = GlobalThreadPoolSizeOverride();
-  if (cores == 0) {
-    cores = std::max<size_t>(1, std::thread::hardware_concurrency());
-  }
-  return std::max<size_t>(1, cores / std::max<size_t>(1, options_.concurrency));
-}
-
 size_t JobManager::running_jobs() const {
   std::lock_guard<std::mutex> lock(mu_);
   return num_running_;
@@ -337,9 +327,6 @@ void JobManager::WireCommonHooks(Job* job, Hooks* hooks) const {
     job->done.store(done, std::memory_order_relaxed);
     job->total.store(total, std::memory_order_relaxed);
   };
-  // Split the machine across the pool: with N workers each job's pipeline
-  // gets ~cores/N threads instead of a full-width pool per job.
-  hooks->max_threads = PerJobThreadBudget();
   const double deadline_ms = job->config.GetDouble("deadline_ms", 0.0);
   if (deadline_ms > 0.0) {
     hooks->deadline = easytime::Deadline::AfterMillis(deadline_ms);

@@ -16,11 +16,11 @@
 /// they never run concurrently and start in submit order; jobs on other
 /// keys pass them meanwhile.
 ///
-/// Thread budgeting: each running job caps its pipeline at
-/// Options::thread_budget concurrently evaluating threads, counting the
-/// worker driving the run (0 derives cores / concurrency), so N concurrent
-/// evaluations split the machine instead of each spinning up a full-width
-/// pool and oversubscribing it N-fold.
+/// Threads: a job's worker drives its run and fans pairs (or origins) out on
+/// the process pool (GlobalThreadPool), which every running job shares. A
+/// lone job gets the whole pool; concurrent jobs split it by whichever
+/// claims idle workers first, and between them never evaluate on more
+/// threads than the pool's workers plus the job workers driving them.
 ///
 /// Crash safety: with a checkpoint directory configured, each job_key owns
 /// a crash-safe record store at `<dir>/<job_key>.ckpt/` (storage engine,
@@ -68,10 +68,6 @@ class JobManager {
     size_t queue_capacity = 8;   ///< max jobs admitted but not yet started
     std::string checkpoint_dir;  ///< "" disables checkpointing
     size_t concurrency = 1;      ///< worker threads (jobs run at once)
-    /// Per-job pipeline thread cap. 0 splits the machine evenly:
-    /// max(1, cores / concurrency), where "cores" honors the
-    /// EASYTIME_NUM_THREADS override.
-    size_t thread_budget = 0;
   };
 
   struct Stats {
@@ -119,10 +115,6 @@ class JobManager {
   /// Jobs currently in kRunning (approximate for readers).
   size_t running_jobs() const;
 
-  /// \brief The pipeline thread cap each running job gets
-  /// (RunHooks::max_threads). Exposed for tests and capacity planning.
-  size_t PerJobThreadBudget() const;
-
   /// Checkpoint identity of an evaluate config: its "job_key" string, or a
   /// hash of the canonicalized config. Exposed for tests.
   static std::string JobKey(const easytime::Json& config);
@@ -154,8 +146,8 @@ class JobManager {
   /// dataset, streaming each finished OriginEval into the checkpoint store
   /// (keyed by ladder index) so a killed job resumes mid-ladder.
   void RunBacktestJob(Job* job);
-  /// Sets the hooks both runners share: cancellation, progress, the per-job
-  /// thread budget and the config's "deadline_ms".
+  /// Sets the hooks both runners share: cancellation, progress and the
+  /// config's "deadline_ms".
   template <typename Hooks>
   void WireCommonHooks(Job* job, Hooks* hooks) const;
   /// Adds \p records spliced in from a checkpoint to the stats.

@@ -75,10 +75,9 @@ class ForecastServer {
     /// admission controller's slot budget.
     size_t fast_lane_capacity = 128;
     size_t evaluate_queue_capacity = 8;
-    /// Evaluation jobs run at once (JobManager worker pool, PR 4). Each
-    /// running job's pipeline is capped to ~cores/evaluate_concurrency
-    /// threads so concurrent jobs split the machine instead of
-    /// oversubscribing it.
+    /// Evaluation jobs run at once (JobManager workers). Running jobs fan
+    /// out on the one process pool, so a lone job gets every worker and
+    /// concurrent jobs share them.
     size_t evaluate_concurrency = 1;
     /// Fast-lane requests executing at once. A slot count, not a thread
     /// count: the fast lane runs on its callers' threads (for TCP, each

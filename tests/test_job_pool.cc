@@ -1,8 +1,8 @@
 // JobManager pool semantics: several workers drain the evaluate queue,
 // same-key jobs stay serialized (they share a checkpoint store) and count
-// against the queue's capacity while they wait, each running job's pipeline
-// is clamped to its thread budget, Shutdown cancels what is still queued,
-// and the cancel/deadline/checkpoint-resume contract holds under
+// against the queue's capacity while they wait, running jobs share the one
+// process pool (a lone job gets all of it), Shutdown cancels what is still
+// queued, and the cancel/deadline/checkpoint-resume contract holds under
 // concurrency. The soak test pushes more jobs than the pool has workers
 // through a mixed cancel/deadline/success schedule and insists every one of
 // them reaches a terminal state.
@@ -397,14 +397,14 @@ TEST_F(JobPoolTest, SubmitsRacingShutdownAreRejectedOrReachATerminalState) {
   EXPECT_EQ(manager.queue_depth(), 0u);
 }
 
-// --- thread budget ----------------------------------------------------------
+// --- shared process pool -----------------------------------------------------
 
 std::atomic<int> g_probe_inflight{0};
 std::atomic<int> g_probe_peak{0};
 
 /// Registered once as "budget_probe": tracks how many Fit calls run
 /// concurrently across ALL jobs. Sleeping inside Fit widens the window so
-/// any over-budget parallelism is reliably observed.
+/// the parallelism a run reaches is reliably observed.
 class BudgetProbe final : public methods::Forecaster {
  public:
   Status Fit(const std::vector<double>& train,
@@ -430,7 +430,7 @@ class BudgetProbe final : public methods::Forecaster {
   double last_ = 0.0;
 };
 
-TEST_F(JobPoolTest, ThreadBudgetCapsPipelineParallelismPerJob) {
+void RegisterBudgetProbe() {
   static const bool registered = [] {
     return methods::MethodRegistry::Global()
         .Register({"budget_probe", methods::Family::kStatistical,
@@ -441,55 +441,68 @@ TEST_F(JobPoolTest, ThreadBudgetCapsPipelineParallelismPerJob) {
         .ok();
   }();
   ASSERT_TRUE(registered);
+}
 
-  // Budget arithmetic first: explicit budgets pass through, 0 splits the
-  // observed core count evenly across the pool (never below one thread).
-  {
-    JobManager::Options opt;
-    opt.concurrency = 2;
-    opt.thread_budget = 3;
-    EXPECT_EQ(JobManager(system_, opt).PerJobThreadBudget(), 3u);
-
-    opt.thread_budget = 0;
-    size_t cores = GlobalThreadPoolSizeOverride();
-    if (cores == 0) {
-      cores = std::max<size_t>(1, std::thread::hardware_concurrency());
-    }
-    EXPECT_EQ(JobManager(system_, opt).PerJobThreadBudget(),
-              std::max<size_t>(1, cores / 2));
-  }
-
-  // Behavioral check: two concurrent jobs, one pipeline thread each. The
-  // config asks for 8 threads; the budget must win, so across the whole
-  // pool at most 2 Fit calls can ever be in flight.
-  JobManager::Options opt;
-  opt.queue_capacity = 8;
-  opt.concurrency = 2;
-  opt.thread_budget = 1;
-  JobManager manager(system_, opt);
-  manager.Start();
-
+/// An evaluate config over every dataset with the probe method alone;
+/// "num_threads" 0 lets the run use the whole process pool.
+Json ProbeConfig(const std::string& job_key) {
   auto config = Json::Parse(R"({
     "methods": ["budget_probe"],
     "evaluation": {"strategy": "fixed", "horizon": 8, "metrics": ["mae"]},
-    "num_threads": 8
+    "num_threads": 0
   })");
-  ASSERT_TRUE(config.ok());
-  g_probe_peak.store(0);
+  EXPECT_TRUE(config.ok());
+  Json c = config.ok() ? *config : Json::Object();
+  c.Set("job_key", job_key);
+  return c;
+}
 
-  Json c1 = *config, c2 = *config;
-  c1.Set("job_key", "budget-1");
-  c2.Set("job_key", "budget-2");
-  auto a = manager.Submit(c1);
-  auto b = manager.Submit(c2);
+// A lone job on a lane as wide as the process pool is not cut down to
+// cores / concurrency: its pairs fan out across the idle pool.
+TEST_F(JobPoolTest, LoneJobFansOutAcrossTheWholePool) {
+  RegisterBudgetProbe();
+  const size_t pool = GlobalThreadPool().size();
+  JobManager::Options opt;
+  opt.queue_capacity = 8;
+  opt.concurrency = pool;
+  JobManager manager(system_, opt);
+  manager.Start();
+
+  g_probe_peak.store(0);
+  auto a = manager.Submit(ProbeConfig("lone-job"));
+  ASSERT_TRUE(a.ok());
+  EXPECT_EQ(AwaitTerminal(manager, *a), "done");
+  manager.Shutdown();
+
+  EXPECT_GT(g_probe_peak.load(), 0);
+  if (pool >= 2) {
+    EXPECT_GE(g_probe_peak.load(), 2)
+        << "a lone job on a " << pool << "-worker lane ran sequentially";
+  }
+}
+
+// Concurrent jobs share the one pool: between them they never run more Fit
+// calls than the pool's workers plus the two job workers driving the runs.
+TEST_F(JobPoolTest, ConcurrentJobsShareThePoolWithinItsSize) {
+  RegisterBudgetProbe();
+  const size_t pool = GlobalThreadPool().size();
+  JobManager::Options opt;
+  opt.queue_capacity = 8;
+  opt.concurrency = 2;
+  JobManager manager(system_, opt);
+  manager.Start();
+
+  g_probe_peak.store(0);
+  auto a = manager.Submit(ProbeConfig("shared-1"));
+  auto b = manager.Submit(ProbeConfig("shared-2"));
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(AwaitTerminal(manager, *a), "done");
   EXPECT_EQ(AwaitTerminal(manager, *b), "done");
   manager.Shutdown();
 
   EXPECT_GT(g_probe_peak.load(), 0);
-  EXPECT_LE(g_probe_peak.load(), 2)
-      << "a job exceeded its 1-thread pipeline budget";
+  EXPECT_LE(g_probe_peak.load(), static_cast<int>(pool) + 2)
+      << "two jobs ran more Fit calls than the shared pool can hold";
 }
 
 // Checkpoint-resume still splices correctly when the cancelled job and its

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <thread>
 
 #include "common/csv.h"
+#include "methods/forecaster.h"
+#include "methods/registry.h"
 #include "test_util.h"
 #include "tsdata/generator.h"
 
@@ -82,6 +87,63 @@ TEST(PipelineRunner, RunsAllPairs) {
   // The easy statistical methods should succeed everywhere.
   EXPECT_EQ(report.Successful().size(), report.records.size());
   EXPECT_GT(report.wall_seconds, 0.0);
+}
+
+std::atomic<int> g_fit_inflight{0};
+std::atomic<int> g_fit_peak{0};
+
+/// Registered once as "inflight_probe": records the most Fit calls that
+/// ever ran at once; the sleep keeps overlapping pairs overlapping.
+class InflightProbe final : public methods::Forecaster {
+ public:
+  Status Fit(const std::vector<double>& train,
+             const methods::FitContext&) override {
+    const int now = g_fit_inflight.fetch_add(1) + 1;
+    int prev = g_fit_peak.load();
+    while (now > prev && !g_fit_peak.compare_exchange_weak(prev, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    last_ = train.empty() ? 0.0 : train.back();
+    g_fit_inflight.fetch_sub(1);
+    return Status::OK();
+  }
+  Result<std::vector<double>> Forecast(size_t horizon) const override {
+    return std::vector<double>(horizon, last_);
+  }
+  std::string name() const override { return "inflight_probe"; }
+  methods::Family family() const override {
+    return methods::Family::kStatistical;
+  }
+
+ private:
+  double last_ = 0.0;
+};
+
+// num_threads counts the calling thread: 1 is strictly sequential on a
+// direct run, and k never has more than k pairs in flight.
+TEST(PipelineRunner, NumThreadsCapsPairsInFlight) {
+  static const bool registered =
+      methods::MethodRegistry::Global()
+          .Register({"inflight_probe", methods::Family::kStatistical,
+                     "pipeline test: counts concurrent Fit calls"},
+                    [](const Json&) -> Result<methods::ForecasterPtr> {
+                      return methods::ForecasterPtr(new InflightProbe());
+                    })
+          .ok();
+  ASSERT_TRUE(registered);
+  tsdata::Repository repo = SmallRepo();
+  BenchmarkConfig c = FastConfig();
+  c.methods = {MethodSpec{"inflight_probe", Json::Object()}};
+  for (size_t threads : {1u, 2u}) {
+    c.num_threads = threads;
+    g_fit_peak.store(0);
+    auto report = PipelineRunner(&repo, c).Run();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->Successful().size(), repo.size());
+    EXPECT_GE(g_fit_peak.load(), 1);
+    EXPECT_LE(g_fit_peak.load(), static_cast<int>(threads))
+        << "num_threads " << threads;
+  }
 }
 
 TEST(PipelineRunner, SubsetOfDatasets) {

@@ -968,26 +968,33 @@ TEST(QosSqlTest, BrownoutDowngradesExpensiveModelsToSmoothing) {
 // Hardened EASYTIME_NUM_THREADS parsing
 // ---------------------------------------------------------------------------
 
+// The variable is read once, when the process pool is first used, so each
+// value is checked in a fresh child process (a threadsafe-style death test
+// re-executes this binary) that sizes GlobalThreadPool and exits 0 when the
+// size matches.
 TEST(QosThreadPoolTest, NumThreadsEnvIsValidatedAndClamped) {
-  auto with_env = [](const char* value) {
-    ::setenv("EASYTIME_NUM_THREADS", value, 1);
-    size_t n = GlobalThreadPoolSizeOverride();
-    ::unsetenv("EASYTIME_NUM_THREADS");
-    return n;
-  };
-  EXPECT_EQ(with_env("garbage"), 0u) << "malformed falls back to hardware";
-  EXPECT_EQ(with_env("12abc"), 0u) << "trailing junk is malformed";
-  EXPECT_EQ(with_env("0"), 0u);
-  EXPECT_EQ(with_env("-4"), 0u);
-  EXPECT_EQ(with_env("3"), 3u) << "sane values pass through";
-
-  const size_t clamped = with_env("100000000");
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const size_t hw = std::max<size_t>(1, std::thread::hardware_concurrency());
-  EXPECT_EQ(clamped, std::max<size_t>(256, 4 * hw))
-      << "huge values clamp to the sanity cap";
-
-  ::unsetenv("EASYTIME_NUM_THREADS");
-  EXPECT_EQ(GlobalThreadPoolSizeOverride(), 0u);
+  auto expect_pool_size = [](const char* value, size_t want) {
+    EXPECT_EXIT(
+        {
+          if (value != nullptr) {
+            ::setenv("EASYTIME_NUM_THREADS", value, 1);
+          } else {
+            ::unsetenv("EASYTIME_NUM_THREADS");
+          }
+          std::_Exit(GlobalThreadPool().size() == want ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "")
+        << "EASYTIME_NUM_THREADS=" << (value ? value : "(unset)");
+  };
+  expect_pool_size("garbage", hw);  // malformed falls back to hardware
+  expect_pool_size("12abc", hw);    // trailing junk is malformed
+  expect_pool_size("0", hw);
+  expect_pool_size("-4", hw);
+  expect_pool_size("3", 3);  // sane values pass through
+  expect_pool_size("100000000", std::max<size_t>(256, 4 * hw));  // clamped
+  expect_pool_size(nullptr, hw);
 }
 
 }  // namespace

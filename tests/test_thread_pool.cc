@@ -3,7 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <stdexcept>
+#include <thread>
 
 namespace easytime {
 namespace {
@@ -191,6 +198,127 @@ TEST(ThreadPool, GuidedParallelForPropagatesException) {
           },
           Schedule::kGuided),
       std::runtime_error);
+}
+
+// ------------------------------------------- Busy pools and participant caps
+
+/// Holds a pool's workers until Release(): each Block() task waits on it.
+class Latch {
+ public:
+  void Block() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++blocked_;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
+  }
+  void AwaitBlocked(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return blocked_ >= n; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int blocked_ = 0;
+  bool open_ = false;
+};
+
+// A ParallelFor issued while every worker is busy elsewhere runs its
+// iterations on the caller and returns without waiting for the helper tasks
+// it queued: they start only once the workers are free again, and find
+// nothing left to do.
+TEST(ThreadPool, ParallelForReturnsWhileEveryWorkerIsBlocked) {
+  ThreadPool pool(2);
+  Latch latch;
+  auto w1 = pool.Submit([&] { latch.Block(); });
+  auto w2 = pool.Submit([&] { latch.Block(); });
+  latch.AwaitBlocked(2);
+
+  std::atomic<int> count{0};
+  auto loop = std::async(std::launch::async, [&] {
+    pool.ParallelFor(64, [&](size_t) { count.fetch_add(1); });
+  });
+  const bool returned =
+      loop.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  latch.Release();  // lets a hung ParallelFor finish, so the test fails
+  loop.get();       // instead of hanging
+  w1.get();
+  w2.get();
+  EXPECT_TRUE(returned) << "ParallelFor waited on helpers that never started";
+  EXPECT_EQ(count.load(), 64);
+
+  // The stale helpers ran as no-ops; the pool still fans out afterwards.
+  std::vector<std::atomic<int>> hits(1000);
+  pool.ParallelFor(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// With a participant cap of k, at most k bodies ever run at once (the caller
+// counts), a cap of 1 keeps the whole loop on the caller, and every index
+// still runs exactly once.
+TEST(ThreadPool, ParticipantCapBoundsBodiesInFlight) {
+  ThreadPool pool(4);
+  for (size_t cap : {1u, 2u, 3u}) {
+    for (Schedule schedule : {Schedule::kStatic, Schedule::kGuided}) {
+      std::atomic<int> inflight{0}, peak{0};
+      std::vector<std::atomic<int>> hits(40);
+      std::mutex ids_mu;
+      std::set<std::thread::id> ids;
+      pool.ParallelFor(
+          hits.size(),
+          [&](size_t i) {
+            const int now = inflight.fetch_add(1) + 1;
+            int prev = peak.load();
+            while (now > prev && !peak.compare_exchange_weak(prev, now)) {
+            }
+            {
+              std::lock_guard<std::mutex> lock(ids_mu);
+              ids.insert(std::this_thread::get_id());
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            hits[i].fetch_add(1);
+            inflight.fetch_sub(1);
+          },
+          schedule, cap);
+      EXPECT_LE(peak.load(), static_cast<int>(cap)) << "cap " << cap;
+      if (cap == 1) {
+        EXPECT_EQ(ids.size(), 1u);
+        EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
+      }
+      for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+    }
+  }
+}
+
+// A body that throws on the caller still waits for grains helpers already
+// claimed before the exception leaves ParallelFor (they reference the
+// caller's frame).
+TEST(ThreadPool, ParallelForExceptionWaitsForClaimedGrains) {
+  ThreadPool pool(3);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<int> slots(64, 0);
+    std::atomic<int> ran{0};
+    EXPECT_THROW(pool.ParallelFor(
+                     slots.size(),
+                     [&](size_t i) {
+                       if (i == 0) throw std::runtime_error("first");
+                       std::this_thread::sleep_for(
+                           std::chrono::microseconds(200));
+                       slots[i] = 1;
+                       ran.fetch_add(1);
+                     },
+                     Schedule::kGuided),
+                 std::runtime_error);
+    const int ran_at_return = ran.load();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(ran.load(), ran_at_return)
+        << "a body was still running after ParallelFor returned";
+  }
 }
 
 }  // namespace
