@@ -358,25 +358,6 @@ void BM_JsonFormatNumber(benchmark::State& state) {
 }
 BENCHMARK(BM_JsonFormatNumber)->Arg(17)->Arg(4);
 
-// The cache key of a forecast on an uploaded series (the Upload-Dataset
-// path): every miss builds one, and its cost is mostly the numbers.
-void BM_CanonicalKeyInline(benchmark::State& state) {
-  Json params = Json::Object();
-  Json values = Json::Array();
-  for (double v : UploadLikeValues(static_cast<size_t>(state.range(0)), 4)) {
-    values.Append(v);
-  }
-  params.Set("values", std::move(values));
-  params.Set("method", "theta");
-  params.Set("horizon", 24);
-  for (auto _ : state) {
-    std::string key = serve::CanonicalKey("forecast", params);
-    benchmark::DoNotOptimize(key.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_CanonicalKeyInline)->Arg(300);
-
 // A forecast request line on an uploaded series of range(0) 4-decimal
 // values, as a client sends it on the cold path.
 std::string UploadRequestLine(size_t n) {

@@ -252,14 +252,14 @@ std::string ClusterRouter::HandleLine(const std::string& line) {
     return ErrorLine(req.id,
                      Status::InvalidArgument("append requires a \"dataset\""));
   }
-  // Datasets pin to their owner; everything else is fungible and takes the
-  // bounded-load path keyed on its most meaningful field.
-  const std::string key =
-      !dataset.empty()          ? dataset
-      : req.endpoint == "sql"   ? req.params.GetString("sql", "")
-      : req.endpoint == "ask"   ? req.params.GetString("question", "")
-                                : serve::CanonicalKey(req.endpoint, req.params);
-  auto shard = RouteKey(key, /*stable=*/!dataset.empty());
+  // Datasets pin to their owner, and SQL to one fixed owner: its tables live
+  // in one worker process, busy or not. Everything else is fungible and
+  // takes the bounded-load path, keyed on the request line as received.
+  const bool sql = req.endpoint == "sql";
+  const std::string_view key = sql                ? std::string_view("sql")
+                               : !dataset.empty() ? std::string_view(dataset)
+                                                  : std::string_view(line);
+  auto shard = RouteKey(key, /*stable=*/sql || !dataset.empty());
   if (!shard.ok()) return ErrorLine(req.id, shard.status());
   if (req.endpoint == "append") {
     return ForwardAtMostOnce(

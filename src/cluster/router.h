@@ -9,9 +9,11 @@
 ///  - Requests naming a stored "dataset" (forecast/recommend/append/…) go
 ///    to the dataset's OWNER shard — stable placement, so a dataset's
 ///    appends, WAL, and evaluation results accumulate on one shard.
-///  - Fungible work (inline-values forecasts, ask, sql, evaluate/backtest
-///    jobs) uses bounded-load consistent hashing over a request key, so a
-///    hot shard sheds overflow to its ring successors.
+///  - sql goes to the owner of one fixed key: SQL tables live in one worker
+///    process, so every statement must reach the same one.
+///  - Fungible work (forecasts over uploaded "values", ask, evaluate/
+///    backtest jobs) uses bounded-load consistent hashing over the request
+///    line, so a hot shard sheds overflow to its ring successors.
 ///  - recommend / stats / flush_cache fan out to every shard and merge.
 ///    recommend asks each shard for its full ranking, averages the scores
 ///    and only then cuts to the request's "k".

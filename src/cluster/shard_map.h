@@ -11,10 +11,10 @@
 ///    must always land on the same shard (a dataset's appends, its WAL, its
 ///    evaluation results). Load never moves an owner.
 ///  - Pick(key, load): bounded-load consistent hashing for fungible work
-///    (inline-values forecasts, dataset-less SQL). The walk skips shards
-///    whose outstanding load is at or above ceil(load_factor * average), so
-///    a hot shard sheds overflow to its ring successors while cold keys
-///    keep their affinity.
+///    (forecasts over uploaded values, ask, job submits). The walk skips
+///    shards whose outstanding load is at or above ceil(load_factor *
+///    average), so a hot shard sheds overflow to its ring successors while
+///    cold keys keep their affinity.
 
 #include <cstdint>
 #include <map>

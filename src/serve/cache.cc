@@ -3,9 +3,8 @@
 namespace easytime::serve {
 
 void ResultCache::EraseLocked(std::list<Entry>::iterator it) {
-  for (const auto& tag : it->tags) {
-    auto t = tag_index_.find(tag);
-    if (t == tag_index_.end()) continue;
+  auto t = tag_index_.find(it->dataset);
+  if (t != tag_index_.end()) {
     t->second.erase(it->key);
     if (t->second.empty()) tag_index_.erase(t);
   }
@@ -33,33 +32,33 @@ std::optional<std::string> ResultCache::Lookup(const std::string& key) {
   return entry.payload;
 }
 
-uint64_t ResultCache::StampLocked(const std::vector<std::string>& tags) const {
-  // Every counter only grows, so the sum moves iff one of them moved.
-  uint64_t stamp = stats_.flushes;
-  for (const auto& tag : tags) {
-    auto t = tag_invalidations_.find(tag);
-    if (t != tag_invalidations_.end()) stamp += t->second;
-  }
-  return stamp;
+void ResultCache::CountMiss() {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.misses;
 }
 
-uint64_t ResultCache::Stamp(const std::vector<std::string>& tags) const {
+uint64_t ResultCache::StampLocked(const std::string& dataset) const {
+  // Both counters only grow, so the sum moves iff one of them moved.
+  auto t = tag_invalidations_.find(dataset);
+  return stats_.flushes + (t != tag_invalidations_.end() ? t->second : 0);
+}
+
+uint64_t ResultCache::Stamp(const std::string& dataset) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return StampLocked(tags);
+  return StampLocked(dataset);
 }
 
 void ResultCache::Insert(const std::string& key, std::string payload,
-                         const std::vector<std::string>& tags,
-                         uint64_t stamp) {
+                         const std::string& dataset, uint64_t stamp) {
   if (options_.capacity == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
-  if (StampLocked(tags) != stamp) return;  // stale: computed before a change
+  if (StampLocked(dataset) != stamp) return;  // stale: computed before a change
   auto it = index_.find(key);
   if (it != index_.end()) EraseLocked(it->second);
   Entry entry;
   entry.key = key;
   entry.payload = std::move(payload);
-  entry.tags = tags;
+  entry.dataset = dataset;
   if (options_.ttl_seconds > 0.0) {
     entry.expires = true;
     entry.expires_at =
@@ -68,7 +67,7 @@ void ResultCache::Insert(const std::string& key, std::string payload,
   }
   lru_.push_front(std::move(entry));
   index_[key] = lru_.begin();
-  for (const auto& tag : tags) tag_index_[tag].insert(key);
+  tag_index_[dataset].insert(key);
   ++stats_.insertions;
   while (lru_.size() > options_.capacity) {
     EraseLocked(std::prev(lru_.end()));

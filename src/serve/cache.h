@@ -1,14 +1,11 @@
 #pragma once
 
 /// \file cache.h
-/// \brief LRU + TTL result cache for the serving layer, with tag-based
-/// fine-grained invalidation. Entries are keyed on the canonical request key
-/// (see request.h) and tagged with the datasets their payload depends on;
-/// a streaming append to dataset A eagerly drops exactly A's entries
-/// (InvalidateTag) while everything else keeps hitting. This replaces the
-/// old KB-version-counter scheme, under which any knowledge-base mutation —
-/// including an evaluation commit that changes no series — nuked the whole
-/// cache. Clear() survives as the flush_all escape hatch.
+/// \brief LRU + TTL result cache for the serving layer. It holds answers
+/// read from a stored dataset, keyed on the canonical request key (see
+/// request.h) and tagged with that one dataset; a streaming append to
+/// dataset A eagerly drops exactly A's entries (InvalidateTag) while
+/// everything else keeps hitting. Clear() is the flush_all escape hatch.
 
 #include <chrono>
 #include <cstdint>
@@ -18,11 +15,10 @@
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 namespace easytime::serve {
 
-/// \brief Thread-safe LRU cache with per-entry TTL and dataset tags.
+/// \brief Thread-safe LRU cache with per-entry TTL and a dataset tag.
 /// Stores serialized result payloads (the "result" member of a response), so
 /// hits cost one map lookup and a byte splice — no model work, no JSON work.
 class ResultCache {
@@ -50,19 +46,22 @@ class ResultCache {
   /// miss either way.
   std::optional<std::string> Lookup(const std::string& key);
 
-  /// \brief Invalidation stamp for an entry tagged \p tags: it moves
-  /// whenever InvalidateTag hits one of the tags or Clear() runs. Read it
-  /// before computing a payload and hand it to Insert.
-  uint64_t Stamp(const std::vector<std::string>& tags) const;
+  /// Counts a miss without a lookup, for a forecast/recommend whose answer
+  /// is never cached (an upload): hits + misses still count every one.
+  void CountMiss();
+
+  /// \brief Invalidation stamp for an entry read from \p dataset: it
+  /// moves whenever InvalidateTag(dataset) or Clear() runs. Read it before
+  /// computing a payload and hand it to Insert.
+  uint64_t Stamp(const std::string& dataset) const;
 
   /// \brief Inserts (or refreshes) \p key, evicting the LRU tail beyond
-  /// capacity. \p tags names the datasets the payload was computed from;
-  /// an untagged entry (inline values, dataset-free requests) is only ever
-  /// dropped by TTL, LRU pressure, or Clear(). The fill is dropped if
-  /// Stamp(tags) has moved from \p stamp: the payload was computed from
-  /// data that an append (or a flush) has since invalidated.
+  /// capacity. \p dataset names the stored dataset the payload was read
+  /// from. The fill is dropped if Stamp(dataset) has moved from \p stamp:
+  /// the payload was computed from data that an append (or a flush) has
+  /// since invalidated.
   void Insert(const std::string& key, std::string payload,
-              const std::vector<std::string>& tags, uint64_t stamp);
+              const std::string& dataset, uint64_t stamp);
 
   /// \brief Eagerly drops every entry tagged with \p tag (the fine-grained
   /// path: one dataset's append leaves other datasets' entries hot).
@@ -81,23 +80,23 @@ class ResultCache {
   struct Entry {
     std::string key;
     std::string payload;
-    std::vector<std::string> tags;
+    std::string dataset;
     Clock::time_point expires_at;
     bool expires = false;
   };
 
   /// Unlinks one entry from the LRU list, the key index, and the tag index.
   void EraseLocked(std::list<Entry>::iterator it);
-  uint64_t StampLocked(const std::vector<std::string>& tags) const;
+  uint64_t StampLocked(const std::string& dataset) const;
 
   Options options_;
   mutable std::mutex mu_;
   std::list<Entry> lru_;  ///< front = most recently used
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-  /// tag -> keys carrying it (the reverse index InvalidateTag walks).
+  /// dataset -> keys read from it (the reverse index InvalidateTag walks).
   std::unordered_map<std::string, std::set<std::string>> tag_index_;
-  /// tag -> InvalidateTag calls so far (Stamp's per-tag part; Clear() is
-  /// counted by stats_.flushes).
+  /// dataset -> InvalidateTag calls so far (Stamp's per-dataset part;
+  /// Clear() is counted by stats_.flushes).
   std::unordered_map<std::string, uint64_t> tag_invalidations_;
   Stats stats_;
 };

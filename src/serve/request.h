@@ -2,7 +2,8 @@
 
 /// \file request.h
 /// \brief The serve wire protocol: line-delimited JSON requests and
-/// responses, plus the canonical request key the result cache is keyed on.
+/// responses, plus the canonical request key that keys stored-dataset
+/// answers in the result cache and default job keys in the job manager.
 ///
 /// Request line:  {"id": 7, "endpoint": "forecast", "params": {...}}
 /// Response line: {"id": 7, "ok": true, "result": {...}}
@@ -44,9 +45,9 @@ easytime::Result<Request> ParseRequest(const std::string& line,
 easytime::Result<easytime::Deadline> ParseDeadline(
     const easytime::Json& params);
 
-/// \brief Deterministic cache key: endpoint plus a canonicalized dump of the
-/// params (object keys sorted recursively), so key order and whitespace in
-/// the client's JSON don't fragment the cache.
+/// \brief Deterministic request key: endpoint plus a canonicalized dump of
+/// the params (object keys sorted recursively), so key order and whitespace
+/// in the client's JSON don't fragment the cache.
 std::string CanonicalKey(const std::string& endpoint,
                          const easytime::Json& params);
 

@@ -99,11 +99,11 @@ void ForecastServer::WarmCache() {
   for (const auto& meta : system_->knowledge().datasets()) {
     easytime::Json params = easytime::Json::Object();
     params.Set("dataset", meta.name);
-    const uint64_t stamp = cache_.Stamp({meta.name});
+    const uint64_t stamp = cache_.Stamp(meta.name);
     auto result = ExecuteRecommend(params);
     if (!result.ok()) continue;
     cache_.Insert(CanonicalKey("recommend", params), result->Dump(),
-                  {meta.name}, stamp);
+                  meta.name, stamp);
     ++warmed;
   }
   EASYTIME_LOG(Info) << "serve: warmed recommend cache for " << warmed
@@ -123,22 +123,6 @@ void ForecastServer::Stop() {
   jobs_.Shutdown();
   easytime::GlobalOverload().set_brownout(false);
   running_.store(false);
-}
-
-bool ForecastServer::IsCacheable(const std::string& endpoint) {
-  // forecast/recommend are pure functions of (repository, request); ask is
-  // not cached because follow-up questions depend on conversation history.
-  return endpoint == "forecast" || endpoint == "recommend";
-}
-
-std::vector<std::string> ForecastServer::CacheTags(
-    const easytime::Json& params) {
-  // Tag cached entries with the stored dataset they were computed from so a
-  // streaming append to that dataset can invalidate exactly them. Inline
-  // "values" requests read no mutable state — untagged, TTL/LRU only.
-  std::string dataset = params.GetString("dataset", "");
-  if (dataset.empty()) return {};
-  return {std::move(dataset)};
 }
 
 void ForecastServer::RegisterControlEndpoint(const std::string& name,
@@ -193,7 +177,8 @@ struct ForecastServer::Outcome {
   bool cache_hit = false;
   std::string cached{};       ///< a hit's payload bytes, spliced as stored
   std::string fill_key{};     ///< non-empty: cache the payload under it
-  uint64_t fill_stamp = 0;    ///< the cache stamp read before executing
+  std::string fill_dataset{}; ///< the stored dataset the payload reads
+  uint64_t fill_stamp = 0;    ///< fill_dataset's stamp read before executing
   /// Dies with the outcome, after the stats record and the cache fill, so
   /// Stop()'s DrainAll covers the whole request.
   AdmissionController::Ticket ticket{};
@@ -214,7 +199,7 @@ std::string ForecastServer::Dispatch(Request req) {
   std::string bytes = out.cache_hit ? std::move(out.cached) : out.result.Dump();
   std::string line = SpliceOkResponseLine(req.id, bytes, out.cache_hit, secs);
   if (!out.fill_key.empty()) {
-    cache_.Insert(out.fill_key, std::move(bytes), CacheTags(req.params),
+    cache_.Insert(out.fill_key, std::move(bytes), out.fill_dataset,
                   out.fill_stamp);
   }
   return line;
@@ -300,20 +285,29 @@ ForecastServer::Outcome ForecastServer::Route(const Request& req) {
     return {.status = Status::Unavailable("server is not accepting requests"),
             .rejected = true};
   }
-  std::string cache_key;
-  uint64_t cache_stamp = 0;
-  if (IsCacheable(endpoint)) {
-    cache_key = CanonicalKey(endpoint, req.params);
-    if (auto hit = cache_.Lookup(cache_key)) {
-      return {.spliced = true, .cache_hit = true, .cached = std::move(*hit)};
+  Outcome out{.spliced = true};
+  // Only answers read from a stored dataset are cached. An upload does not
+  // repeat: its key would only cost number formatting and its entry evict
+  // stored-dataset ones. ResolveSeries prefers "values", so a request that
+  // names a dataset and uploads too reads no stored series. ask is not
+  // cached: follow-up questions depend on conversation history.
+  if (endpoint == "forecast" || endpoint == "recommend") {
+    if (!req.params.Has("values")) {
+      out.fill_dataset = req.params.GetString("dataset", "");
     }
-    // Read before the request snapshots its data: an append that lands
-    // while it computes moves the stamp, and the fill is dropped.
-    cache_stamp = cache_.Stamp(CacheTags(req.params));
+    if (out.fill_dataset.empty()) {
+      cache_.CountMiss();  // hits + misses count every forecast/recommend
+    } else {
+      std::string key = CanonicalKey(endpoint, req.params);
+      if (auto hit = cache_.Lookup(key)) {
+        return {.spliced = true, .cache_hit = true, .cached = std::move(*hit)};
+      }
+      // Read before the request snapshots its data: an append that lands
+      // while it computes moves the stamp, and the fill is dropped.
+      out.fill_stamp = cache_.Stamp(out.fill_dataset);
+      out.fill_key = std::move(key);
+    }
   }
-  Outcome out{.spliced = true,
-              .fill_key = std::move(cache_key),
-              .fill_stamp = cache_stamp};
 
   // Per-endpoint admission: claim a weighted queue slot. A class over its
   // reservation with no shared headroom left is shed here, so a burst on

@@ -25,11 +25,10 @@
 ///  - One exit: every path through Dispatch (shed, error, cache hit,
 ///    answer, control plane) ends as one Outcome; the stats are recorded and
 ///    the reply line is built from it in one place.
-///  - Result cache: forecast/recommend responses are cached (LRU + TTL)
-///    under the canonical request key, tagged with the dataset they read;
-///    a streaming append drops exactly that dataset's entries
-///    (fine-grained tag invalidation, serve/cache.h) while "flush_cache"
-///    remains the drop-everything escape hatch.
+///  - Result cache: forecast/recommend answers read from a stored dataset
+///    are cached (LRU + TTL) under the canonical request key, tagged with
+///    it; an append drops exactly that dataset's entries (serve/cache.h),
+///    "flush_cache" drops all. Uploads ("values") are never cached.
 
 #include <atomic>
 #include <cstdint>
@@ -213,11 +212,6 @@ class ForecastServer {
   /// Pre-populates the recommend cache from the restored knowledge base
   /// (Start()-time, before the server accepts traffic).
   void WarmCache();
-
-  static bool IsCacheable(const std::string& endpoint);
-  /// Cache tags for a request: the "dataset" it reads, when it names one
-  /// (inline-values requests are untagged — nothing ever mutates them).
-  static std::vector<std::string> CacheTags(const easytime::Json& params);
 
   core::EasyTime* system_;
   Options options_;

@@ -31,6 +31,7 @@
 #include "store/record_store.h"
 #include "store/snapshot.h"
 #include "store/wal.h"
+#include "tsdata/series.h"
 
 namespace easytime::cluster {
 namespace {
@@ -460,6 +461,21 @@ Json AppendParams(const std::string& dataset,
   return params;
 }
 
+// shard id -> one dataset of the "small" preset's suite that it owns.
+std::map<std::string, std::string> DatasetPerShard(
+    const ClusterRouter& router) {
+  std::map<std::string, std::string> owned;
+  for (int d = 0; d < tsdata::kNumDomains; ++d) {
+    const std::string name =
+        std::string(tsdata::DomainName(static_cast<tsdata::Domain>(d))) +
+        "_u0";
+    auto owner = router.OwnerShard(name);
+    EXPECT_TRUE(owner.ok()) << owner.status().ToString();
+    if (owner.ok()) owned.emplace(*owner, name);
+  }
+  return owned;
+}
+
 ClusterRouter::Options BaseOptions(const std::string& work_dir) {
   ClusterRouter::Options opt;
   opt.worker_binary = EASYTIME_WORKER_BIN;
@@ -598,15 +614,16 @@ TEST(ClusterRouterTest, CollidingJobIdsNeedTheShardPin) {
   auto started = router.Start();
   ASSERT_TRUE(started.ok()) << started.ToString();
 
-  // flush_cache sums every shard's dropped entries. Distinct inline
-  // forecasts spread over the shards and each leaves one cache entry.
+  // flush_cache sums every shard's dropped entries. A stored-dataset
+  // forecast lands on its dataset's owner and leaves one cache entry there;
+  // four distinct ones per shard fill both shards' caches.
+  const std::map<std::string, std::string> owned = DatasetPerShard(router);
+  ASSERT_EQ(owned.size(), 2u);
   for (int i = 0; i < 8; ++i) {
     Json params = Json::Object();
-    Json values = Json::Array();
-    for (int t = 0; t < 24; ++t) values.Append(static_cast<double>(i + t % 6));
-    params.Set("values", std::move(values));
+    params.Set("dataset", owned.at(i % 2 ? "shard-1" : "shard-0"));
     params.Set("method", "naive");
-    params.Set("horizon", int64_t{3});
+    params.Set("horizon", int64_t{2 + i});
     Json forecast = Call(router, 10 + i, "forecast", std::move(params));
     ASSERT_TRUE(forecast.GetBool("ok", false)) << forecast.Dump();
   }
@@ -614,8 +631,11 @@ TEST(ClusterRouterTest, CollidingJobIdsNeedTheShardPin) {
   ASSERT_TRUE(stats.GetBool("ok", false)) << stats.Dump();
   int64_t cached = 0;
   for (const char* shard : {"shard-0", "shard-1"}) {
-    cached += stats.Get("result").Get("shards").Get(shard).Get("cache").GetInt(
-        "entries", -1);
+    const int64_t entries =
+        stats.Get("result").Get("shards").Get(shard).Get("cache").GetInt(
+            "entries", -1);
+    EXPECT_GE(entries, 4) << shard;
+    cached += entries;
   }
   EXPECT_GE(cached, 8);
   Json flushed = Call(router, 21, "flush_cache", Json::Object());
@@ -717,6 +737,86 @@ TEST(ClusterRouterTest, CollidingJobIdsNeedTheShardPin) {
   EXPECT_EQ(missing_pinned.Get("error").GetString("code", ""), "NotFound")
       << missing_pinned.Dump();
 
+  router.Stop();
+}
+
+// SQL tables live in one worker process, so every statement must reach the
+// shard that ran the CREATE TABLE, even while that shard is the busier one
+// and bounded-load routing would send fungible work to the other.
+TEST(ClusterRouterTest, SqlStatementsMeetOnOneShardEvenWhenItIsBusy) {
+  ClusterRouter::Options opt = BaseOptions(TestDir("router_sql"));
+  opt.shards = 2;
+  opt.replicate = false;
+  ClusterRouter router(opt);
+  auto started = router.Start();
+  ASSERT_TRUE(started.ok()) << started.ToString();
+  auto sql = [&router](int64_t id, const std::string& query) {
+    Json params = Json::Object();
+    params.Set("query", query);
+    return Call(router, id, "sql", std::move(params));
+  };
+
+  Json created = sql(1, "CREATE TABLE routed_ts (t INTEGER, v REAL)");
+  ASSERT_TRUE(created.GetBool("ok", false)) << created.Dump();
+  Json stats = Call(router, 2, "stats", Json::Object());
+  std::string sql_shard;
+  for (const char* shard : {"shard-0", "shard-1"}) {
+    if (stats.Get("result").Get("shards").Get(shard).Get("endpoints").Has(
+            "sql")) {
+      sql_shard = shard;
+    }
+  }
+  ASSERT_FALSE(sql_shard.empty()) << stats.Dump();
+  const std::map<std::string, std::string> owned = DatasetPerShard(router);
+  ASSERT_EQ(owned.count(sql_shard), 1u);
+
+  // Two slow forecasts in flight on that shard put it at the bounded-load
+  // ceiling (2 outstanding of 3 placed, over 2 shards): fungible work now
+  // goes to the other shard. The statements must not.
+  std::vector<std::thread> slow;
+  for (int i = 0; i < 2; ++i) {
+    slow.emplace_back([&router, &owned, &sql_shard, i] {
+      Json params = Json::Object();
+      params.Set("dataset", owned.at(sql_shard));
+      params.Set("method", "naive");
+      params.Set("horizon", int64_t{3 + i});
+      params.Set("sleep_ms", 800.0);
+      Json reply = Call(router, 10 + i, "forecast", std::move(params));
+      EXPECT_TRUE(reply.GetBool("ok", false)) << reply.Dump();
+    });
+  }
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (router.ClusterStatusJson().Get("shards").Get(sql_shard).GetInt(
+             "outstanding", 0) < 2 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  std::string insert = "INSERT INTO routed_ts VALUES ";
+  for (int t = 0; t < 24; ++t) {
+    if (t) insert += ", ";
+    insert += "(" + std::to_string(t) + ", " + std::to_string(10 + t % 4) + ")";
+  }
+  Json inserted = sql(3, insert);
+  Json forecast = sql(4,
+                      "SELECT * FROM TS_FORECAST(routed_ts, t, v, "
+                      "model := 'naive', horizon := 3)");
+  for (auto& t : slow) t.join();
+  ASSERT_TRUE(inserted.GetBool("ok", false)) << inserted.Dump();
+  ASSERT_TRUE(forecast.GetBool("ok", false)) << forecast.Dump();
+  EXPECT_EQ(forecast.Get("result").Get("rows").size(), 3u) << forecast.Dump();
+
+  // Every statement ran on the one shard.
+  Json after = Call(router, 5, "stats", Json::Object());
+  EXPECT_EQ(after.Get("result")
+                .Get("shards")
+                .Get(sql_shard)
+                .Get("endpoints")
+                .Get("sql")
+                .GetInt("requests", -1),
+            3)
+      << after.Dump();
   router.Stop();
 }
 

@@ -263,7 +263,7 @@ TEST(JsonNumber, NonFiniteDumpsAsNull) {
   EXPECT_EQ(out, "nullnull");
 }
 
-// Cache keys, router keys and the "auto-…" job keys hash this string, so it
+// Cache keys and the "auto-…" job keys hash this string, so it
 // must not drift; a change here re-keys every cache and checkpoint.
 TEST(JsonCanonicalKey, GoldenStringForMixedParams) {
   auto params = Json::Parse(

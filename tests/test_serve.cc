@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/fault.h"
@@ -537,6 +538,77 @@ TEST_F(ServeTest, DegradedResultIsNotCached) {
       << "a brownout answer was served from the cache";
   EXPECT_FALSE(fresh.Get("result").GetBool("degraded", false));
   EXPECT_TRUE(MustParse(server_->HandleLine(line)).GetBool("cached", false));
+}
+
+// Params of a forecast over an uploaded series: 16 values from \p seed on.
+Json UploadParams(int seed) {
+  Json values = Json::Array();
+  for (int t = 0; t < 16; ++t) values.Append(seed + 0.25 * (t % 5));
+  Json params = Json::Object();
+  params.Set("values", std::move(values));
+  params.Set("method", "naive");
+  params.Set("horizon", static_cast<int64_t>(3));
+  return params;
+}
+
+TEST_F(ServeTest, StoredDatasetEntrySurvivesAThousandUploads) {
+  // More distinct uploads than the cache holds (capacity 256) pass between
+  // two lookups of a stored-dataset entry; none of them takes a slot.
+  ASSERT_LT(server_->options().cache_capacity, 1000u);
+  const std::string stored = ForecastLine(FirstDataset(), "theta", 900);
+  ASSERT_TRUE(MustParse(server_->HandleLine(stored)).GetBool("ok", false));
+  for (int i = 0; i < 1000; ++i) {
+    const Json up =
+        MustParse(server_->HandleLine(RequestLine(nullptr, "forecast",
+                                                  UploadParams(i))));
+    ASSERT_TRUE(up.GetBool("ok", false)) << up.Dump();
+  }
+  const Json again = MustParse(server_->HandleLine(stored));
+  ASSERT_TRUE(again.GetBool("ok", false)) << again.Dump();
+  EXPECT_TRUE(again.GetBool("cached", false))
+      << "uploads evicted a stored-dataset entry";
+}
+
+TEST_F(ServeTest, IdenticalUploadsAnswerByteIdenticallyAndUncached) {
+  const std::string line = RequestLine(nullptr, "forecast", UploadParams(7));
+  const std::string first = server_->HandleLine(line);
+  const std::string second = server_->HandleLine(line);
+  SCOPED_TRACE(first);
+  EXPECT_TRUE(MustParse(first).GetBool("ok", false));
+  EXPECT_EQ(WithoutCacheTail(second, false), WithoutCacheTail(first, false));
+  EXPECT_EQ(MustParse(second).Get("result").Dump(),
+            MustParse(first).Get("result").Dump());
+}
+
+TEST_F(ServeTest, UploadsCountAsMissesAndTouchNoEntry) {
+  const Json before = server_->StatsJson().Get("cache");
+  // A forecast and a recommend over uploaded values, and a forecast that
+  // names a dataset but uploads its series too ("values" wins, so it reads
+  // no stored data): each counts one miss, and none of them hits, fills or
+  // evicts an entry.
+  Json both = UploadParams(3);
+  both.Set("dataset", FirstDataset());
+  Json recommend = Json::Object();
+  recommend.Set("values", UploadParams(5).Get("values"));
+  for (const auto& [endpoint, params] :
+       {std::pair<const char*, Json>{"forecast", UploadParams(3)},
+        std::pair<const char*, Json>{"forecast", both},
+        std::pair<const char*, Json>{"recommend", recommend}}) {
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      const Json reply =
+          MustParse(server_->HandleLine(RequestLine(nullptr, endpoint,
+                                                    params)));
+      ASSERT_TRUE(reply.GetBool("ok", false)) << reply.Dump();
+      EXPECT_FALSE(reply.GetBool("cached", true)) << reply.Dump();
+    }
+  }
+  const Json after = server_->StatsJson().Get("cache");
+  EXPECT_EQ(after.GetInt("misses", -1), before.GetInt("misses", -1) + 6);
+  for (const char* counter : {"entries", "hits", "insertions", "evictions",
+                              "invalidations", "flushes"}) {
+    EXPECT_EQ(after.GetInt(counter, -1), before.GetInt(counter, -1))
+        << counter;
+  }
 }
 
 // The recommend entries WarmCache seeds at start-up are spliced into replies

@@ -30,6 +30,7 @@
 
 #include "common/fault.h"
 #include "common/json.h"
+#include "kill_test_util.h"
 #include "knowledge/knowledge_store.h"
 #include "store/crc32.h"
 #include "store/record_store.h"
@@ -680,10 +681,16 @@ TEST_F(StoreFaultTest, SnapshotFaultFailsCompactionButReplayStillRecovers) {
 }
 
 // ---------------------------------------------------------------------------
-// fork/SIGKILL torture
+// fork/SIGKILL torture. Each writer child signals its first acknowledged
+// append (kill_test_util.h), and only then does the kill timer start: a
+// slow fsync must not leave the kill window empty.
+
+constexpr std::chrono::milliseconds kFirstAckTimeout = 30s;
 
 TEST(StoreKillTest, KillMidAppendKeepsAValidContiguousPrefix) {
   const std::string dir = TestDir("kill_append");
+  testutil::FirstAckPipe ack;
+  ASSERT_TRUE(ack.ok());
   pid_t pid = fork();
   ASSERT_NE(pid, -1);
   if (pid == 0) {
@@ -695,12 +702,15 @@ TEST(StoreKillTest, KillMidAppendKeepsAValidContiguousPrefix) {
     if (!rs.ok()) _exit(1);
     for (uint64_t i = 1;; ++i) {
       if (!(*rs)->Append("rec-" + std::to_string(i)).ok()) _exit(2);
+      ack.Acked();
     }
   }
-  std::this_thread::sleep_for(200ms);
+  const bool acked = ack.WaitForFirstAck(kFirstAckTimeout);
+  if (acked) std::this_thread::sleep_for(200ms);
   ASSERT_EQ(kill(pid, SIGKILL), 0);
   int wstatus = 0;
   ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(acked) << "the writer acked no append";
   ASSERT_TRUE(WIFSIGNALED(wstatus));
 
   RecordStoreRecovery rec;
@@ -721,6 +731,8 @@ TEST(StoreKillTest, KillMidAppendKeepsAValidContiguousPrefix) {
 
 TEST(StoreKillTest, KillMidCompactionNeverLosesAcknowledgedRecords) {
   const std::string dir = TestDir("kill_compact");
+  testutil::FirstAckPipe ack;
+  ASSERT_TRUE(ack.ok());
   pid_t pid = fork();
   ASSERT_NE(pid, -1);
   if (pid == 0) {
@@ -734,6 +746,7 @@ TEST(StoreKillTest, KillMidCompactionNeverLosesAcknowledgedRecords) {
     if (!rs.ok()) _exit(1);
     for (uint64_t i = 1;; ++i) {
       if (!(*rs)->Append("rec-" + std::to_string(i)).ok()) _exit(2);
+      ack.Acked();
       if (i % 4 == 0) {
         easytime::Json state = easytime::Json::Object();
         state.Set("n", static_cast<int64_t>((*rs)->last_seq()));
@@ -741,10 +754,12 @@ TEST(StoreKillTest, KillMidCompactionNeverLosesAcknowledgedRecords) {
       }
     }
   }
-  std::this_thread::sleep_for(250ms);
+  const bool acked = ack.WaitForFirstAck(kFirstAckTimeout);
+  if (acked) std::this_thread::sleep_for(250ms);
   ASSERT_EQ(kill(pid, SIGKILL), 0);
   int wstatus = 0;
   ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(acked) << "the writer acked no append";
   ASSERT_TRUE(WIFSIGNALED(wstatus));
 
   RecordStoreRecovery rec;
@@ -1029,6 +1044,8 @@ TEST(StoreKillTest, KillMidGroupCommitNeverLosesAnAckedRecord) {
       mmap(nullptr, kMaxSeq, PROT_READ | PROT_WRITE,
            MAP_SHARED | MAP_ANONYMOUS, -1, 0));
   ASSERT_NE(acked, MAP_FAILED);
+  testutil::FirstAckPipe ack;
+  ASSERT_TRUE(ack.ok());
 
   pid_t pid = fork();
   ASSERT_NE(pid, -1);
@@ -1046,16 +1063,19 @@ TEST(StoreKillTest, KillMidGroupCommitNeverLosesAnAckedRecord) {
               (*rs)->Append("t" + std::to_string(t) + "-" + std::to_string(i));
           if (!seq.ok()) _exit(2);
           if (*seq < kMaxSeq) acked[*seq] = 1;
+          ack.Acked();
         }
       });
     }
     for (auto& w : workers) w.join();  // unreachable; killed by the parent
     _exit(0);
   }
-  std::this_thread::sleep_for(300ms);
+  const bool first_ack = ack.WaitForFirstAck(kFirstAckTimeout);
+  if (first_ack) std::this_thread::sleep_for(300ms);
   ASSERT_EQ(kill(pid, SIGKILL), 0);
   int wstatus = 0;
   ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(first_ack) << "the writer acked no append";
   ASSERT_TRUE(WIFSIGNALED(wstatus));
 
   RecordStoreRecovery rec;

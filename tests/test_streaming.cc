@@ -31,6 +31,7 @@
 #include "common/fault.h"
 #include "core/easytime.h"
 #include "eval/backtest.h"
+#include "kill_test_util.h"
 #include "serve/job_manager.h"
 #include "store/record_store.h"
 #include "tsdata/append_log.h"
@@ -544,6 +545,10 @@ TEST(StreamingDurabilityTest, KillMidAppendKeepsAcknowledgedBatchesOnly) {
     return repo;
   };
 
+  // The child signals its first acknowledged batch and only then does the
+  // kill timer start: a slow fsync must not leave the kill window empty.
+  easytime::testutil::FirstAckPipe ack;
+  ASSERT_TRUE(ack.ok());
   pid_t pid = fork();
   ASSERT_NE(pid, -1);
   if (pid == 0) {
@@ -564,13 +569,16 @@ TEST(StreamingDurabilityTest, KillMidAppendKeepsAcknowledgedBatchesOnly) {
                               static_cast<double>(start + 1),
                               static_cast<double>(start + 2)});
       if (!(*log)->Append(rec).ok()) _exit(2);
+      ack.Acked();
       if (!ds->AppendObservations(rec.channels).ok()) _exit(3);
     }
   }
-  std::this_thread::sleep_for(250ms);
+  const bool acked = ack.WaitForFirstAck(30s);
+  if (acked) std::this_thread::sleep_for(250ms);
   ASSERT_EQ(kill(pid, SIGKILL), 0);
   int wstatus = 0;
   ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(acked) << "the writer acked no batch";
   ASSERT_TRUE(WIFSIGNALED(wstatus));
 
   // Recovery: replay onto a fresh base repository. The series must be a
