@@ -7,6 +7,7 @@
 //                  back-to-back (median and spread of kJobPoolTrials)
 //   3. qos       — overload shedding (4x ask oversubscription vs a concurrent
 //                  forecast) and the latency of a deadline-bounded fit abort
+//                  (median and spread of kQosTrials, one server each)
 //
 // Throughput over the TCP front-end is perfbench's to measure (its
 // forecast_hot workload), not this harness's.
@@ -142,13 +143,12 @@ double RunJobPair(core::EasyTime* system, size_t concurrency,
 
 // ---- 3. qos: overload shedding and deadline-bounded fits -------------------
 
+/// One qos trial, run on a fresh server so its counters start at zero.
 struct QosNumbers {
   double forecast_under_overload_ms = 0.0;
   int64_t asks_ok = 0;
   int64_t asks_shed = 0;
   int64_t shed_total = 0;
-  int64_t brownout_enters = 0;
-  int64_t degraded_responses = 0;
   double deadline_abort_ms = 0.0;
   int64_t deadline_exceeded = 0;
 };
@@ -221,8 +221,6 @@ QosNumbers BenchQos(core::EasyTime* system, const std::string& dataset) {
 
   Json stats = server.StatsJson();
   out.shed_total = stats.Get("admission").GetInt("shed_total", 0);
-  out.brownout_enters = stats.GetInt("brownout_enters", 0);
-  out.degraded_responses = stats.GetInt("degraded_responses", 0);
   out.deadline_exceeded = stats.GetInt("deadline_exceeded", 0);
   server.Stop();
   return out;
@@ -256,7 +254,11 @@ int main(int argc, char** argv) {
         RunJobPair(system.get(), pool_workers, &pool_peak));
   }
 
-  QosNumbers qos = BenchQos(system.get(), datasets[0]);
+  constexpr int kQosTrials = 5;
+  std::vector<QosNumbers> qos;
+  for (int t = 0; t < kQosTrials; ++t) {
+    qos.push_back(BenchQos(system.get(), datasets[0]));
+  }
 
   Json out = Json::Object();
   benchutil::SetBuildInfo(&out);
@@ -291,14 +293,22 @@ int main(int argc, char** argv) {
   Json qos_json = Json::Object();
   qos_json.Set("ask_clients", static_cast<int64_t>(32));
   qos_json.Set("admission_capacity", static_cast<int64_t>(8));
-  qos_json.Set("forecast_under_overload_ms", qos.forecast_under_overload_ms);
-  qos_json.Set("asks_ok", qos.asks_ok);
-  qos_json.Set("asks_shed", qos.asks_shed);
-  qos_json.Set("shed_total", qos.shed_total);
-  qos_json.Set("brownout_enters", qos.brownout_enters);
-  qos_json.Set("degraded_responses", qos.degraded_responses);
-  qos_json.Set("deadline_abort_ms", qos.deadline_abort_ms);
-  qos_json.Set("deadline_exceeded", qos.deadline_exceeded);
+  std::vector<double> overload_ms, abort_ms;
+  Json per_trial = Json::Array();
+  for (const QosNumbers& q : qos) {
+    overload_ms.push_back(q.forecast_under_overload_ms);
+    abort_ms.push_back(q.deadline_abort_ms);
+    Json trial = Json::Object();
+    trial.Set("asks_ok", q.asks_ok);
+    trial.Set("asks_shed", q.asks_shed);
+    trial.Set("shed_total", q.shed_total);
+    trial.Set("deadline_exceeded", q.deadline_exceeded);
+    per_trial.Append(std::move(trial));
+  }
+  qos_json.Set("forecast_under_overload_ms",
+               benchutil::TrialSummary(overload_ms));
+  qos_json.Set("deadline_abort_ms", benchutil::TrialSummary(abort_ms));
+  qos_json.Set("per_trial", std::move(per_trial));
   out.Set("qos", std::move(qos_json));
 
   std::string payload = out.Dump(2);

@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # Runs the sharded serving tier benchmark and writes BENCH_cluster.json at
-# the repo root: pipelined req/sec through the cluster router's TCP
-# front-end at 1/2/4 shards against a single-process baseline (same
-# "small" preset, same request mix), SIGKILL failover latency (time to the
-# first degraded replica read and to the first post-promotion first-class
-# response, with the acked append offset chain verified intact), and
-# segment-ship lag after a synchronous replication pass. Spawns real
-# easytime_shard_worker processes.
+# the repo root: SIGKILL failover latency over 5 trials, each on a fresh
+# one-shard cluster with a replica (time to the first degraded replica read
+# and to the first post-promotion first-class response, as medians and
+# spreads, with the acked append offset chain verified intact every time),
+# plus the core count and build type. Spawns real easytime_shard_worker
+# processes. Routed throughput is perfbench's routed_hot workload.
 #
 # Usage: bench/run_cluster.sh [build_dir]   (default: build)
 set -euo pipefail

@@ -2,10 +2,11 @@
 # Runs the serving-layer benchmark and writes BENCH_serve.json at the repo
 # root: cache-hit vs cache-miss forecast latency, the multi-worker job pool
 # (min(cores, 4) workers when >1 core is available) vs sequential jobs as
-# the median and spread of 5 alternating trials, and the QoS section:
-# overload shedding under 4x ask oversubscription (forecast latency inside
-# its guaranteed quota, shed/brownout/degraded counters) plus the latency
-# of a deadline-bounded mid-fit abort. Every section carries a "threads"
+# the median and spread of 5 alternating trials, and the QoS section as 5
+# trials on a fresh server each: overload shedding under 4x ask
+# oversubscription (the forecast latency inside its guaranteed quota as a
+# median and spread, the ok/shed counts per trial) plus the latency of a
+# deadline-bounded mid-fit abort. Every section carries a "threads"
 # field recording the configuration it ran with. TCP front-end throughput
 # is measured by perfbench (forecast_hot), not here.
 #

@@ -72,12 +72,10 @@ AdmissionController::Ticket AdmissionController::TryAdmit(
     ++s.pending;
     ++s.admitted;
     ++total_pending_;
-    UpdateBrownoutLocked();
     return Ticket(this, &s);
   }
   ++s.shed;
   ++shed_total_;
-  UpdateBrownoutLocked();
   return Ticket();
 }
 
@@ -96,7 +94,6 @@ void AdmissionController::Release(ClassState& s, bool worker) {
   std::lock_guard<std::mutex> lock(mu_);
   --s.pending;
   --total_pending_;
-  UpdateBrownoutLocked();
   if (!worker) return;
   --s.running;
   --total_running_;
@@ -160,27 +157,9 @@ void AdmissionController::DrainAll() {
   idle_cv_.wait(lock, [this]() { return total_running_ == 0; });
 }
 
-void AdmissionController::UpdateBrownoutLocked() {
-  const double cap = static_cast<double>(options_.queue_capacity);
-  const double depth = static_cast<double>(total_pending_);
-  if (!brownout_ && depth >= options_.brownout_enter_fraction * cap) {
-    brownout_ = true;
-  } else if (brownout_ && depth <= options_.brownout_exit_fraction * cap) {
-    brownout_ = false;
-  } else {
-    return;  // no transition
-  }
-  if (options_.overload != nullptr) options_.overload->set_brownout(brownout_);
-}
-
 uint64_t AdmissionController::shed_total() const {
   std::lock_guard<std::mutex> lock(mu_);
   return shed_total_;
-}
-
-bool AdmissionController::brownout() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return brownout_;
 }
 
 easytime::Json AdmissionController::StatsJson() const {
@@ -205,7 +184,6 @@ easytime::Json AdmissionController::StatsJson() const {
   out.Set("total_pending", static_cast<int64_t>(total_pending_));
   out.Set("total_running", static_cast<int64_t>(total_running_));
   out.Set("shed_total", static_cast<int64_t>(shed_total_));
-  out.Set("brownout", brownout_);
   return out;
 }
 

@@ -22,10 +22,12 @@
 /// destructor gives back the queue slot and any worker slot it was granted,
 /// under one lock. No caller releases anything by hand.
 ///
-/// The controller also owns the brownout hysteresis: when total pending
-/// crosses `enter_fraction * capacity` the process-global OverloadState flips
-/// on (degraded answers, see common/overload.h), and off again once pending
-/// drains below `exit_fraction * capacity`.
+/// The controller decides only whether and when a request runs, never what
+/// it computes: an admitted request does the same work at any load. A TCP
+/// connection has at most one request in flight, so at the defaults (64
+/// connections against a 128-slot queue) TCP traffic never reaches the
+/// shared cap; only in-process callers, or a `queue_capacity` below the
+/// listener's `max_connections`, are shed.
 
 #include <condition_variable>
 #include <cstdint>
@@ -35,7 +37,6 @@
 #include <string>
 
 #include "common/json.h"
-#include "common/overload.h"
 
 namespace easytime::serve {
 
@@ -48,10 +49,6 @@ class AdmissionController {
     size_t workers = 2;           ///< requests running at once
     /// Class weights; classes seen at runtime but missing here get weight 1.
     std::map<std::string, double> weights;
-    double brownout_enter_fraction = 0.75;
-    double brownout_exit_fraction = 0.25;
-    /// Brownout sink; nullptr disables brownout signalling.
-    OverloadState* overload = nullptr;
   };
 
   explicit AdmissionController(Options options);
@@ -97,9 +94,6 @@ class AdmissionController {
   /// Total requests shed across all classes.
   uint64_t shed_total() const;
 
-  /// Whether the controller currently signals brownout.
-  bool brownout() const;
-
   /// Per-class and aggregate counters for the stats endpoint.
   easytime::Json StatsJson() const;
 
@@ -132,7 +126,6 @@ class AdmissionController {
   /// Grants queued waiters while worker slots remain.
   void GrantReadyLocked();
   void GrantLocked(ClassState& s);
-  void UpdateBrownoutLocked();
 
   Options options_;
   mutable std::mutex mu_;
@@ -142,7 +135,6 @@ class AdmissionController {
   size_t total_running_ = 0;
   uint64_t shed_total_ = 0;
   uint64_t grant_seq_ = 0;  ///< feeds ClassState::last_grant
-  bool brownout_ = false;
   bool drained_ = false;  ///< DrainAll ran; AcquireWorker refuses
 };
 

@@ -35,12 +35,6 @@ easytime::Result<std::vector<double>> ReadNumbers(const easytime::Json& arr,
   return values;
 }
 
-/// Tags a fast-lane result as a degraded answer and says why.
-void MarkDegraded(easytime::Json* result, const std::string& reason) {
-  result->Set("degraded", true);
-  result->Set("degraded_reason", reason);
-}
-
 /// {"recommendations": [{"method": …, "score": …}, …]}, best first.
 easytime::Json RecommendationsJson(const ensemble::Recommendation& rec) {
   easytime::Json items = easytime::Json::Array();
@@ -77,9 +71,6 @@ void ForecastServer::Start() {
   admission_opts.queue_capacity = options_.fast_lane_capacity;
   admission_opts.workers = std::max<size_t>(1, options_.fast_lane_workers);
   admission_opts.weights = options_.endpoint_weights;
-  admission_opts.brownout_enter_fraction = options_.brownout_enter_fraction;
-  admission_opts.brownout_exit_fraction = options_.brownout_exit_fraction;
-  admission_opts.overload = &easytime::GlobalOverload();
   admission_ = std::make_unique<AdmissionController>(admission_opts);
   jobs_.Start();
   if (options_.warm_cache && options_.cache_capacity > 0 &&
@@ -116,12 +107,9 @@ void ForecastServer::Stop() {
   // Drain order matters: DrainAll grants every request waiting for a worker
   // slot, makes later acquires refuse (a request racing this Stop is
   // answered Unavailable) and returns once every granted request has been
-  // answered; then the async lane drains. The global brownout flag is
-  // cleared so one server's overload never leaks into the next server (or
-  // test) in this process.
+  // answered; then the async lane drains.
   if (admission_) admission_->DrainAll();
   jobs_.Shutdown();
-  easytime::GlobalOverload().set_brownout(false);
   running_.store(false);
 }
 
@@ -344,9 +332,9 @@ ForecastServer::Outcome ForecastServer::Route(const Request& req) {
     return out;
   }
   out.result = std::move(*answered);
-  // Degraded answers must not outlive the overload that produced them: a
-  // cached brownout response would keep serving the cheap fallback long
-  // after the system recovered.
+  // Degraded answers must not outlive the fault that produced them: a
+  // cached fallback ranking would keep being served long after the
+  // classifier recovered.
   if (out.result.GetBool("degraded", false)) {
     degraded_responses_.fetch_add(1, std::memory_order_relaxed);
     out.fill_key.clear();
@@ -357,9 +345,6 @@ ForecastServer::Outcome ForecastServer::Route(const Request& req) {
 easytime::Result<easytime::Json> ForecastServer::ExecuteFast(
     const Request& req, const easytime::Deadline& deadline) {
   EASYTIME_FAULT_POINT("serve.execute");
-  // Sampled once per request so the response tagging and the downgrade
-  // decisions agree even if the flag flips mid-execution.
-  const bool brownout = easytime::GlobalOverload().brownout();
   if (req.endpoint == "forecast") {
     return ExecuteForecast(req.params, deadline);
   }
@@ -379,9 +364,7 @@ easytime::Result<easytime::Json> ForecastServer::ExecuteFast(
           std::min(sleep_ms, 1000.0)));
     }
     EASYTIME_ASSIGN_OR_RETURN(qa::QaResponse resp, system_->Ask(question));
-    easytime::Json out = resp.ToJson();
-    if (brownout) MarkDegraded(&out, "brownout");
-    return out;
+    return resp.ToJson();
   }
   if (req.endpoint == "sql") {
     EASYTIME_FAULT_POINT("serve.sql");
@@ -389,14 +372,9 @@ easytime::Result<easytime::Json> ForecastServer::ExecuteFast(
     if (query.empty()) {
       return Status::InvalidArgument("sql requires a \"query\" string");
     }
-    // Under brownout the TS_FORECAST table functions downgrade expensive
-    // models themselves (they read the same global flag); the envelope is
-    // tagged here so clients see the degradation either way.
     EASYTIME_ASSIGN_OR_RETURN(qa::QaResponse resp,
                               system_->AskSql(query, deadline));
-    easytime::Json out = resp.ToJson();
-    if (brownout) MarkDegraded(&out, "brownout");
-    return out;
+    return resp.ToJson();
   }
   return Status::NotFound("unknown fast endpoint: " + req.endpoint);
 }
@@ -551,17 +529,6 @@ easytime::Result<easytime::Json> ForecastServer::ExecuteForecast(
 easytime::Result<easytime::Json> ForecastServer::ExecuteRecommend(
     const easytime::Json& params) const {
   size_t k = static_cast<size_t>(std::max<int64_t>(0, params.GetInt("k", 0)));
-  // Brownout: skip feature extraction + classification entirely and answer
-  // from the precomputed global ranking. Falls through to the full path when
-  // the fallback has nothing to rank from (empty knowledge base).
-  if (easytime::GlobalOverload().brownout()) {
-    auto cheap = GlobalAverageRanking(k);
-    if (cheap.ok()) {
-      easytime::Json result = RecommendationsJson(*cheap);
-      MarkDegraded(&result, "brownout");
-      return result;
-    }
-  }
   ensemble::Recommendation rec;
   easytime::Status primary_error;
   if (params.Has("values")) {
@@ -579,18 +546,18 @@ easytime::Result<easytime::Json> ForecastServer::ExecuteRecommend(
     auto r = system_->Recommend(dataset, k);
     if (r.ok()) rec = std::move(*r); else primary_error = r.status();
   }
-  if (!primary_error.ok()) {
-    // Graceful degradation: when the classifier path fails transiently
-    // (Internal/Unavailable), answer from the knowledge base's global
-    // average ranking instead of failing the request. Bad-input errors
-    // still surface.
-    if (!primary_error.IsInternal() && !primary_error.IsUnavailable()) {
-      return primary_error;
-    }
-    EASYTIME_ASSIGN_OR_RETURN(rec, GlobalAverageRanking(k));
+  if (primary_error.ok()) return RecommendationsJson(rec);
+  // Graceful degradation: when the classifier path fails transiently
+  // (Internal/Unavailable), answer from the knowledge base's global
+  // average ranking instead of failing the request. Bad-input errors
+  // still surface.
+  if (!primary_error.IsInternal() && !primary_error.IsUnavailable()) {
+    return primary_error;
   }
+  EASYTIME_ASSIGN_OR_RETURN(rec, GlobalAverageRanking(k));
   easytime::Json result = RecommendationsJson(rec);
-  if (!primary_error.ok()) MarkDegraded(&result, primary_error.ToString());
+  result.Set("degraded", true);
+  result.Set("degraded_reason", primary_error.ToString());
   return result;
 }
 
@@ -689,9 +656,6 @@ easytime::Json ForecastServer::StatsJson() const {
   out.Set("jobs", std::move(jobs));
   out.Set("admission",
           admission_ ? admission_->StatsJson() : easytime::Json::Object());
-  out.Set("brownout", easytime::GlobalOverload().brownout());
-  out.Set("brownout_enters",
-          static_cast<int64_t>(easytime::GlobalOverload().brownout_enters()));
   out.Set("deadline_exceeded",
           static_cast<int64_t>(
               deadline_exceeded_.load(std::memory_order_relaxed)));

@@ -29,6 +29,10 @@
 ///    are cached (LRU + TTL) under the canonical request key, tagged with
 ///    it; an append drops exactly that dataset's entries (serve/cache.h),
 ///    "flush_cache" drops all. Uploads ("values") are never cached.
+///  - Degraded answers: a recommend whose classifier path fails transiently
+///    (Internal/Unavailable) answers from the global average ranking,
+///    tagged "degraded"; such an answer is counted and never cached. Load
+///    does not degrade anything: an overloaded fast lane sheds instead.
 
 #include <atomic>
 #include <cstdint>
@@ -40,7 +44,6 @@
 
 #include "common/deadline.h"
 #include "common/json.h"
-#include "common/overload.h"
 #include "common/result.h"
 #include "core/easytime.h"
 #include "serve/admission.h"
@@ -104,10 +107,6 @@ class ForecastServer {
     std::map<std::string, double> endpoint_weights = {
         {"forecast", 4.0}, {"recommend", 2.0}, {"ask", 2.0}, {"sql", 2.0},
         {"append", 1.0}};
-    /// Brownout hysteresis as fractions of fast_lane_capacity: enter
-    /// degraded mode at/above the first, leave at/below the second.
-    double brownout_enter_fraction = 0.75;
-    double brownout_exit_fraction = 0.25;
   };
 
   /// \param system a fully created facade; not owned. The repository must

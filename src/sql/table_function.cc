@@ -9,7 +9,6 @@
 
 #include "common/fault.h"
 #include "common/json.h"
-#include "common/overload.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -210,15 +209,6 @@ std::string GroupLabel(const ForecastSpec& spec, const Value& key) {
   return spec.by ? "group " + key.ToString() + ": " : "";
 }
 
-/// Models cheap enough to keep running while the serving layer is in
-/// brownout; everything else (trees, deep nets, grid searches) downgrades
-/// to plain exponential smoothing.
-bool IsBrownoutSafeModel(const std::string& name) {
-  return name == "naive" || name == "seasonal_naive" || name == "drift" ||
-         name == "mean" || name == "window_average" || name == "ses" ||
-         name == "holt" || name == "holt_damped" || name == "theta";
-}
-
 }  // namespace
 
 bool IsTableFunction(const std::string& upper_name) {
@@ -287,14 +277,6 @@ easytime::Result<Table> ExecuteTableFunction(
   std::vector<Slot> slots(groups.size());
   std::atomic<bool> deadline_hit{false};
 
-  // Brownout degradation: sampled once per statement so every group fits
-  // the same model. The model_name output column records what actually ran,
-  // so downgraded results are self-describing.
-  std::string model = spec.model;
-  if (easytime::GlobalOverload().brownout() && !IsBrownoutSafeModel(model)) {
-    model = "ses";
-  }
-
   auto fit_group = [&](size_t gi) {
     Slot& slot = slots[gi];
     const GroupSeries& g = groups[gi];
@@ -318,7 +300,7 @@ easytime::Result<Table> ExecuteTableFunction(
     for (const auto& [date, value] : g.pts) train.push_back(value);
 
     auto forecaster = methods::MethodRegistry::Global().Create(
-        model, easytime::Json::Object());
+        spec.model, easytime::Json::Object());
     if (!forecaster.ok()) {
       slot.status = forecaster.status();
       return;

@@ -1,8 +1,7 @@
 // Serving QoS tests: per-endpoint admission quotas (no cross-endpoint
 // starvation under overload), cooperative mid-fit deadline aborts,
-// brownout degradation, bearer-token auth on the TCP listener, and the
-// hardened environment knobs. DESIGN.md §12 documents the contracts these
-// tests pin down.
+// bearer-token auth on the TCP listener, and the hardened environment
+// knobs. DESIGN.md §12 documents the contracts these tests pin down.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +18,6 @@
 
 #include "common/deadline.h"
 #include "common/fault.h"
-#include "common/overload.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "methods/registry.h"
@@ -28,7 +26,6 @@
 #include "serve/event_loop.h"
 #include "serve/request.h"
 #include "serve/server.h"
-#include "sql/executor.h"
 
 namespace easytime::serve {
 namespace {
@@ -96,35 +93,6 @@ TEST(QosAdmissionTest, ReservationsAdmitBorrowAndShed) {
 
   held.clear();  // every ticket gives its slot back
   EXPECT_TRUE(ac.TryAdmit("a")) << "released slots are reusable";
-}
-
-TEST(QosAdmissionTest, BrownoutEntersAndExitsWithHysteresis) {
-  easytime::OverloadState overload;
-  AdmissionController::Options opt;
-  opt.queue_capacity = 4;
-  opt.workers = 1;
-  opt.weights = {{"a", 1.0}};
-  opt.brownout_enter_fraction = 0.75;  // enter at pending >= 3
-  opt.brownout_exit_fraction = 0.25;   // exit at pending <= 1
-  opt.overload = &overload;
-  AdmissionController ac(opt);
-
-  Ticket t1 = ac.TryAdmit("a");
-  Ticket t2 = ac.TryAdmit("a");
-  EXPECT_TRUE(t1);
-  EXPECT_TRUE(t2);
-  EXPECT_FALSE(ac.brownout());
-  Ticket t3 = ac.TryAdmit("a");
-  EXPECT_TRUE(t3);  // pending 3 >= 3: brownout
-  EXPECT_TRUE(ac.brownout());
-  EXPECT_TRUE(overload.brownout()) << "the global flag tracks the controller";
-
-  t3 = Ticket();  // pending 2: still browned out (hysteresis)
-  EXPECT_TRUE(ac.brownout());
-  t2 = Ticket();  // pending 1 <= 1: recovered
-  EXPECT_FALSE(ac.brownout());
-  EXPECT_FALSE(overload.brownout());
-  EXPECT_EQ(overload.brownout_enters(), 1u);
 }
 
 // Polls \p done (1 ms steps, at most 5 s); true once it holds.
@@ -338,7 +306,7 @@ TEST(QosDeadlineTest, ExpiredDeadlineFailsFastAcrossMethods) {
   // refuse to fit (entry check or first loop iteration) — no method may
   // silently run to completion on a dead request.
   const std::vector<double> series = LongRandomWalk(512);
-  for (const std::string& name :
+  for (const char* name :
        {"ses", "holt", "theta", "ar", "arima", "knn", "gbdt", "lag_linear",
         "dlinear", "mlp", "gru", "tcn", "ets_auto"}) {
     auto f = methods::MethodRegistry::Global().Create(name, Json::Object());
@@ -388,11 +356,9 @@ class QosServerTest : public ::testing::Test {
   }
   void SetUp() override {
     ASSERT_NE(system_, nullptr);
-    easytime::GlobalOverload().set_brownout(false);
     FaultRegistry::Global().DisarmAll();
   }
   void TearDown() override {
-    easytime::GlobalOverload().set_brownout(false);
     FaultRegistry::Global().DisarmAll();
   }
   static std::string FirstDataset() {
@@ -585,55 +551,15 @@ TEST_F(QosServerTest, DeadlineMsMustBeAPositiveFiniteNumber) {
   server.Stop();
 }
 
-TEST_F(QosServerTest, BrownoutDegradesRecommendAskSqlAndSkipsCache) {
-  ForecastServer::Options opt;
-  opt.warm_cache = false;  // cache stays enabled but starts empty
-  ForecastServer server(system_, opt);
-  server.Start();
-
-  easytime::GlobalOverload().set_brownout(true);
-
-  Json rec_params = Json::Object();
-  rec_params.Set("dataset", FirstDataset());
-  auto degraded = server.Call("recommend", rec_params);
-  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
-  EXPECT_TRUE(degraded->GetBool("degraded", false));
-  EXPECT_EQ(degraded->GetString("degraded_reason", ""), "brownout");
-  EXPECT_GT(degraded->Get("recommendations").size(), 0u);
-
-  Json ask_params = Json::Object();
-  ask_params.Set("question", "What is the average mae of theta?");
-  auto ask = server.Call("ask", ask_params);
-  ASSERT_TRUE(ask.ok()) << ask.status().ToString();
-  EXPECT_TRUE(ask->GetBool("degraded", false));
-
-  Json sql_params = Json::Object();
-  sql_params.Set("query", "SELECT method FROM results LIMIT 1");
-  auto sql = server.Call("sql", sql_params);
-  ASSERT_TRUE(sql.ok()) << sql.status().ToString();
-  EXPECT_TRUE(sql->GetBool("degraded", false));
-
-  // Recovery: the degraded recommend must NOT have been cached, so the
-  // next call recomputes the full answer.
-  easytime::GlobalOverload().set_brownout(false);
-  auto fresh = server.Call("recommend", rec_params);
-  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-  EXPECT_FALSE(fresh->GetBool("degraded", false))
-      << "a brownout answer leaked through the result cache";
-
-  Json stats = server.StatsJson();
-  EXPECT_GE(stats.GetInt("degraded_responses", 0), 3);
-  server.Stop();
-}
-
 TEST_F(QosServerTest, StatsJsonCarriesQosCounters) {
   ForecastServer server(system_);
   server.Start();
   Json stats = server.StatsJson();
   EXPECT_TRUE(stats.Has("admission"));
   EXPECT_TRUE(stats.Get("admission").Has("classes"));
-  EXPECT_TRUE(stats.Has("brownout"));
-  EXPECT_TRUE(stats.Has("brownout_enters"));
+  EXPECT_FALSE(stats.Has("brownout"));
+  EXPECT_FALSE(stats.Has("brownout_enters"));
+  EXPECT_FALSE(stats.Get("admission").Has("brownout"));
   EXPECT_TRUE(stats.Has("deadline_exceeded"));
   EXPECT_TRUE(stats.Has("degraded_responses"));
   server.Stop();
@@ -918,50 +844,6 @@ TEST_F(QosServerTest, AuthHandshakeIsResentAcrossMidRetryReconnects) {
   EXPECT_FALSE(request_sent) << "connect-level failures must stay retryable";
 
   server.Stop();
-}
-
-// ---------------------------------------------------------------------------
-// SQL brownout downgrade
-// ---------------------------------------------------------------------------
-
-TEST(QosSqlTest, BrownoutDowngradesExpensiveModelsToSmoothing) {
-  sql::Database db;
-  ASSERT_TRUE(
-      sql::ExecuteQuery(&db, "CREATE TABLE sales (t INTEGER, v REAL)").ok());
-  std::string insert = "INSERT INTO sales VALUES ";
-  for (int i = 0; i < 120; ++i) {
-    if (i) insert += ", ";
-    insert += "(" + std::to_string(i) + ", " +
-              std::to_string(50.0 + 0.3 * i +
-                             8.0 * std::sin(2.0 * 3.14159265 * i / 12.0)) +
-              ")";
-  }
-  ASSERT_TRUE(sql::ExecuteQuery(&db, insert).ok());
-
-  const std::string query =
-      "SELECT * FROM TS_FORECAST(sales, t, v, model := 'gbdt', horizon := 4)";
-  easytime::GlobalOverload().set_brownout(true);
-  auto degraded = sql::ExecuteQuery(&db, query);
-  easytime::GlobalOverload().set_brownout(false);
-  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
-  ASSERT_FALSE(degraded->rows.empty());
-  // model_name is column 5 of the ungrouped schema; it records what ran.
-  EXPECT_EQ(degraded->rows[0][5].AsText(), "ses")
-      << "brownout must downgrade gbdt to fast smoothing";
-
-  auto normal = sql::ExecuteQuery(&db, query);
-  ASSERT_TRUE(normal.ok()) << normal.status().ToString();
-  ASSERT_FALSE(normal->rows.empty());
-  EXPECT_EQ(normal->rows[0][5].AsText(), "gbdt");
-
-  // Cheap models keep running as themselves under brownout.
-  easytime::GlobalOverload().set_brownout(true);
-  auto cheap = sql::ExecuteQuery(
-      &db,
-      "SELECT * FROM TS_FORECAST(sales, t, v, model := 'theta', horizon := 4)");
-  easytime::GlobalOverload().set_brownout(false);
-  ASSERT_TRUE(cheap.ok()) << cheap.status().ToString();
-  EXPECT_EQ(cheap->rows[0][5].AsText(), "theta");
 }
 
 // ---------------------------------------------------------------------------

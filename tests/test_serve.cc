@@ -526,18 +526,26 @@ TEST_F(ServeTest, DegradedResultIsNotCached) {
   params.Set("dataset", FirstDataset());
   params.Set("k", static_cast<int64_t>(2));
   const std::string line = RequestLine(nullptr, "recommend", params);
-  easytime::GlobalOverload().set_brownout(true);
+  const int64_t degraded_before =
+      server_->StatsJson().GetInt("degraded_responses", 0);
+  // A transient classifier failure degrades recommend to the global ranking.
+  FaultSpec spec;
+  spec.kind = FaultKind::kError;
+  spec.code = StatusCode::kInternal;
+  ASSERT_TRUE(FaultRegistry::Global().Arm("ensemble.recommend", spec).ok());
   const Json degraded = MustParse(server_->HandleLine(line));
-  easytime::GlobalOverload().set_brownout(false);
+  FaultRegistry::Global().DisarmAll();
   ASSERT_TRUE(degraded.GetBool("ok", false)) << degraded.Dump();
   EXPECT_TRUE(degraded.Get("result").GetBool("degraded", false));
 
   const Json fresh = MustParse(server_->HandleLine(line));
   ASSERT_TRUE(fresh.GetBool("ok", false)) << fresh.Dump();
   EXPECT_FALSE(fresh.GetBool("cached", true))
-      << "a brownout answer was served from the cache";
+      << "a degraded answer was served from the cache";
   EXPECT_FALSE(fresh.Get("result").GetBool("degraded", false));
   EXPECT_TRUE(MustParse(server_->HandleLine(line)).GetBool("cached", false));
+  EXPECT_EQ(server_->StatsJson().GetInt("degraded_responses", 0),
+            degraded_before + 1);
 }
 
 // Params of a forecast over an uploaded series: 16 values from \p seed on.
