@@ -7,8 +7,10 @@
 //                 distinct datasets sharing group-commit fsyncs (median and
 //                 spread of 5 trials)
 //   2. backtest — rolling-origin evaluation throughput (origins/sec) at
-//                 1 thread vs N, plus a bit-identical cross-check of the
-//                 two reports (fit_seconds zeroed — wall-clock is the one
+//                 1 thread vs N (median and spread of 5 trials, each
+//                 kBacktestRepeats back-to-back backtests so one trial is
+//                 long enough to time), plus a bit-identical cross-check of
+//                 every report (fit_seconds zeroed — wall-clock is the one
 //                 field outside the determinism contract)
 //
 //   ./build/bench/bench_backtest [output.json]
@@ -133,27 +135,33 @@ std::string CanonicalReport(const eval::BacktestReport& report) {
   return j.Dump();
 }
 
-struct BacktestNumbers {
-  double seconds = 0.0;
-  double origins_per_sec = 0.0;
-  std::string canonical;
-};
+// One 48-origin backtest takes ~1-4 ms; a trial times this many in a row.
+constexpr int kBacktestRepeats = 10;
 
-BacktestNumbers RunOnce(const std::vector<double>& values,
-                        const std::string& method, size_t max_threads) {
+/// Origins per second over kBacktestRepeats backtests. Every report must
+/// canonicalise to \p *canonical (set from the first report when empty).
+double TimedBacktests(const std::vector<double>& values,
+                      const std::string& method, size_t max_threads,
+                      std::string* canonical) {
   eval::BacktestHooks hooks;
   hooks.max_threads = max_threads;
+  size_t origins = 0;
   Stopwatch watch;
-  auto report = eval::RunBacktest(values, 24, BenchConfig(method), hooks);
-  if (!report.ok()) Die(report.status());
-  BacktestNumbers out;
-  out.seconds = watch.ElapsedSeconds();
-  out.origins_per_sec =
-      out.seconds > 0.0
-          ? static_cast<double>(report->origins.size()) / out.seconds
-          : 0.0;
-  out.canonical = CanonicalReport(*report);
-  return out;
+  for (int r = 0; r < kBacktestRepeats; ++r) {
+    auto report = eval::RunBacktest(values, 24, BenchConfig(method), hooks);
+    if (!report.ok()) Die(report.status());
+    origins += report->origins.size();
+    const std::string got = CanonicalReport(*report);
+    if (canonical->empty()) *canonical = got;
+    if (got != *canonical) {
+      std::fprintf(stderr,
+                   "bench_backtest: %s report differs at %zu threads\n",
+                   method.c_str(), max_threads);
+      std::exit(1);
+    }
+  }
+  const double seconds = watch.ElapsedSeconds();
+  return seconds > 0.0 ? static_cast<double>(origins) / seconds : 0.0;
 }
 
 }  // namespace
@@ -192,26 +200,32 @@ int main(int argc, char** argv) {
   Json backtest_json = Json::Array();
   for (const std::string& method : {std::string("theta"),
                                     std::string("ses")}) {
-    const BacktestNumbers seq = RunOnce(values, method, 1);
-    const BacktestNumbers par = RunOnce(values, method, threads);
+    // The 1-thread reference report; a warm-up batch per side keeps pool
+    // spin-up and first-touch allocation out of the trials.
+    std::string canonical;
+    TimedBacktests(values, method, 1, &canonical);
+    TimedBacktests(values, method, threads, &canonical);
+    std::vector<double> seq, par;
+    for (int trial = 0; trial < kTrials; ++trial) {
+      seq.push_back(TimedBacktests(values, method, 1, &canonical));
+      par.push_back(TimedBacktests(values, method, threads, &canonical));
+    }
+    Json seq_json = benchutil::TrialSummary(seq);
+    Json par_json = benchutil::TrialSummary(par);
+    const double seq_median = seq_json.GetDouble("median", 0.0);
+    const double par_median = par_json.GetDouble("median", 0.0);
     Json point = Json::Object();
     point.Set("method", method);
     point.Set("origins", static_cast<int64_t>(48));
     point.Set("horizon", static_cast<int64_t>(24));
     point.Set("series_length", static_cast<int64_t>(values.size()));
+    point.Set("backtests_per_trial", static_cast<int64_t>(kBacktestRepeats));
     point.Set("threads", static_cast<int64_t>(threads));
-    point.Set("origins_per_sec_1_thread", seq.origins_per_sec);
-    point.Set("origins_per_sec_n_threads", par.origins_per_sec);
-    point.Set("speedup", seq.seconds > 0.0 && par.seconds > 0.0
-                             ? seq.seconds / par.seconds
-                             : 0.0);
-    point.Set("bit_identical", seq.canonical == par.canonical);
-    if (seq.canonical != par.canonical) {
-      std::fprintf(stderr,
-                   "bench_backtest: %s report differs at 1 vs %zu threads\n",
-                   method.c_str(), threads);
-      std::exit(1);
-    }
+    point.Set("origins_per_sec_1_thread", std::move(seq_json));
+    point.Set("origins_per_sec_n_threads", std::move(par_json));
+    point.Set("speedup", seq_median > 0.0 ? par_median / seq_median : 0.0);
+    // TimedBacktests exits on any report that differs from the first.
+    point.Set("bit_identical", true);
     backtest_json.Append(std::move(point));
   }
   out.Set("backtest", std::move(backtest_json));

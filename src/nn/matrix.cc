@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/logging.h"
 #include "common/thread_pool.h"
 #include "nn/matrix_fast.h"
 
@@ -13,25 +14,28 @@ namespace easytime::nn {
 
 namespace {
 
-MatrixMode ModeFromEnv() {
-  const char* env = std::getenv("EASYTIME_FAST_MATH");
-  if (env == nullptr) return MatrixMode::kReference;
-  if (std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0 ||
-      std::strcmp(env, "fast") == 0) {
-    return MatrixMode::kFast;
-  }
-  if (std::strcmp(env, "2") == 0 || std::strcmp(env, "f32") == 0) {
-    return MatrixMode::kFastF32;
-  }
-  return MatrixMode::kReference;
-}
-
 std::atomic<int>& ModeFlag() {
-  static std::atomic<int> mode{static_cast<int>(ModeFromEnv())};
+  static std::atomic<int> mode{static_cast<int>(
+      MatrixModeFromEnvValue(std::getenv("EASYTIME_FAST_MATH")))};
   return mode;
 }
 
 }  // namespace
+
+MatrixMode MatrixModeFromEnvValue(const char* value) {
+  if (value == nullptr || std::strcmp(value, "0") == 0) {
+    return MatrixMode::kReference;
+  }
+  if (std::strcmp(value, "1") == 0 || std::strcmp(value, "on") == 0 ||
+      std::strcmp(value, "fast") == 0) {
+    return MatrixMode::kFast;
+  }
+  EASYTIME_LOG(Warning) << "EASYTIME_FAST_MATH='" << value
+                        << "' is not recognised (accepted: unset or 0 for "
+                           "the reference tier, 1/on/fast for the fast "
+                           "tier); using the reference tier";
+  return MatrixMode::kReference;
+}
 
 MatrixMode GetMatrixMode() {
   return static_cast<MatrixMode>(ModeFlag().load(std::memory_order_relaxed));
@@ -272,15 +276,9 @@ void GemmAccRows(size_t i_begin, size_t i_end, size_t n, size_t k,
 void GemmAcc(size_t m, size_t n, size_t k, const double* a, size_t lda,
              const double* b, size_t ldb, double* c, size_t ldc) {
   if (m == 0 || n == 0 || k == 0) return;
-  switch (GetMatrixMode()) {
-    case MatrixMode::kFast:
-      GemmAccFast(m, n, k, a, lda, b, ldb, c, ldc);
-      return;
-    case MatrixMode::kFastF32:
-      GemmAccFastF32(m, n, k, a, lda, b, ldb, c, ldc);
-      return;
-    case MatrixMode::kReference:
-      break;
+  if (GetMatrixMode() == MatrixMode::kFast) {
+    GemmAccFast(m, n, k, a, lda, b, ldb, c, ldc);
+    return;
   }
   // Row ranges are independent, so splitting them across the shared pool is
   // deterministic (each C element is produced by exactly one thread with the
@@ -307,15 +305,9 @@ void GemmAcc(size_t m, size_t n, size_t k, const double* a, size_t lda,
 void GemmTransAAcc(size_t m, size_t n, size_t k, const double* a, size_t lda,
                    const double* b, size_t ldb, double* c, size_t ldc) {
   if (m == 0 || n == 0 || k == 0) return;
-  switch (GetMatrixMode()) {
-    case MatrixMode::kFast:
-      GemmTransAAccFast(m, n, k, a, lda, b, ldb, c, ldc);
-      return;
-    case MatrixMode::kFastF32:
-      GemmTransAAccFastF32(m, n, k, a, lda, b, ldb, c, ldc);
-      return;
-    case MatrixMode::kReference:
-      break;
+  if (GetMatrixMode() == MatrixMode::kFast) {
+    GemmTransAAccFast(m, n, k, a, lda, b, ldb, c, ldc);
+    return;
   }
   // C = A^T B accumulates as k rank-1 updates: for each kk, row kk of A and
   // row kk of B are both contiguous, and C (a gradient panel, small here)
@@ -334,15 +326,9 @@ void GemmTransAAcc(size_t m, size_t n, size_t k, const double* a, size_t lda,
 void GemmTransBAcc(size_t m, size_t n, size_t k, const double* a, size_t lda,
                    const double* b, size_t ldb, double* c, size_t ldc) {
   if (m == 0 || n == 0 || k == 0) return;
-  switch (GetMatrixMode()) {
-    case MatrixMode::kFast:
-      GemmTransBAccFast(m, n, k, a, lda, b, ldb, c, ldc);
-      return;
-    case MatrixMode::kFastF32:
-      GemmTransBAccFastF32(m, n, k, a, lda, b, ldb, c, ldc);
-      return;
-    case MatrixMode::kReference:
-      break;
+  if (GetMatrixMode() == MatrixMode::kFast) {
+    GemmTransBAccFast(m, n, k, a, lda, b, ldb, c, ldc);
+    return;
   }
   // C[i][j] = dot(A row i, B row j): both operands stream contiguously.
   // 2x2 register tile -> four independent accumulator chains; each chain

@@ -21,23 +21,23 @@ namespace easytime::nn {
 
 /// \brief Numeric tier of the GEMM kernels (DESIGN.md §10). The reference
 /// tier is the default: bit-exact ascending-k accumulation with FMA
-/// contraction disabled, pinned by the determinism suite. The fast tiers
-/// trade bit-exactness for speed and are covered by the relaxed-tolerance
+/// contraction disabled, pinned by the determinism suite. The fast tier
+/// trades bit-exactness for speed and is covered by the relaxed-tolerance
 /// suite (tests/test_fast_math.cc) instead.
 enum class MatrixMode : int {
   /// Bit-exact kernels; blocked == naive bit-for-bit.
   kReference = 0,
   /// FMA-contracted fp64 kernels compiled for the host ISA.
   kFast = 1,
-  /// float32 multiply-accumulate inside a k-block, fp64 storage and fp64
-  /// accumulation across blocks (and at all loss/metric boundaries, which
-  /// never leave fp64). Fastest tier for the encoder stack.
-  kFastF32 = 2,
 };
 
+/// Maps an EASYTIME_FAST_MATH value to a tier: unset (null) or "0" is
+/// kReference, "1"/"on"/"fast" is kFast. Any other value logs one warning
+/// that names it and the accepted values, then selects kReference.
+MatrixMode MatrixModeFromEnvValue(const char* value);
+
 /// The process-wide kernel tier. Initialized once from EASYTIME_FAST_MATH
-/// ("1"/"on"/"fast" = kFast, "2"/"f32" = kFastF32, anything else =
-/// reference); reads are a single relaxed atomic load.
+/// (see MatrixModeFromEnvValue); reads are a single relaxed atomic load.
 MatrixMode GetMatrixMode();
 void SetMatrixMode(MatrixMode mode);
 
@@ -58,8 +58,8 @@ class ScopedMatrixMode {
 /// \brief Raw row-major GEMM micro-kernels. All variants *accumulate* into C
 /// (callers zero or bias-seed C first). In MatrixMode::kReference they keep
 /// per-element accumulation in ascending k order, which makes them drop-in
-/// replacements for naive loops without numerical drift; the fast tiers
-/// dispatch to FMA/float32 kernels instead. Strides (lda/ldb/ldc) are row
+/// replacements for naive loops without numerical drift; kFast dispatches
+/// to the FMA kernels of matrix_fast.h instead. Strides (lda/ldb/ldc) are row
 /// strides, allowing shifted / sub-panel views (used by the causal
 /// convolutions).
 namespace kernel {

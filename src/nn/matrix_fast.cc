@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <type_traits>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -27,22 +26,13 @@ constexpr size_t kKBlock = 64;
 constexpr size_t kNBlock = 256;
 constexpr size_t kMr = 8;
 
-// float32 partial sums are folded into the fp64 C at least every kChunk
-// k-steps, bounding single-precision accumulation length.
+// The TransB dot kernel folds its 2x2 tile's partial sums into the output
+// sums every kChunk k-steps. The fold points fix kFast's rounding, so they
+// stay even though every partial sum is fp64.
 constexpr size_t kChunk = 4 * kKBlock;
 
 // Row-parallel dispatch threshold (m*n*k), as in the reference kernel.
 constexpr size_t kParallelMinWork = size_t{1} << 22;
-
-// float32 only pays off once the blocked micro-kernel engages and the
-// double->float conversion cost amortizes over enough arithmetic. Below
-// these cutoffs the f32 entry points run the fp64 FMA path instead — it is
-// both faster (measured on the encoder's 64x24x24-class shapes) and more
-// accurate, and the f32 tier's contract is a tolerance envelope, not a
-// representation guarantee.
-constexpr size_t kF32MinRows = 16;       // 2 * kMr (the blocked-path gate)
-constexpr size_t kF32MinCols = 32;       // f32 micro-tile width
-constexpr size_t kF32MinDotWork = size_t{1} << 19;  // TransB m*n*k crossover
 
 #if defined(__GNUC__)
 #define EASYTIME_FAST_VECTOR_KERNEL 1
@@ -54,78 +44,65 @@ constexpr size_t kVecBytes = 32;
 constexpr size_t kVecBytes = 16;
 #endif
 
-template <typename T>
-struct VecOf {
-  typedef T type __attribute__((vector_size(kVecBytes)));
-};
-template <typename T>
-using Vec = typename VecOf<T>::type;
-template <typename T>
-inline constexpr size_t kVw = kVecBytes / sizeof(T);
-/// Micro-tile width in elements: two vectors per C row. Twice as wide for
-/// float as for double, which is where the f32 tier's throughput comes from.
-template <typename T>
-inline constexpr size_t kNrOf = 2 * kVw<T>;
+typedef double Vec __attribute__((vector_size(kVecBytes)));
+constexpr size_t kVw = kVecBytes / sizeof(double);
+/// Micro-tile width in elements: two vectors per C row.
+constexpr size_t kNr = 2 * kVw;
 
-template <typename T>
-inline Vec<T> LoadV(const T* p) {
-  Vec<T> v;
+inline Vec LoadV(const double* p) {
+  Vec v;
   __builtin_memcpy(&v, p, sizeof(v));
   return v;
 }
 
-template <typename T>
-inline Vec<T> Splat(T x) {
-  return Vec<T>{} + x;  // scalar broadcasts over the vector
+inline Vec Splat(double x) {
+  return Vec{} + x;  // scalar broadcasts over the vector
 }
 
-/// (kMr x 2-vector) micro-kernel over a packed TC strip. Unlike the
+/// (kMr x 2-vector) micro-kernel over a packed B strip. Unlike the
 /// reference kernel the accumulators start at zero and the block sum is
-/// folded into the fp64 C afterwards — for TC=float that is what keeps
-/// single-precision error growth bounded to one k-block; for TC=double it
-/// frees the compiler to contract every step into FMA. The k loop is
-/// unrolled by two so the B loads of step kk+1 issue while step kk's FMAs
-/// retire — measured ~1.3x over the rolled loop on 256^3.
-template <typename TC>
-inline void MicroKernelFast(size_t kb, const double* const* ar, const TC* bp,
-                            double* const* cr) {
-  using V = Vec<TC>;
-  constexpr size_t W = kVw<TC>;
-  V acc[kMr][2];
+/// folded into C afterwards, which frees the compiler to contract every
+/// step into FMA. The k loop is unrolled by two so the B loads of step
+/// kk+1 issue while step kk's FMAs retire — measured ~1.3x over the rolled
+/// loop on 256^3.
+inline void MicroKernelFast(size_t kb, const double* const* ar,
+                            const double* bp, double* const* cr) {
+  constexpr size_t W = kVw;
+  Vec acc[kMr][2];
   for (size_t r = 0; r < kMr; ++r) {
-    acc[r][0] = V{};
-    acc[r][1] = V{};
+    acc[r][0] = Vec{};
+    acc[r][1] = Vec{};
   }
   size_t kk = 0;
   for (; kk + 2 <= kb; kk += 2) {
-    const TC* br = bp + kk * 2 * W;
-    const V b0 = LoadV(br);
-    const V b1 = LoadV(br + W);
-    const V b2 = LoadV(br + 2 * W);
-    const V b3 = LoadV(br + 3 * W);
+    const double* br = bp + kk * 2 * W;
+    const Vec b0 = LoadV(br);
+    const Vec b1 = LoadV(br + W);
+    const Vec b2 = LoadV(br + 2 * W);
+    const Vec b3 = LoadV(br + 3 * W);
     for (size_t r = 0; r < kMr; ++r) {
-      const V av = Splat(static_cast<TC>(ar[r][kk]));
+      const Vec av = Splat(ar[r][kk]);
       acc[r][0] += av * b0;
       acc[r][1] += av * b1;
-      const V aw = Splat(static_cast<TC>(ar[r][kk + 1]));
+      const Vec aw = Splat(ar[r][kk + 1]);
       acc[r][0] += aw * b2;
       acc[r][1] += aw * b3;
     }
   }
   for (; kk < kb; ++kk) {
-    const TC* br = bp + kk * 2 * W;
-    const V b0 = LoadV(br);
-    const V b1 = LoadV(br + W);
+    const double* br = bp + kk * 2 * W;
+    const Vec b0 = LoadV(br);
+    const Vec b1 = LoadV(br + W);
     for (size_t r = 0; r < kMr; ++r) {
-      const V av = Splat(static_cast<TC>(ar[r][kk]));
+      const Vec av = Splat(ar[r][kk]);
       acc[r][0] += av * b0;
       acc[r][1] += av * b1;
     }
   }
   for (size_t r = 0; r < kMr; ++r) {
     for (size_t l = 0; l < W; ++l) {
-      cr[r][l] += static_cast<double>(acc[r][0][l]);
-      cr[r][W + l] += static_cast<double>(acc[r][1][l]);
+      cr[r][l] += acc[r][0][l];
+      cr[r][W + l] += acc[r][1][l];
     }
   }
 }
@@ -133,64 +110,33 @@ inline void MicroKernelFast(size_t kb, const double* const* ar, const TC* bp,
 
 /// Streaming kernel for shapes the blocked path cannot tile (short row
 /// ranges, n narrower than a micro-tile). The independent-per-column inner
-/// loop vectorizes with FMA; for TC=float, B is packed to float once per
-/// call and partial row sums fold into the fp64 C every kChunk steps.
-template <typename TC>
+/// loop vectorizes with FMA.
 void FastStreamRows(size_t i_begin, size_t i_end, size_t n, size_t k,
                     const double* a, size_t lda, const double* b, size_t ldb,
                     double* c, size_t ldc) {
-  if constexpr (std::is_same_v<TC, double>) {
-    for (size_t i = i_begin; i < i_end; ++i) {
-      const double* ar = a + i * lda;
-      double* cr = c + i * ldc;
-      for (size_t kk = 0; kk < k; ++kk) {
-        const double av = ar[kk];
-        const double* br = b + kk * ldb;
-        for (size_t j = 0; j < n; ++j) cr[j] += av * br[j];
-      }
-    }
-  } else {
-    thread_local std::vector<TC> packb;
-    thread_local std::vector<TC> rowacc;
-    packb.resize(k * n);
-    rowacc.resize(n);
+  for (size_t i = i_begin; i < i_end; ++i) {
+    const double* ar = a + i * lda;
+    double* cr = c + i * ldc;
     for (size_t kk = 0; kk < k; ++kk) {
+      const double av = ar[kk];
       const double* br = b + kk * ldb;
-      TC* dst = packb.data() + kk * n;
-      for (size_t j = 0; j < n; ++j) dst[j] = static_cast<TC>(br[j]);
-    }
-    for (size_t i = i_begin; i < i_end; ++i) {
-      const double* ar = a + i * lda;
-      double* cr = c + i * ldc;
-      for (size_t k0 = 0; k0 < k; k0 += kChunk) {
-        const size_t kend = std::min(k, k0 + kChunk);
-        TC* acc = rowacc.data();
-        std::fill(acc, acc + n, TC{0});
-        for (size_t kk = k0; kk < kend; ++kk) {
-          const TC av = static_cast<TC>(ar[kk]);
-          const TC* br = packb.data() + kk * n;
-          for (size_t j = 0; j < n; ++j) acc[j] += av * br[j];
-        }
-        for (size_t j = 0; j < n; ++j) cr[j] += static_cast<double>(acc[j]);
-      }
+      for (size_t j = 0; j < n; ++j) cr[j] += av * br[j];
     }
   }
 }
 
 #if defined(EASYTIME_FAST_VECTOR_KERNEL)
 /// Blocked fast GEMM over C rows [i_begin, i_end): B panels are packed into
-/// contiguous micro-tile strips (converted to TC during the pack), then the
-/// register micro-kernel sweeps 4-row tiles.
-template <typename TC>
+/// contiguous micro-tile strips, then the register micro-kernel sweeps
+/// kMr-row tiles.
 void FastGemmRows(size_t i_begin, size_t i_end, size_t n, size_t k,
                   const double* a, size_t lda, const double* b, size_t ldb,
                   double* c, size_t ldc) {
-  constexpr size_t kNr = kNrOf<TC>;
   if (i_end - i_begin < 2 * kMr || n < kNr) {
-    FastStreamRows<TC>(i_begin, i_end, n, k, a, lda, b, ldb, c, ldc);
+    FastStreamRows(i_begin, i_end, n, k, a, lda, b, ldb, c, ldc);
     return;
   }
-  thread_local std::vector<TC> packb;
+  thread_local std::vector<double> packb;
   packb.resize(kKBlock * kNBlock);
   for (size_t j0 = 0; j0 < n; j0 += kNBlock) {
     const size_t jend = std::min(n, j0 + kNBlock);
@@ -202,11 +148,11 @@ void FastGemmRows(size_t i_begin, size_t i_end, size_t n, size_t k,
       // Pack: strip t holds B(k0..kend, j0+t*kNr .. +kNr) as kb rows of kNr.
       for (size_t kk = 0; kk < kb; ++kk) {
         const double* br = b + (k0 + kk) * ldb + j0;
-        TC* dst = packb.data() + kk * kNr;
+        double* dst = packb.data() + kk * kNr;
         for (size_t t = 0; t < full_tiles; ++t) {
           const double* src = br + t * kNr;
-          TC* d = dst + t * kb * kNr;
-          for (size_t jj = 0; jj < kNr; ++jj) d[jj] = static_cast<TC>(src[jj]);
+          double* d = dst + t * kb * kNr;
+          for (size_t jj = 0; jj < kNr; ++jj) d[jj] = src[jj];
         }
       }
       size_t i = i_begin;
@@ -220,7 +166,7 @@ void FastGemmRows(size_t i_begin, size_t i_end, size_t n, size_t k,
         for (size_t t = 0; t < full_tiles; ++t) {
           double* cr[kMr];
           for (size_t r = 0; r < kMr; ++r) cr[r] = cr0[r] + t * kNr;
-          MicroKernelFast<TC>(kb, ar, packb.data() + t * kb * kNr, cr);
+          MicroKernelFast(kb, ar, packb.data() + t * kb * kNr, cr);
         }
         for (size_t j = j0 + tiled_w; j < jend; ++j) {
           for (size_t r = 0; r < kMr; ++r) {
@@ -236,16 +182,14 @@ void FastGemmRows(size_t i_begin, size_t i_end, size_t n, size_t k,
         const double* ar = a + i * lda + k0;
         double* cr = c + i * ldc + j0;
         for (size_t t = 0; t < full_tiles; ++t) {
-          const TC* bp = packb.data() + t * kb * kNr;
-          TC acc[kNr] = {};
+          const double* bp = packb.data() + t * kb * kNr;
+          double acc[kNr] = {};
           for (size_t kk = 0; kk < kb; ++kk) {
-            const TC av = static_cast<TC>(ar[kk]);
-            const TC* br = bp + kk * kNr;
+            const double av = ar[kk];
+            const double* br = bp + kk * kNr;
             for (size_t jj = 0; jj < kNr; ++jj) acc[jj] += av * br[jj];
           }
-          for (size_t jj = 0; jj < kNr; ++jj) {
-            cr[t * kNr + jj] += static_cast<double>(acc[jj]);
-          }
+          for (size_t jj = 0; jj < kNr; ++jj) cr[t * kNr + jj] += acc[jj];
         }
         for (size_t j = j0 + tiled_w; j < jend; ++j) {
           double s = 0.0;
@@ -259,20 +203,19 @@ void FastGemmRows(size_t i_begin, size_t i_end, size_t n, size_t k,
   }
 }
 #else
-template <typename TC>
 void FastGemmRows(size_t i_begin, size_t i_end, size_t n, size_t k,
                   const double* a, size_t lda, const double* b, size_t ldb,
                   double* c, size_t ldc) {
-  FastStreamRows<TC>(i_begin, i_end, n, k, a, lda, b, ldb, c, ldc);
+  FastStreamRows(i_begin, i_end, n, k, a, lda, b, ldb, c, ldc);
 }
 #endif
 
-/// Row-parallel dispatch shared by both scalar types; mirrors the reference
-/// kernel's split (each C row is still produced by exactly one thread).
-template <typename TC>
-void FastGemmAccT(size_t m, size_t n, size_t k, const double* a, size_t lda,
-                  const double* b, size_t ldb, double* c, size_t ldc) {
-  if (m == 0 || n == 0 || k == 0) return;
+}  // namespace
+
+void GemmAccFast(size_t m, size_t n, size_t k, const double* a, size_t lda,
+                 const double* b, size_t ldb, double* c, size_t ldc) {
+  // Row-parallel split as in the reference kernel: each C row is still
+  // produced by exactly one thread.
   if (m >= 2 * kMr && m * n * k >= kParallelMinWork &&
       GlobalThreadPool().size() >= 2) {
     ThreadPool& pool = GlobalThreadPool();
@@ -282,28 +225,12 @@ void FastGemmAccT(size_t m, size_t n, size_t k, const double* a, size_t lda,
       pool.ParallelFor(blocks, [&](size_t bi) {
         const size_t i0 = bi * rows_per;
         const size_t i1 = std::min(m, i0 + rows_per);
-        if (i0 < i1) FastGemmRows<TC>(i0, i1, n, k, a, lda, b, ldb, c, ldc);
+        if (i0 < i1) FastGemmRows(i0, i1, n, k, a, lda, b, ldb, c, ldc);
       });
       return;
     }
   }
-  FastGemmRows<TC>(0, m, n, k, a, lda, b, ldb, c, ldc);
-}
-
-}  // namespace
-
-void GemmAccFast(size_t m, size_t n, size_t k, const double* a, size_t lda,
-                 const double* b, size_t ldb, double* c, size_t ldc) {
-  FastGemmAccT<double>(m, n, k, a, lda, b, ldb, c, ldc);
-}
-
-void GemmAccFastF32(size_t m, size_t n, size_t k, const double* a, size_t lda,
-                    const double* b, size_t ldb, double* c, size_t ldc) {
-  if (m < kF32MinRows || n < kF32MinCols) {
-    FastGemmAccT<double>(m, n, k, a, lda, b, ldb, c, ldc);
-    return;
-  }
-  FastGemmAccT<float>(m, n, k, a, lda, b, ldb, c, ldc);
+  FastGemmRows(0, m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 void GemmTransAAccFast(size_t m, size_t n, size_t k, const double* a,
@@ -322,46 +249,11 @@ void GemmTransAAccFast(size_t m, size_t n, size_t k, const double* a,
   }
 }
 
-void GemmTransAAccFastF32(size_t m, size_t n, size_t k, const double* a,
-                          size_t lda, const double* b, size_t ldb, double* c,
-                          size_t ldc) {
-  // The C panel (a weight gradient, small) accumulates in a float scratch
-  // for up to kChunk rank-1 updates, then folds into the fp64 grad.
-  thread_local std::vector<float> scratch;
-  thread_local std::vector<float> browf;
-  scratch.resize(m * n);
-  browf.resize(n);
-  for (size_t k0 = 0; k0 < k; k0 += kChunk) {
-    const size_t kend = std::min(k, k0 + kChunk);
-    std::fill(scratch.begin(), scratch.end(), 0.0f);
-    for (size_t kk = k0; kk < kend; ++kk) {
-      const double* ar = a + kk * lda;
-      const double* br = b + kk * ldb;
-      float* bf = browf.data();
-      for (size_t j = 0; j < n; ++j) bf[j] = static_cast<float>(br[j]);
-      for (size_t i = 0; i < m; ++i) {
-        const float av = static_cast<float>(ar[i]);
-        float* sr = scratch.data() + i * n;
-        for (size_t j = 0; j < n; ++j) sr[j] += av * bf[j];
-      }
-    }
-    for (size_t i = 0; i < m; ++i) {
-      const float* sr = scratch.data() + i * n;
-      double* cr = c + i * ldc;
-      for (size_t j = 0; j < n; ++j) cr[j] += static_cast<double>(sr[j]);
-    }
-  }
-}
-
-namespace {
-
-/// Shared dot-product TransB body: TC accumulator chains vectorize as
-/// reductions thanks to the reassociation flags on this TU; float partial
-/// sums fold into fp64 per k-chunk.
-template <typename TC>
-void FastGemmTransBT(size_t m, size_t n, size_t k, const double* a,
-                     size_t lda, const double* b, size_t ldb, double* c,
-                     size_t ldc) {
+void GemmTransBAccFast(size_t m, size_t n, size_t k, const double* a,
+                       size_t lda, const double* b, size_t ldb, double* c,
+                       size_t ldc) {
+  // Dot-product body: the accumulator chains vectorize as reductions thanks
+  // to the reassociation flags on this TU.
   size_t i = 0;
   for (; i + 2 <= m; i += 2) {
     const double* a0 = a + i * lda;
@@ -375,21 +267,17 @@ void FastGemmTransBT(size_t m, size_t n, size_t k, const double* a,
       double s00 = 0.0, s01 = 0.0, s10 = 0.0, s11 = 0.0;
       for (size_t k0 = 0; k0 < k; k0 += kChunk) {
         const size_t kend = std::min(k, k0 + kChunk);
-        TC f00{}, f01{}, f10{}, f11{};
+        double f00 = 0.0, f01 = 0.0, f10 = 0.0, f11 = 0.0;
         for (size_t kk = k0; kk < kend; ++kk) {
-          const TC av0 = static_cast<TC>(a0[kk]);
-          const TC av1 = static_cast<TC>(a1[kk]);
-          const TC bv0 = static_cast<TC>(b0[kk]);
-          const TC bv1 = static_cast<TC>(b1[kk]);
-          f00 += av0 * bv0;
-          f01 += av0 * bv1;
-          f10 += av1 * bv0;
-          f11 += av1 * bv1;
+          f00 += a0[kk] * b0[kk];
+          f01 += a0[kk] * b1[kk];
+          f10 += a1[kk] * b0[kk];
+          f11 += a1[kk] * b1[kk];
         }
-        s00 += static_cast<double>(f00);
-        s01 += static_cast<double>(f01);
-        s10 += static_cast<double>(f10);
-        s11 += static_cast<double>(f11);
+        s00 += f00;
+        s01 += f01;
+        s10 += f10;
+        s11 += f11;
       }
       c0[j] += s00;
       c0[j + 1] += s01;
@@ -398,13 +286,13 @@ void FastGemmTransBT(size_t m, size_t n, size_t k, const double* a,
     }
     for (; j < n; ++j) {
       const double* b0 = b + j * ldb;
-      TC f0{}, f1{};
+      double f0 = 0.0, f1 = 0.0;
       for (size_t kk = 0; kk < k; ++kk) {
-        f0 += static_cast<TC>(a0[kk]) * static_cast<TC>(b0[kk]);
-        f1 += static_cast<TC>(a1[kk]) * static_cast<TC>(b0[kk]);
+        f0 += a0[kk] * b0[kk];
+        f1 += a1[kk] * b0[kk];
       }
-      c0[j] += static_cast<double>(f0);
-      c1[j] += static_cast<double>(f1);
+      c0[j] += f0;
+      c1[j] += f1;
     }
   }
   for (; i < m; ++i) {
@@ -412,31 +300,11 @@ void FastGemmTransBT(size_t m, size_t n, size_t k, const double* a,
     double* c0 = c + i * ldc;
     for (size_t j = 0; j < n; ++j) {
       const double* b0 = b + j * ldb;
-      TC f0{};
-      for (size_t kk = 0; kk < k; ++kk) {
-        f0 += static_cast<TC>(a0[kk]) * static_cast<TC>(b0[kk]);
-      }
-      c0[j] += static_cast<double>(f0);
+      double f0 = 0.0;
+      for (size_t kk = 0; kk < k; ++kk) f0 += a0[kk] * b0[kk];
+      c0[j] += f0;
     }
   }
-}
-
-}  // namespace
-
-void GemmTransBAccFast(size_t m, size_t n, size_t k, const double* a,
-                       size_t lda, const double* b, size_t ldb, double* c,
-                       size_t ldc) {
-  FastGemmTransBT<double>(m, n, k, a, lda, b, ldb, c, ldc);
-}
-
-void GemmTransBAccFastF32(size_t m, size_t n, size_t k, const double* a,
-                          size_t lda, const double* b, size_t ldb, double* c,
-                          size_t ldc) {
-  if (m * n * k < kF32MinDotWork) {
-    FastGemmTransBT<double>(m, n, k, a, lda, b, ldb, c, ldc);
-    return;
-  }
-  FastGemmTransBT<float>(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 double DotFast(const double* a, const double* b, size_t n) {

@@ -2,15 +2,12 @@
 
 /// \file matrix_fast.h
 /// \brief Fast-tier GEMM kernels (internal; dispatched from kernel::GemmAcc
-/// and friends when MatrixMode != kReference). The implementations live in
+/// and friends when MatrixMode is kFast). The implementations live in
 /// matrix_fast.cc, the one TU compiled with -ffp-contract=fast and the host
-/// ISA, so mul+add chains contract to FMA. The *F32 variants compute in
-/// float32 (operand panels are packed to float; partial sums are folded back
-/// into the fp64 C at k-block granularity) while every interface stays
-/// double, so callers never change and losses/metrics keep fp64.
+/// ISA, so mul+add chains contract to FMA. Everything stays fp64.
 ///
-/// These kernels carry NO bit-exactness guarantee; their accuracy envelope
-/// is pinned by tests/test_fast_math.cc.
+/// These kernels carry NO bit-exactness guarantee against the reference
+/// tier; their accuracy envelope is pinned by tests/test_fast_math.cc.
 
 #include <cstddef>
 
@@ -20,33 +17,19 @@ namespace easytime::nn::kernel {
 void GemmAccFast(size_t m, size_t n, size_t k, const double* a, size_t lda,
                  const double* b, size_t ldb, double* c, size_t ldc);
 
-/// C (m x n) += A * B with float32 multiply-accumulate.
-void GemmAccFastF32(size_t m, size_t n, size_t k, const double* a, size_t lda,
-                    const double* b, size_t ldb, double* c, size_t ldc);
-
 /// C (m x n) += A^T * B with A (k x m), B (k x n), FMA-contracted fp64.
 void GemmTransAAccFast(size_t m, size_t n, size_t k, const double* a,
                        size_t lda, const double* b, size_t ldb, double* c,
                        size_t ldc);
-
-/// float32 variant of GemmTransAAccFast.
-void GemmTransAAccFastF32(size_t m, size_t n, size_t k, const double* a,
-                          size_t lda, const double* b, size_t ldb, double* c,
-                          size_t ldc);
 
 /// C (m x n) += A * B^T with A (m x k), B (n x k), FMA-contracted fp64.
 void GemmTransBAccFast(size_t m, size_t n, size_t k, const double* a,
                        size_t lda, const double* b, size_t ldb, double* c,
                        size_t ldc);
 
-/// float32 variant of GemmTransBAccFast.
-void GemmTransBAccFastF32(size_t m, size_t n, size_t k, const double* a,
-                          size_t lda, const double* b, size_t ldb, double* c,
-                          size_t ldc);
-
 /// sum_i a[i] * b[i], fp64 with a reassociated (vectorized) reduction.
 /// For hot inner products outside GEMM (e.g. the contrastive loss) on the
-/// fast tiers; the reference tier must keep its own strictly-ordered loops.
+/// fast tier; the reference tier must keep its own strictly-ordered loops.
 double DotFast(const double* a, const double* b, size_t n);
 
 /// y += alpha * x over n fp64 elements, FMA-contracted.
